@@ -141,8 +141,8 @@ func main() {
 // runCompare replays the baseline trajectory's exact configuration —
 // its seed, effort, routing mode, and benchmark set, NOT this
 // invocation's flags — and prints the delta report. With strict unset
-// the report is informational (the CI step is warn-only: final volume
-// depends on the run-to-run nondeterministic router).
+// the report is informational (the CI step is warn-only: timings on CI
+// runners are noisy).
 func runCompare(ctx context.Context, path string, tolerance float64, strict bool) error {
 	f, err := os.Open(path)
 	if err != nil {

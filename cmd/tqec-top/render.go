@@ -27,6 +27,7 @@ func (d *dashboard) renderOnce(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	frames = fleetView(frames)
 	goFrames, err := d.client.queryRange("go_*", start, end)
 	if err != nil {
 		return err
@@ -148,6 +149,36 @@ func sparkline(pts []tsdb.Point, width int) string {
 		}
 	}
 	return string(cells)
+}
+
+// fleetView keeps, for every family a coordinator also retains per
+// worker, only the worker="<id>" series: the coordinator's own series of
+// those families count its jobs a second time, and its compile and cache
+// families stay empty (it compiles and caches nothing). A daemon without
+// per-worker series passes through unchanged.
+func fleetView(frames []tsdb.Frame) []tsdb.Frame {
+	perWorker := map[string]bool{}
+	for _, fr := range frames {
+		if workerSeries(fr) {
+			perWorker[fr.Name] = true
+		}
+	}
+	out := make([]tsdb.Frame, 0, len(frames))
+	for _, fr := range frames {
+		if !perWorker[fr.Name] || workerSeries(fr) {
+			out = append(out, fr)
+		}
+	}
+	return out
+}
+
+func workerSeries(fr tsdb.Frame) bool {
+	for _, l := range fr.Labels {
+		if l.Name == "worker" {
+			return true
+		}
+	}
+	return false
 }
 
 // sumSeries merges every frame with one of the given names (across

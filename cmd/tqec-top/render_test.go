@@ -62,6 +62,21 @@ func TestSumSeriesMergesWorkers(t *testing.T) {
 	}
 }
 
+func TestFleetViewPrefersWorkerSeries(t *testing.T) {
+	w1 := []obs.Label{{Name: "worker", Value: "w1"}}
+	frames := fleetView([]tsdb.Frame{
+		{Name: "tqecd_jobs_done_total", Points: pts(5)},
+		{Name: "tqecd_jobs_done_total", Labels: w1, Points: pts(3)},
+		{Name: "tqecd_fleet_dispatches_total", Points: pts(7)},
+	})
+	if got := sumSeries(frames, "tqecd_jobs_done_total"); len(got) != 1 || got[0].V != 3 {
+		t.Fatalf("done = %+v, want only the worker series (3)", got)
+	}
+	if got := sumSeries(frames, "tqecd_fleet_dispatches_total"); len(got) != 1 || got[0].V != 7 {
+		t.Fatalf("dispatches = %+v, want the coordinator's own series (7)", got)
+	}
+}
+
 func TestRatioTrend(t *testing.T) {
 	hits := pts(0, 3, 3)
 	misses := pts(0, 1, 1)
@@ -111,9 +126,9 @@ func TestRenderOnceAgainstLiveService(t *testing.T) {
 			Target: 0.99,
 		}},
 		Logger: obs.NopLogger(),
-		Compile: func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+		Runner: service.Compiler(func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
 			return &compress.Result{}, nil
-		},
+		}),
 	})
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())

@@ -38,10 +38,16 @@
 //	tqecd -role coordinator -addr :8142                          # front door
 //	tqecd -role worker -addr :8143 -coordinator http://host:8142 # compile node
 //
-// A coordinator serves the same /v1/jobs API and dispatches every job to
-// a registered worker, routing by cache-key rendezvous hash (affinity)
-// and failing over when a worker dies. The default role, standalone, is
-// the unchanged single-process daemon.
+// A coordinator is the same job service — one job lifecycle, j… job IDs,
+// the same /v1 API, WAL replay and metrics — whose jobs are dispatched to
+// registered workers instead of compiled, routed by cache-key rendezvous
+// hash (affinity) and failed over when a worker dies. There -workers 0
+// (the default) dispatches every admitted job at once, leaving load
+// bounds to the workers; a positive -workers caps concurrent dispatches
+// and -queue then bounds the jobs waiting for one. A job's deadline runs
+// on its worker, over the compile alone. Results are cached on the
+// workers, so -cache does not apply. The default role, standalone, is the
+// unchanged single-process daemon.
 //
 // SIGINT/SIGTERM triggers a graceful drain: in-flight compiles finish
 // (up to -drain-grace), then the process exits.
@@ -70,7 +76,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8142", "listen address")
-		workers    = flag.Int("workers", 0, "concurrent compile workers (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS, negative = no cap; coordinator: concurrent dispatches, 0 = no cap)")
 		queue      = flag.Int("queue", 64, "max queued jobs before submissions are rejected")
 		cacheSize  = flag.Int("cache", 256, "result-cache entries (-1 disables caching)")
 		cacheBytes = flag.Int64("cache-bytes", 0, "in-memory result-cache byte bound (0 = entries-only bound)")
@@ -194,19 +200,14 @@ func main() {
 		// A coordinator's store carries only the WAL: result payloads are
 		// cached (and persisted) worker-side.
 		st := openStore(true)
+		svcConfig.Store = st
 		coord := fleet.NewCoordinator(context.Background(), fleet.Config{
+			Config:            svcConfig,
 			HeartbeatInterval: *heartbeat,
 			SuspectAfter:      *suspectAge,
 			DeadAfter:         *deadAge,
 			DispatchAttempts:  *dispatchTry,
 			PollInterval:      *pollEvery,
-			MaxFinishedJobs:   *retain,
-			JournalEvents:     *journalEvs,
-			HistoryInterval:   *selfScrape,
-			HistorySamples:    *historySamples,
-			SLOs:              objectives,
-			Store:             st,
-			Logger:            logger,
 		})
 		serve(*addr, coord.Handler(), logger, *drainGrace, func(ctx context.Context) error {
 			err := coord.Shutdown(ctx)

@@ -49,11 +49,10 @@ type Comparison struct {
 }
 
 // DefaultCompareTolerance is the relative slack Compare allows before
-// flagging a regression. It is deliberately loose: final volume depends
-// on the negotiated router, which is not run-to-run deterministic, and
-// stage timings carry machine noise — the compare step exists to catch
-// structural regressions (a stage suddenly 2× slower, volume jumping),
-// not single-digit jitter.
+// flagging a regression. It is deliberately loose: stage timings carry
+// machine noise — the compare step exists to catch structural
+// regressions (a stage suddenly 2× slower, volume jumping), not
+// single-digit jitter.
 const DefaultCompareTolerance = 0.25
 
 // minCompareMS is the floor below which stage timings are reported but

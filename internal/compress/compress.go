@@ -15,6 +15,7 @@ package compress
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"tqec/internal/bridge"
@@ -589,7 +590,17 @@ func routeNets(ctx context.Context, pl *place.Result, opt Options) (*route.Resul
 	}
 	var nets []route.Net
 	taken := map[route.Cell]int{}
-	for rep, pins := range pl.Input.Nets {
+	// Visit the nets in rep order, not map order: the order fixes which
+	// net's pin is nudged off a shared cell, and the router breaks pin-span
+	// ties by input order, so map order would change the routed volume from
+	// run to run.
+	reps := make([]int, 0, len(pl.Input.Nets))
+	for rep := range pl.Input.Nets {
+		reps = append(reps, rep)
+	}
+	slices.Sort(reps)
+	for _, rep := range reps {
+		pins := pl.Input.Nets[rep]
 		if len(pins) < 2 {
 			continue
 		}

@@ -60,9 +60,8 @@ func TestJournalWaterfallInvariant(t *testing.T) {
 }
 
 // TestJournaledCompileBitIdenticalToPlain mirrors the tracer bit-identity
-// test: recording a journal must not perturb the algorithm. Routing
-// wirelength is excluded for the same reason as there — the negotiated
-// router is not run-to-run deterministic even unjournaled.
+// test: recording a journal must not perturb the algorithm, down to the
+// routed volume and wirelength.
 func TestJournaledCompileBitIdenticalToPlain(t *testing.T) {
 	c := mixed4Circuit(t)
 	opt := Options{Mode: Full, Seed: 1}
@@ -76,11 +75,13 @@ func TestJournaledCompileBitIdenticalToPlain(t *testing.T) {
 	}
 	journaled, _ := journaledCompile(t, opt)
 	if plain.Volume != journaled.Volume || plain.PlacedVolume != journaled.PlacedVolume ||
+		plain.Wirelength != journaled.Wirelength ||
 		plain.Placement.SA.Moves != journaled.Placement.SA.Moves ||
 		plain.Placement.SA.Accepted != journaled.Placement.SA.Accepted ||
 		plain.Placement.SA.BestCost != journaled.Placement.SA.BestCost {
-		t.Fatalf("journaled result differs: volume %d/%d placed %d/%d moves %d/%d accepted %d/%d",
+		t.Fatalf("journaled result differs: volume %d/%d placed %d/%d wirelength %d/%d moves %d/%d accepted %d/%d",
 			plain.Volume, journaled.Volume, plain.PlacedVolume, journaled.PlacedVolume,
+			plain.Wirelength, journaled.Wirelength,
 			plain.Placement.SA.Moves, journaled.Placement.SA.Moves,
 			plain.Placement.SA.Accepted, journaled.Placement.SA.Accepted)
 	}

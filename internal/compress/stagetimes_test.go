@@ -93,18 +93,17 @@ func TestTracedCompileBitIdenticalToUntraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Instrumentation must not perturb the algorithm. Routing wirelength
-	// is not compared: the negotiated router is not run-to-run
-	// deterministic even untraced (its detours vary), so it cannot
-	// distinguish tracer perturbation from baseline noise. Placement and
-	// the annealing schedule ARE deterministic per seed, and the final
-	// volumes must match.
+	// Instrumentation must not perturb the algorithm: placement, the
+	// annealing schedule and the routed result are deterministic per seed,
+	// so every one of them must match.
 	if plain.Volume != traced.Volume || plain.PlacedVolume != traced.PlacedVolume ||
+		plain.Wirelength != traced.Wirelength ||
 		plain.Placement.SA.Moves != traced.Placement.SA.Moves ||
 		plain.Placement.SA.Accepted != traced.Placement.SA.Accepted ||
 		plain.Placement.SA.BestCost != traced.Placement.SA.BestCost {
-		t.Fatalf("traced result differs: volume %d/%d placed %d/%d moves %d/%d accepted %d/%d",
+		t.Fatalf("traced result differs: volume %d/%d placed %d/%d wirelength %d/%d moves %d/%d accepted %d/%d",
 			plain.Volume, traced.Volume, plain.PlacedVolume, traced.PlacedVolume,
+			plain.Wirelength, traced.Wirelength,
 			plain.Placement.SA.Moves, traced.Placement.SA.Moves,
 			plain.Placement.SA.Accepted, traced.Placement.SA.Accepted)
 	}

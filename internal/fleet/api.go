@@ -1,17 +1,13 @@
 package fleet
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
 	"sort"
 	"time"
 
-	"tqec/internal/journal"
-	"tqec/internal/obs"
 	"tqec/internal/service"
 )
 
@@ -19,24 +15,6 @@ import (
 // shared service.Client) see one wire shape fleet-wide.
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-// jobStatusResponse is the coordinator's job status: the standard
-// service.JobStatus plus fleet-only placement detail. The additions are
-// strictly additive — a client decoding service.JobStatus sees exactly
-// the single-process API.
-type jobStatusResponse struct {
-	service.JobStatus
-	// Worker is the ID of the worker currently (or last) owning the job.
-	Worker string `json:"worker,omitempty"`
-	// Retries counts dispatch retries and failovers this job consumed.
-	Retries int `json:"retries,omitempty"`
-}
-
-// jobListResponse mirrors service.JobList with the extended statuses.
-type jobListResponse struct {
-	Jobs  []jobStatusResponse `json:"jobs"`
-	Total int                 `json:"total"`
 }
 
 // RegisterRequest is the POST /fleet/v1/register body a worker agent
@@ -77,303 +55,29 @@ type WorkersResponse struct {
 	Workers []WorkerInfo `json:"workers"`
 }
 
-// FleetHealth is the coordinator's GET /healthz body.
+// FleetHealth is the coordinator's GET /healthz body: the service's
+// health document plus a fleet summary.
 type FleetHealth struct {
-	Status         string  `json:"status"`
-	Role           string  `json:"role"`
-	Version        string  `json:"version"`
-	UptimeMS       float64 `json:"uptime_ms"`
-	WorkersAlive   int     `json:"workers_alive"`
-	WorkersSuspect int     `json:"workers_suspect"`
-	WorkersTotal   int     `json:"workers_total"`
-	JobsInflight   int64   `json:"jobs_inflight"`
+	service.HealthStatus
+	Role           string `json:"role"`
+	WorkersAlive   int    `json:"workers_alive"`
+	WorkersSuspect int    `json:"workers_suspect"`
+	WorkersTotal   int    `json:"workers_total"`
 }
 
+// routes mounts the fleet endpoints in front of the coordinator's
+// service.Server, which serves every other path.
 func (c *Coordinator) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", c.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleStatus)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", c.handleResult)
+	mux.Handle("/", c.Server)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/journal", c.handleJournal)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleTrace)
 	mux.HandleFunc("GET /v1/jobs/{id}/profile", c.handleProfile)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
 	mux.HandleFunc("POST /fleet/v1/register", c.handleRegister)
 	mux.HandleFunc("POST /fleet/v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("GET /fleet/v1/workers", c.handleWorkers)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
-	mux.HandleFunc("GET /v1/store", c.handleStore)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /v1/query_range", c.handleQueryRange)
-	mux.HandleFunc("GET /v1/alerts", c.handleAlerts)
 	return mux
-}
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req service.SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
-		return
-	}
-	// Validate and compute the cache key coordinator-side: a malformed
-	// submission fails here with the same message a worker would produce,
-	// and the key drives affinity routing.
-	name, key, err := req.Resolve()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	// A traced submission may arrive with an upstream trace context (a
-	// remote-mode tqecc run); a malformed header degrades to a fresh
-	// coordinator-rooted trace rather than failing the submission.
-	var traceCtx obs.TraceContext
-	if req.Trace {
-		if h := r.Header.Get(obs.TraceparentHeader); h != "" {
-			tc, perr := obs.ParseTraceparent(h)
-			if perr != nil {
-				c.logger.Warn("bad traceparent, starting fresh trace", "header", h, "err", perr.Error())
-			} else {
-				traceCtx = tc
-			}
-		}
-	}
-	j := c.newJob(name, key, req, traceCtx, r.Header.Get(obs.RequestIDHeader))
-	if j == nil {
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "coordinator draining"})
-		return
-	}
-	c.metrics.jobsSubmitted.Inc()
-	// Durable before dispatchable: once the supervisor exists, a crash at
-	// any instant replays this job from its submitted record.
-	c.walSubmitted(j)
-	c.wg.Add(1)
-	go c.supervise(j)
-	c.logJob(j, "submitted", "key", key[:12])
-	writeJSON(w, http.StatusAccepted, c.status(j))
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	filter := service.State(q.Get("state"))
-	switch filter {
-	case "", service.StateQueued, service.StateRunning, service.StateDone,
-		service.StateFailed, service.StateCanceled:
-	default:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("unknown state %q", filter)})
-		return
-	}
-	limit := 100
-	if v := q.Get("limit"); v != "" {
-		n, err := parseNonNegative(v)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad limit %q", v)})
-			return
-		}
-		limit = n
-	}
-
-	c.mu.Lock()
-	matched := make([]*job, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		if filter == "" || j.state == filter {
-			matched = append(matched, j)
-		}
-	}
-	// Newest first; IDs are zero-padded monotonic (f000001, f000002, …).
-	sort.Slice(matched, func(a, b int) bool {
-		if len(matched[a].id) != len(matched[b].id) {
-			return len(matched[a].id) > len(matched[b].id)
-		}
-		return matched[a].id > matched[b].id
-	})
-	out := jobListResponse{Total: len(matched), Jobs: []jobStatusResponse{}}
-	for _, j := range matched {
-		if limit > 0 && len(out.Jobs) >= limit {
-			break
-		}
-		out.Jobs = append(out.Jobs, c.statusLocked(j))
-	}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobByID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, c.status(j))
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobByID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
-		return
-	}
-	c.mu.Lock()
-	state, errMsg, payload := j.state, j.errMsg, j.payload
-	c.mu.Unlock()
-	if state != service.StateDone || payload == nil {
-		msg := fmt.Sprintf("job is %s, no result", state)
-		if errMsg != "" {
-			msg += ": " + errMsg
-		}
-		writeJSON(w, http.StatusConflict, errorResponse{Error: msg})
-		return
-	}
-	writeJSON(w, http.StatusOK, payload)
-}
-
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobByID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
-		return
-	}
-	if st, ok := c.requestCancel(r.Context(), j); !ok {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("job already %s", st)})
-		return
-	}
-	writeJSON(w, http.StatusOK, c.status(j))
-}
-
-// handleJournal serves the coordinator's dispatch journal once the job
-// is terminal: which worker ran it, every retry and failover, and the
-// terminal state. The compile-pipeline journal lives on the worker and
-// streams through /v1/jobs/{id}/events.
-func (c *Coordinator) handleJournal(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobByID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
-		return
-	}
-	c.mu.Lock()
-	state, rec := j.state, j.recorder
-	id, name := j.id, j.name
-	c.mu.Unlock()
-	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "journaling disabled (coordinator started with journal events < 0)"})
-		return
-	}
-	if !state.Terminal() {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("job is %s, journal not final (stream /v1/jobs/%s/events)", state, id)})
-		return
-	}
-	writeJSON(w, http.StatusOK, service.JournalResponse{
-		ID:            id,
-		Name:          name,
-		State:         state,
-		Events:        rec.Events(),
-		EventsDropped: rec.Dropped(),
-	})
-}
-
-// handleTrace serves the stitched fleet-wide trace of a traced job once
-// it is terminal: the coordinator's own span tree (dispatch, routing,
-// retries, failovers) with the owning worker's pipeline span tree
-// fetched on demand and grafted under the final dispatch span. Worker
-// timestamps are aligned with the heartbeat-derived clock-offset
-// estimate, clamped so the graft never precedes its dispatch parent.
-// When the worker is unreachable the coordinator-only view is served
-// with a worker_trace_error attribute rather than an error status.
-// ?format=chrome selects the Chrome trace_event form, with coordinator
-// and worker spans in separate process lanes.
-func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobByID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
-		return
-	}
-	c.mu.Lock()
-	state := j.state
-	workerID, workerURL, remoteID := j.workerID, j.workerURL, j.remoteID
-	c.mu.Unlock()
-	if j.tracer == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "job was not traced (submit with \"trace\": true)"})
-		return
-	}
-	if !state.Terminal() {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("job is %s, trace not final", state)})
-		return
-	}
-	tree := j.tracer.Tree()
-	if workerURL != "" && remoteID != "" {
-		tctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-		guest, err := c.workerClient(workerURL).Trace(tctx, remoteID)
-		cancel()
-		if err != nil {
-			c.logJob(j, "trace-fetch-failed", "worker", workerID, "err", err.Error())
-			setTreeAttr(tree, "worker_trace_error", err.Error())
-		} else {
-			guest.Process = workerID
-			if !obs.Graft(tree, "dispatch", guest, c.reg.clockOffset(workerID)) {
-				setTreeAttr(tree, "worker_trace_error", "stitch failed: no dispatch span or missing epoch anchors")
-			}
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if r.URL.Query().Get("format") == "chrome" {
-		_ = obs.WriteChromeTraceTree(w, tree)
-		return
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(tree)
-}
-
-// setTreeAttr annotates an exported span tree in place.
-func setTreeAttr(tree *obs.SpanJSON, key string, value any) {
-	if tree.Attrs == nil {
-		tree.Attrs = map[string]any{}
-	}
-	tree.Attrs[key] = value
-}
-
-// handleProfile proxies the owning worker's slow-job CPU profile. The
-// coordinator does not copy profiles at completion time (they are large
-// and rarely wanted); a worker that died since the job finished answers
-// 502 here, which is an honest account of where the bytes live.
-func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobByID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
-		return
-	}
-	c.mu.Lock()
-	state := j.state
-	workerURL, remoteID := j.workerURL, j.remoteID
-	c.mu.Unlock()
-	if !state.Terminal() {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("job is %s, profile not final", state)})
-		return
-	}
-	if workerURL == "" || remoteID == "" {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no profile: job never reached a worker"})
-		return
-	}
-	pctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
-	defer cancel()
-	raw, err := c.workerClient(workerURL).Profile(pctx, remoteID)
-	if err != nil {
-		var se *service.StatusError
-		if errors.As(err, &se) {
-			// Forward the worker's own verdict (404 no profile, 409 not
-			// final) untouched.
-			writeJSON(w, se.Code, errorResponse{Error: se.Message})
-			return
-		}
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "fetch profile: " + err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", `attachment; filename="`+j.id+`.pprof"`)
-	_, _ = w.Write(raw)
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -418,17 +122,11 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	closed := c.closed
-	c.mu.Unlock()
 	workers := c.reg.snapshot()
 	h := FleetHealth{
-		Status:       "ok",
+		HealthStatus: c.Health(),
 		Role:         "coordinator",
-		Version:      obs.Version(),
-		UptimeMS:     ms(time.Since(c.started)),
 		WorkersTotal: len(workers),
-		JobsInflight: c.metrics.jobsInflight.Value(),
 	}
 	for _, wk := range workers {
 		switch wk.State {
@@ -439,108 +137,10 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	code := http.StatusOK
-	if closed {
-		h.Status = "draining"
+	if h.Status == "draining" {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, h)
-}
-
-// jobByID looks a job up under the lock.
-func (c *Coordinator) jobByID(id string) (*job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	return j, ok
-}
-
-// status renders a job under the coordinator lock.
-func (c *Coordinator) status(j *job) jobStatusResponse {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.statusLocked(j)
-}
-
-// statusLocked renders a job; the caller holds c.mu. Timing fields
-// mirror the owning worker's view (its QueuedMS/RunMS), so a worker
-// cache hit still reads RunMS=0 through the coordinator.
-func (c *Coordinator) statusLocked(j *job) jobStatusResponse {
-	st := jobStatusResponse{
-		JobStatus: service.JobStatus{
-			ID:       j.id,
-			Name:     j.name,
-			State:    j.state,
-			Cached:   j.cached,
-			Error:    j.errMsg,
-			CacheKey: j.key,
-		},
-		Worker:  j.workerID,
-		Retries: j.retries,
-	}
-	if j.remoteID != "" {
-		st.QueuedMS = j.remote.QueuedMS
-		st.RunMS = j.remote.RunMS
-		st.Profiled = j.remote.Profiled
-	} else if j.state == service.StateQueued {
-		st.QueuedMS = ms(time.Since(j.submitted))
-	}
-	return st
-}
-
-// newJob registers a job in the queued state; it returns nil once the
-// coordinator is draining (see Shutdown).
-func (c *Coordinator) newJob(name, key string, req service.SubmitRequest, traceCtx obs.TraceContext, requestID string) *job {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
-	}
-	c.nextID++
-	j := &job{
-		id:        fmt.Sprintf("f%06d", c.nextID),
-		name:      name,
-		key:       key,
-		req:       req,
-		requestID: requestID,
-		submitted: time.Now(),
-		cancelCh:  make(chan struct{}),
-		state:     service.StateQueued,
-	}
-	if req.Trace {
-		j.tracer = obs.NewTracer("fleet:" + j.id)
-		j.tracer.SetProcess("coordinator")
-		if traceCtx.Valid() {
-			// Continue the submitter's distributed trace.
-			j.tracer.Link(traceCtx)
-		} else {
-			// The coordinator is the distributed root.
-			j.tracer.SetTraceID(obs.NewTraceContext().TraceID)
-		}
-	}
-	if c.cfg.JournalEvents > 0 {
-		j.recorder = journal.NewRecorder(c.cfg.JournalEvents)
-		j.recorder.JobState(string(service.StateQueued), "")
-	}
-	c.jobs[j.id] = j
-	return j
-}
-
-// parseNonNegative parses a non-negative integer query parameter.
-func parseNonNegative(s string) (int, error) {
-	n := 0
-	if s == "" {
-		return 0, fmt.Errorf("empty")
-	}
-	for _, r := range s {
-		if r < '0' || r > '9' {
-			return 0, fmt.Errorf("not a non-negative integer")
-		}
-		n = n*10 + int(r-'0')
-		if n > 1<<30 {
-			return 0, fmt.Errorf("too large")
-		}
-	}
-	return n, nil
 }
 
 // ms converts a duration to float milliseconds (the wire unit).

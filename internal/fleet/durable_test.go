@@ -38,7 +38,7 @@ func TestCoordinatorWALReplayRedispatches(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	f1 := newTestFleet(t, Config{Store: st, DispatchAttempts: 100},
+	f1 := newTestFleet(t, Config{Config: service.Config{Store: st}, DispatchAttempts: 100},
 		[]string{"w1"}, map[string]service.CompileFunc{"w1": blocking})
 
 	interrupted := f1.submit(t, threecnotBody)
@@ -77,17 +77,27 @@ func TestCoordinatorWALReplayRedispatches(t *testing.T) {
 	// registers, then dispatch normally.
 	st2 := openCoordStore(t, dir)
 	t.Cleanup(func() { st2.Close() })
-	f2 := newTestFleet(t, Config{Store: st2, DispatchAttempts: 100}, []string{"w2"}, nil)
+	f2 := newTestFleet(t, Config{Config: service.Config{Store: st2}, DispatchAttempts: 100}, []string{"w2"}, nil)
 
 	final := f2.waitJob(t, interrupted.ID, 30*time.Second)
 	if final.State != service.StateDone {
 		t.Fatalf("replayed job state = %s (err %q), want done", final.State, final.Error)
 	}
+	// The replay forwards the WAL's normalized circuit text; the worker
+	// must still compute the key the job was submitted under.
+	d, _, _ := f2.coord.JobDispatch(interrupted.ID)
+	var remote service.JobStatus
+	if code := getJSON(t, d.URL+"/v1/jobs/"+d.RemoteID, &remote); code != http.StatusOK {
+		t.Fatalf("worker status of replayed job: http %d", code)
+	}
+	if final.CacheKey != interrupted.CacheKey || remote.CacheKey != interrupted.CacheKey {
+		t.Fatalf("replayed keys: coordinator %.12s, worker %.12s, want %.12s", final.CacheKey, remote.CacheKey, interrupted.CacheKey)
+	}
 	if code := getJSON(t, f2.ts.URL+"/v1/jobs/"+canceled.ID, nil); code != http.StatusNotFound {
 		t.Fatalf("canceled job after restart: http %d, want 404", code)
 	}
 
-	// New submissions never reuse a pre-restart f-ID (the next_id
+	// New submissions never reuse a pre-restart ID (the next_id
 	// high-water mark survives compaction).
 	fresh := f2.submit(t, threecnotBody)
 	if fresh.ID == interrupted.ID || fresh.ID == canceled.ID {
@@ -107,7 +117,7 @@ func TestCoordinatorStoreEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	st := openCoordStore(t, dir)
 	t.Cleanup(func() { st.Close() })
-	f := newTestFleet(t, Config{Store: st}, nil, nil)
+	f := newTestFleet(t, Config{Config: service.Config{Store: st}}, nil, nil)
 	var stats store.Stats
 	if code := getJSON(t, f.ts.URL+"/v1/store", &stats); code != http.StatusOK {
 		t.Fatalf("store endpoint: http %d", code)

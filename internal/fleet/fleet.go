@@ -1,7 +1,13 @@
 // Package fleet turns tqecd into a horizontally scaled compile fleet: a
-// coordinator that exposes the existing /v1/jobs API unchanged and
-// dispatches every submission over HTTP to registered workers, each of
-// which is an ordinary single-process tqecd (internal/service.Server).
+// coordinator that serves the /v1 job API and dispatches every job over
+// HTTP to registered workers, each of which is an ordinary single-process
+// tqecd (internal/service.Server).
+//
+// The coordinator is itself a service.Server: the job table, IDs,
+// retention, the /v1 handlers, the WAL and its replay, metrics history,
+// SLO alerts and drain all run the service's code. What this package adds
+// is the Runner that replaces the in-process compile with dispatch, and
+// the membership around it.
 //
 // The pipeline is embarrassingly parallel across jobs and seeds, and the
 // NP-hardness of optimal braided-circuit compaction means throughput
@@ -22,32 +28,24 @@
 //     list and results are content-addressed, re-running a job on
 //     another worker is always safe: dispatch is at-least-once, results
 //     are exactly-one-answer.
-//   - Cancellation (DELETE) and SSE event streaming (/v1/jobs/{id}/events)
-//     are proxied through to the owning worker; /metrics aggregates the
-//     tqecd_* families fleet-wide and adds the tqecd_fleet_* ones.
+//   - Cancellation (DELETE) ends the job's run, which forwards it to the
+//     owning worker; SSE event streams, slow-job profiles and traces are
+//     served from the owning worker (traces stitched under the
+//     coordinator's dispatch spans).
 //
-// Coordinator endpoints:
+// Coordinator endpoints beyond the service's:
 //
-//	POST   /v1/jobs               submit (dispatched to a worker)
-//	GET    /v1/jobs               list coordinator jobs (?state=, ?limit=)
-//	GET    /v1/jobs/{id}          status (mirrored from the owning worker)
-//	GET    /v1/jobs/{id}/result   result payload (stored on completion, so
-//	                              a worker death after done loses nothing)
 //	GET    /v1/jobs/{id}/events   SSE stream proxied from the owning worker
-//	GET    /v1/jobs/{id}/journal  coordinator dispatch journal (assignment,
-//	                              retries, failovers, terminal state)
-//	DELETE /v1/jobs/{id}          cancel (forwarded; never retried after)
+//	                              (the coordinator's dispatch journal until
+//	                              the job is dispatched)
+//	GET    /v1/jobs/{id}/trace    coordinator spans with the worker's
+//	                              pipeline tree grafted under the last
+//	                              dispatch span
+//	GET    /v1/jobs/{id}/profile  the owning worker's slow-job profile
 //	POST   /fleet/v1/register     worker registration
 //	POST   /fleet/v1/heartbeat    worker heartbeat (404 → re-register)
 //	GET    /fleet/v1/workers      registered workers and their liveness
 //	GET    /healthz               coordinator liveness + fleet summary
-//	GET    /metrics               fleet + aggregated worker metrics (JSON;
-//	                              Prometheus text when Accept: text/plain)
-//	GET    /v1/query_range        retained metrics history: coordinator
-//	                              families plus per-worker series tagged
-//	                              worker="<id>" (404 until -self-scrape)
-//	GET    /v1/alerts             SLO burn-rate alert states and recent
-//	                              transitions (404 until -slo)
 package fleet
 
 import (
@@ -55,17 +53,26 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
 	"tqec/internal/obs"
 	"tqec/internal/service"
-	"tqec/internal/store"
-	"tqec/internal/tsdb"
 )
 
 // Config tunes the coordinator. Zero values select defaults.
 type Config struct {
+	// Config is the coordinator's job service. By default (Workers 0)
+	// every admitted job dispatches at once: a dispatch waits on a worker,
+	// not on this machine's CPUs, and each worker bounds and queues its
+	// own load. A positive Workers caps concurrent dispatches, and
+	// QueueDepth then bounds the jobs waiting for one. Store carries only
+	// the WAL (open it NoResults). The coordinator never caches results,
+	// so CacheEntries is ignored, and Runner is the coordinator itself.
+	service.Config
+	// Logger receives structured coordinator log lines; it overrides
+	// Config.Logger (default: text handler on stderr).
+	Logger *slog.Logger
+
 	// HeartbeatInterval is the cadence workers are told to beat at
 	// (default 2s); it also paces the liveness sweep.
 	HeartbeatInterval time.Duration
@@ -90,41 +97,17 @@ type Config struct {
 	// worker overrides the rendezvous (affinity) choice (default 8;
 	// negative disables the override).
 	MaxImbalance int
-	// MaxFinishedJobs bounds retained terminal jobs, exactly like the
-	// service's knob (default 512; negative retains everything).
-	MaxFinishedJobs int
-	// JournalEvents bounds each job's coordinator-side dispatch journal
-	// (default 256; negative disables it).
-	JournalEvents int
 	// Backoff shapes dispatch-retry delays.
 	Backoff Backoff
-	// HistoryInterval enables the metrics-history self-scrape loop: every
-	// interval the coordinator samples its own registry and live-scrapes
-	// each non-dead worker into the in-process time-series store behind
-	// GET /v1/query_range. Zero or negative disables history (the
-	// default), keeping an unobserved coordinator byte-identical to the
-	// pre-history behaviour.
-	HistoryInterval time.Duration
-	// HistorySamples bounds each retained series' ring (default 512).
-	HistorySamples int
-	// SLOs are burn-rate alert objectives evaluated after every scrape
-	// and served at GET /v1/alerts. Requires HistoryInterval > 0.
-	SLOs []tsdb.Objective
-	// Store is the coordinator's durable storage layer (write-ahead job
-	// log; results stay worker-side, so open it NoResults). Nil keeps the
-	// coordinator purely in-memory — bit-identical to the pre-durability
-	// behaviour. The caller owns the store and closes it after
-	// Shutdown/Close returns.
-	Store *store.Store
-	// Logger receives structured coordinator log lines (default: text
-	// handler on stderr, the shared obs shape).
-	Logger *slog.Logger
 	// HTTPClient performs worker calls (default: a dedicated client; no
 	// global timeout — per-call contexts bound every request).
 	HTTPClient *http.Client
 }
 
 func (c Config) withDefaults() Config {
+	if c.Workers <= 0 {
+		c.Workers = -1 // no dispatch cap
+	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 2 * time.Second
 	}
@@ -146,11 +129,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxImbalance == 0 {
 		c.MaxImbalance = 8
 	}
-	if c.MaxFinishedJobs == 0 {
-		c.MaxFinishedJobs = 512
-	}
-	if c.JournalEvents == 0 {
-		c.JournalEvents = 256
+	if c.Logger == nil {
+		c.Logger = c.Config.Logger
 	}
 	if c.Logger == nil {
 		l, err := obs.NewLogger(obs.LogConfig{Writer: os.Stderr})
@@ -165,64 +145,48 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Coordinator is the fleet's front door. Create with NewCoordinator,
-// mount via Handler, stop with Shutdown (graceful) or Close (immediate).
+// Coordinator is the fleet's front door: a service.Server whose Runner
+// dispatches to workers. Create with NewCoordinator, mount via Handler,
+// stop with Shutdown (graceful) or Close (immediate).
 type Coordinator struct {
+	*service.Server
+
 	cfg     Config
 	metrics *fleetMetrics
 	reg     *registry
 	mux     *http.ServeMux
-	logger  *slog.Logger
-	store   *store.Store
-	started time.Time
 
-	rootCtx     context.Context
-	rootCancel  context.CancelFunc
-	wg          sync.WaitGroup // per-job supervisors
+	ctx         context.Context // ends the liveness monitor
+	cancel      context.CancelFunc
 	monitorDone chan struct{}
-
-	// history/collector/slo are non-nil only when HistoryInterval > 0
-	// (and, for slo, when objectives are configured).
-	history   *tsdb.DB
-	collector *tsdb.Collector
-	slo       *tsdb.Engine
-
-	mu       sync.Mutex
-	jobs     map[string]*job // guarded by mu
-	nextID   int             // guarded by mu
-	finished []string        // guarded by mu; terminal job IDs, oldest first, for retention pruning
-	closed   bool            // guarded by mu
 }
 
 // NewCoordinator starts the coordinator: ctx is its root context —
 // cancelling it abandons every in-flight dispatch.
 func NewCoordinator(ctx context.Context, cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	m := newFleetMetrics()
-	if cfg.Store != nil {
-		m.registerStore(cfg.Store)
-	}
-	c := &Coordinator{
-		cfg:     cfg,
-		metrics: m,
-		reg:     newRegistry(m, cfg.Logger, cfg.SuspectAfter, cfg.DeadAfter),
-		logger:  cfg.Logger,
-		store:   cfg.Store,
-		started: time.Now(),
-		jobs:    map[string]*job{},
-	}
-	c.rootCtx, c.rootCancel = context.WithCancel(ctx)
-	c.startHistory()
+	c := &Coordinator{cfg: cfg, monitorDone: make(chan struct{})}
+	c.ctx, c.cancel = context.WithCancel(ctx)
+	sc := cfg.Config
+	sc.Logger = cfg.Logger
+	sc.CacheEntries = -1 // results are cached worker-side
+	sc.Runner = c
+	// New calls c.Attach, which sets c.Server, before WAL replay can run a
+	// job.
+	service.New(ctx, sc)
 	c.mux = c.routes()
-	// Replay the write-ahead log before the handler is reachable: jobs
-	// in flight when the previous coordinator died get supervisors again
-	// (under their original IDs) and re-dispatch once workers re-register.
-	if c.store != nil {
-		c.recoverFromWAL()
-	}
-	c.monitorDone = make(chan struct{})
 	go c.monitor()
 	return c
+}
+
+// Attach wires the coordinator into its service.Server: the fleet
+// families join the server's registry, and per-worker history retention
+// joins its self-scrape loop.
+func (c *Coordinator) Attach(s *service.Server) {
+	c.Server = s
+	c.metrics = newFleetMetrics(s.Registry())
+	c.reg = newRegistry(c.metrics, c.cfg.Logger, c.cfg.SuspectAfter, c.cfg.DeadAfter)
+	s.AfterScrape(c.retainWorkerHistory)
 }
 
 // Handler returns the HTTP surface.
@@ -231,52 +195,27 @@ func (c *Coordinator) Handler() http.Handler { return c.mux }
 // ServeHTTP implements http.Handler.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
 
-// Shutdown stops accepting submissions and waits for in-flight jobs'
-// supervisors to finish. If ctx expires first, everything in flight is
-// abandoned (the jobs end canceled) and the drain returns ctx's error.
+// Shutdown drains the job service (see service.Server.Shutdown), then
+// stops the liveness monitor, which in-flight dispatches rely on until
+// the drain ends.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	c.rootCancel()
-	<-done
-	<-c.monitorDone
-	c.stopCollector()
+	err := c.Server.Shutdown(ctx)
+	c.stopMonitor()
 	return err
 }
 
-// Close abandons everything in flight and waits for the supervisors.
+// Close abandons everything in flight and waits for it to stop.
 func (c *Coordinator) Close() {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	c.rootCancel()
-	c.wg.Wait()
+	c.Server.Close()
+	c.stopMonitor()
+}
+
+func (c *Coordinator) stopMonitor() {
+	c.cancel()
 	<-c.monitorDone
-	c.stopCollector()
 }
 
-// stopCollector halts the history self-scrape loop; safe to call twice
-// (Shutdown then Close) and with history disabled.
-func (c *Coordinator) stopCollector() {
-	if c.collector != nil {
-		c.collector.Stop()
-	}
-}
-
-// monitor ages worker liveness on a fixed cadence. Supervisors observe
+// monitor ages worker liveness on a fixed cadence. Dispatches observe
 // death verdicts on their next poll tick and fail their jobs over.
 func (c *Coordinator) monitor() {
 	defer close(c.monitorDone)
@@ -290,7 +229,7 @@ func (c *Coordinator) monitor() {
 		select {
 		case <-t.C:
 			c.reg.sweep(time.Now())
-		case <-c.rootCtx.Done():
+		case <-c.ctx.Done():
 			return
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"tqec/internal/compress"
 	"tqec/internal/journal"
 	"tqec/internal/obs"
+	"tqec/internal/revlib"
 	"tqec/internal/service"
 )
 
@@ -46,6 +48,8 @@ type testFleet struct {
 	workers map[string]*testWorker
 }
 
+// newTestFleet starts a coordinator and one worker per ID; compile maps a
+// worker ID to a fake compile (absent: the real pipeline).
 func newTestFleet(t *testing.T, cfg Config, workerIDs []string, compile map[string]service.CompileFunc) *testFleet {
 	t.Helper()
 	if cfg.Logger == nil {
@@ -84,28 +88,38 @@ func newTestFleet(t *testing.T, cfg Config, workerIDs []string, compile map[stri
 	})
 
 	for _, id := range workerIDs {
-		svc := service.New(context.Background(), service.Config{
-			Workers: 2,
-			Logger:  obs.NopLogger(),
-			Compile: compile[id],
+		f.startWorker(t, id, service.Config{
+			// Enough slots and queue to hold every job of
+			// TestFleetDispatchNotCappedAtGOMAXPROCS and
+			// TestFleetBurstIsNotCapped on one worker.
+			Workers:    runtime.GOMAXPROCS(0) + 2,
+			QueueDepth: 256,
+			Runner:     service.Compiler(compile[id]),
 		})
-		wts := httptest.NewServer(svc.Handler())
-		agent, err := StartAgent(context.Background(), AgentConfig{
-			CoordinatorURL:    cts.URL,
-			WorkerID:          id,
-			AdvertiseURL:      wts.URL,
-			Stats:             func() (int, int) { s := svc.Stats(); return s.Running, s.Queued },
-			HeartbeatInterval: cfg.HeartbeatInterval,
-			Backoff:           Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: -1},
-			Logger:            obs.NopLogger(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.workers[id] = &testWorker{id: id, svc: svc, ts: wts, agent: agent}
 	}
 	f.waitWorkersAlive(t, len(workerIDs))
 	return f
+}
+
+// startWorker starts one worker service with cfg and registers it.
+func (f *testFleet) startWorker(t *testing.T, id string, cfg service.Config) {
+	t.Helper()
+	cfg.Logger = obs.NopLogger()
+	svc := service.New(context.Background(), cfg)
+	wts := httptest.NewServer(svc.Handler())
+	agent, err := StartAgent(context.Background(), AgentConfig{
+		CoordinatorURL:    f.ts.URL,
+		WorkerID:          id,
+		AdvertiseURL:      wts.URL,
+		Stats:             func() (int, int) { s := svc.Stats(); return s.Running, s.Queued },
+		HeartbeatInterval: f.coord.cfg.HeartbeatInterval,
+		Backoff:           Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: -1},
+		Logger:            obs.NopLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.workers[id] = &testWorker{id: id, svc: svc, ts: wts, agent: agent}
 }
 
 // waitWorkersAlive blocks until the coordinator judges n workers alive.
@@ -127,7 +141,7 @@ func (f *testFleet) waitWorkersAlive(t *testing.T, n int) {
 	t.Fatalf("coordinator never saw %d alive workers: %+v", n, f.coord.reg.snapshot())
 }
 
-func (f *testFleet) submit(t *testing.T, body string) jobStatusResponse {
+func (f *testFleet) submit(t *testing.T, body string) service.JobStatus {
 	t.Helper()
 	resp, err := http.Post(f.ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -138,16 +152,16 @@ func (f *testFleet) submit(t *testing.T, body string) jobStatusResponse {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: http %d: %s", resp.StatusCode, raw)
 	}
-	var st jobStatusResponse
+	var st service.JobStatus
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatalf("submit response %q: %v", raw, err)
 	}
 	return st
 }
 
-func (f *testFleet) getStatus(t *testing.T, id string) jobStatusResponse {
+func (f *testFleet) getStatus(t *testing.T, id string) service.JobStatus {
 	t.Helper()
-	var st jobStatusResponse
+	var st service.JobStatus
 	if code := getJSON(t, f.ts.URL+"/v1/jobs/"+id, &st); code != http.StatusOK {
 		t.Fatalf("status %s: http %d", id, code)
 	}
@@ -155,10 +169,10 @@ func (f *testFleet) getStatus(t *testing.T, id string) jobStatusResponse {
 }
 
 // waitJob polls the coordinator until the job is terminal.
-func (f *testFleet) waitJob(t *testing.T, id string, timeout time.Duration) jobStatusResponse {
+func (f *testFleet) waitJob(t *testing.T, id string, timeout time.Duration) service.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	var st jobStatusResponse
+	var st service.JobStatus
 	for time.Now().Before(deadline) {
 		st = f.getStatus(t, id)
 		if st.State.Terminal() {
@@ -208,14 +222,15 @@ func blockingCompile() service.CompileFunc {
 	}
 }
 
-// threecnotKey resolves the cache key the fleet routes threecnot on.
+// threecnotKey is the cache key the fleet routes threecnotBody on: the
+// sample at the submit defaults (full mode, fast effort, seed 1).
 func threecnotKey(t *testing.T) string {
 	t.Helper()
-	var req service.SubmitRequest
-	if err := json.Unmarshal([]byte(threecnotBody), &req); err != nil {
+	c, err := revlib.ParseString(revlib.Samples["threecnot"])
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, key, err := req.Resolve()
+	key, err := service.CacheKey(c, compress.Options{Mode: compress.Full, Effort: compress.EffortFast}, []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,39 +292,39 @@ func TestFleetComputesAndAffinityCacheHits(t *testing.T) {
 		t.Fatalf("cached resubmit RunMS = %v, want 0", final2.RunMS)
 	}
 
-	// The fleet metrics document sees both the distribution layer and the
-	// aggregated worker families.
-	var doc FleetMetricsDoc
+	// The coordinator's own job families count coordinator jobs: one
+	// compiled on a worker, one answered from a worker's cache.
+	var doc service.MetricsSnapshot
 	if code := getJSON(t, f.ts.URL+"/metrics", &doc); code != http.StatusOK {
 		t.Fatalf("metrics: http %d", code)
 	}
-	if doc.Fleet.JobsDone != 2 {
-		t.Fatalf("fleet jobs_done = %d, want 2", doc.Fleet.JobsDone)
+	if doc.Jobs.Done != 1 || doc.Jobs.DoneCached != 1 {
+		t.Fatalf("coordinator jobs done/done_cached = %d/%d, want 1/1", doc.Jobs.Done, doc.Jobs.DoneCached)
 	}
-	if doc.Fleet.AffinityRouted < 2 {
-		t.Fatalf("affinity_routed = %d, want >= 2", doc.Fleet.AffinityRouted)
+	if got := f.coord.metrics.affinityRouted.Value(); got < 2 {
+		t.Fatalf("affinity_routed = %d, want >= 2", got)
 	}
-	if len(doc.ScrapeErrors) != 0 {
-		t.Fatalf("scrape errors: %v", doc.ScrapeErrors)
+	// Per-worker numbers stay on each worker's own /metrics: one real
+	// compile and one cache replay, both on the affinity target.
+	var wdoc service.MetricsSnapshot
+	if code := getJSON(t, f.workers[final.Worker].ts.URL+"/metrics", &wdoc); code != http.StatusOK {
+		t.Fatalf("worker metrics: http %d", code)
 	}
-	if doc.Aggregate == nil || doc.Aggregate.Jobs.DoneCached != 1 {
-		t.Fatalf("aggregate done_cached = %+v, want 1", doc.Aggregate)
-	}
-	if doc.Aggregate.Jobs.Done != 1 {
-		t.Fatalf("aggregate done = %d, want 1 (one real compile)", doc.Aggregate.Jobs.Done)
+	if wdoc.Jobs.Done != 1 || wdoc.Jobs.DoneCached != 1 {
+		t.Fatalf("worker done/done_cached = %d/%d, want 1/1", wdoc.Jobs.Done, wdoc.Jobs.DoneCached)
 	}
 
-	// The list endpoint mirrors the standalone shape, newest first.
-	var list jobListResponse
+	// The list endpoint is the service's, newest first, with placement.
+	var list service.JobList
 	if code := getJSON(t, f.ts.URL+"/v1/jobs", &list); code != http.StatusOK {
 		t.Fatalf("list: http %d", code)
 	}
-	if list.Total != 2 || len(list.Jobs) != 2 || list.Jobs[0].ID != st2.ID {
-		t.Fatalf("list = %+v, want 2 jobs newest (%s) first", list, st2.ID)
+	if list.Total != 2 || len(list.Jobs) != 2 || list.Jobs[0].ID != st2.ID || list.Jobs[0].Worker != final.Worker {
+		t.Fatalf("list = %+v, want 2 jobs newest (%s) first on %s", list, st2.ID, final.Worker)
 	}
 
-	// Prometheus exposition carries the fleet families and the aggregated
-	// worker families under one scrape.
+	// Prometheus exposition carries the fleet families beside the
+	// coordinator's job families under one scrape.
 	req, _ := http.NewRequest(http.MethodGet, f.ts.URL+"/metrics", nil)
 	req.Header.Set("Accept", "text/plain")
 	resp, err := http.DefaultClient.Do(req)
@@ -320,7 +335,7 @@ func TestFleetComputesAndAffinityCacheHits(t *testing.T) {
 	resp.Body.Close()
 	for _, family := range []string{
 		"tqecd_fleet_workers_alive 2",
-		"tqecd_fleet_jobs_done_total 2",
+		"tqecd_jobs_done_total 1",
 		"tqecd_jobs_done_cached_total 1",
 	} {
 		if !strings.Contains(string(text), family) {
@@ -492,4 +507,181 @@ func TestAgentReRegistersAfterCoordinatorRestart(t *testing.T) {
 		snap := c2.reg.snapshot()
 		return len(snap) == 1 && snap[0].ID == "w-1" && snap[0].State == WorkerAlive
 	})
+}
+
+// TestFleetDispatchNotCappedAtGOMAXPROCS checks that the coordinator's
+// dispatch slots are not its CPU count: more blocking jobs than
+// GOMAXPROCS all run on the workers at once.
+func TestFleetDispatchNotCappedAtGOMAXPROCS(t *testing.T) {
+	n := runtime.GOMAXPROCS(0) + 2
+	f := newTestFleet(t, Config{}, []string{"w-a", "w-b"},
+		map[string]service.CompileFunc{"w-a": blockingCompile(), "w-b": blockingCompile()})
+	for i := 0; i < n; i++ {
+		f.submit(t, fmt.Sprintf(`{"source":{"sample":"threecnot"},"options":{"seeds":[%d]}}`, i+1))
+	}
+	waitCondition(t, 10*time.Second, fmt.Sprintf("%d jobs running on workers", n), func() bool {
+		running := 0
+		for _, w := range f.workers {
+			running += w.svc.Stats().Running
+		}
+		return running == n
+	})
+}
+
+// TestFleetCacheKeysAgree submits every source kind through the
+// coordinator: the worker must compute the key the coordinator routed on,
+// and a resubmission is answered from the worker's cache, never the
+// coordinator's (it keeps none).
+func TestFleetCacheKeysAgree(t *testing.T) {
+	f := newTestFleet(t, Config{}, []string{"w-a"}, map[string]service.CompileFunc{"w-a": instantCompile})
+	toffoli, err := revlib.ParseString(revlib.Samples["toffoli3"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := circuit.WriteText(&text, toffoli); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]service.Source{
+		"sample": {Sample: "threecnot"},
+		"bench":  {Bench: "4gt10-v1_81", GenSeed: 2},
+		"text":   {Text: text.String()},
+		"real":   {Real: revlib.Samples["mixed4"]},
+	}
+	for kind, src := range sources {
+		body, err := json.Marshal(service.SubmitRequest{Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round, wantCached := range []bool{false, true} {
+			st := f.waitJob(t, f.submit(t, string(body)).ID, 30*time.Second)
+			if st.State != service.StateDone || st.Cached != wantCached {
+				t.Fatalf("%s round %d: %s cached=%t (err %q), want done cached=%t", kind, round, st.State, st.Cached, st.Error, wantCached)
+			}
+			d, _, _ := f.coord.JobDispatch(st.ID)
+			var remote service.JobStatus
+			if code := getJSON(t, d.URL+"/v1/jobs/"+d.RemoteID, &remote); code != http.StatusOK {
+				t.Fatalf("%s: worker status: http %d", kind, code)
+			}
+			if remote.CacheKey != st.CacheKey {
+				t.Fatalf("%s: worker key %.12s, coordinator key %.12s", kind, remote.CacheKey, st.CacheKey)
+			}
+		}
+	}
+	if got, want := f.coord.metrics.dispatches.Value(), int64(2*len(sources)); got != want {
+		t.Fatalf("dispatches = %d, want %d: every submission reaches a worker", got, want)
+	}
+}
+
+// instantCompile is a fake compile that succeeds at once.
+func instantCompile(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+	return &compress.Result{Name: c.Name, Mode: opt.Mode, Volume: 6, PlacedVolume: 6, SeedsTried: len(seeds)}, nil
+}
+
+// TestFleetBurstIsNotCapped submits more long jobs than twice the
+// service's default queue depth (64): a coordinator admits every one and
+// dispatches it at once, leaving load bounds to the workers.
+func TestFleetBurstIsNotCapped(t *testing.T) {
+	const n = 150
+	f := newTestFleet(t, Config{}, []string{"w-a", "w-b"},
+		map[string]service.CompileFunc{"w-a": blockingCompile(), "w-b": blockingCompile()})
+	for i := 0; i < n; i++ {
+		f.submit(t, fmt.Sprintf(`{"source":{"sample":"threecnot"},"options":{"seeds":[%d]}}`, i+1))
+	}
+	waitCondition(t, 10*time.Second, fmt.Sprintf("%d jobs held by workers", n), func() bool {
+		held := 0
+		for _, w := range f.workers {
+			s := w.svc.Stats()
+			held += s.Running + s.Queued
+		}
+		return held == n
+	})
+}
+
+// TestFleetDeadlineIsTheWorkers checks that the job's deadline runs on the
+// worker, over the compile alone: a sweep that hits it after one seed
+// succeeded is done with its best-effort result, as on a standalone
+// daemon.
+func TestFleetDeadlineIsTheWorkers(t *testing.T) {
+	partialAtDeadline := func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+		<-ctx.Done()
+		return &compress.Result{
+			Name: c.Name, Mode: opt.Mode, Volume: 7, PlacedVolume: 7, SeedsTried: len(seeds),
+			SeedErrors: []compress.SeedError{{Seed: seeds[len(seeds)-1], Err: ctx.Err()}},
+		}, nil
+	}
+	f := newTestFleet(t, Config{}, []string{"w-a"}, map[string]service.CompileFunc{"w-a": partialAtDeadline})
+	st := f.submit(t, `{"source":{"sample":"threecnot"},"options":{"seeds":[1,2]},"timeout_ms":200}`)
+	final := f.waitJob(t, st.ID, 10*time.Second)
+	if final.State != service.StateDone {
+		t.Fatalf("job = %s (err %q), want done with the partial sweep", final.State, final.Error)
+	}
+}
+
+// TestFleetCloseLeavesWorkerJobRunning checks that coordinator shutdown
+// abandons a dispatched job without canceling it on the worker, so the
+// worker finishes and caches it for the replay after a restart.
+func TestFleetCloseLeavesWorkerJobRunning(t *testing.T) {
+	f := newTestFleet(t, Config{}, []string{"w-a"}, map[string]service.CompileFunc{"w-a": blockingCompile()})
+	st := f.submit(t, threecnotBody)
+	waitCondition(t, 10*time.Second, "job to run on the worker", func() bool {
+		return f.getStatus(t, st.ID).State == service.StateRunning && f.workers["w-a"].svc.Stats().Running == 1
+	})
+	d, _, _ := f.coord.JobDispatch(st.ID)
+	f.coord.Close()
+	var remote service.JobStatus
+	if code := getJSON(t, d.URL+"/v1/jobs/"+d.RemoteID, &remote); code != http.StatusOK {
+		t.Fatalf("worker status: http %d", code)
+	}
+	if remote.State != service.StateRunning {
+		t.Fatalf("worker job = %s (err %q) after coordinator Close, want running", remote.State, remote.Error)
+	}
+}
+
+// TestFleetWorkerCanceledJobFailsOver checks that a job the worker drops
+// on its own (here a DELETE sent to the worker directly) runs elsewhere:
+// the coordinator job was never canceled.
+func TestFleetWorkerCanceledJobFailsOver(t *testing.T) {
+	key := threecnotKey(t)
+	blockerID := "blocker"
+	runnerID := pickLosingID(t, blockerID, key)
+	f := newTestFleet(t, Config{}, []string{blockerID, runnerID},
+		map[string]service.CompileFunc{blockerID: blockingCompile(), runnerID: instantCompile})
+	st := f.submit(t, threecnotBody)
+	waitCondition(t, 10*time.Second, "job to start on the blocking worker", func() bool {
+		got := f.getStatus(t, st.ID)
+		return got.Worker == blockerID && got.State == service.StateRunning
+	})
+	d, _, _ := f.coord.JobDispatch(st.ID)
+	if _, err := f.coord.workerClient(d.URL).Cancel(context.Background(), d.RemoteID); err != nil {
+		t.Fatal(err)
+	}
+	final := f.waitJob(t, st.ID, 10*time.Second)
+	if final.State != service.StateDone || final.Worker != runnerID || final.Retries < 1 {
+		t.Fatalf("job = %s on %s, retries %d (err %q); want done on %s after a failover",
+			final.State, final.Worker, final.Retries, final.Error, runnerID)
+	}
+}
+
+// TestFleetStatusCarriesWorkerProfile checks that a job the worker
+// profiled reads profiled through the coordinator, which proxies the
+// profile itself.
+func TestFleetStatusCarriesWorkerProfile(t *testing.T) {
+	f := newTestFleet(t, Config{}, nil, nil)
+	f.startWorker(t, "w-p", service.Config{
+		Workers:          1,
+		SlowProfileAfter: 20 * time.Millisecond,
+		Runner: service.Compiler(func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+			time.Sleep(250 * time.Millisecond)
+			return instantCompile(ctx, c, opt, seeds, parallel)
+		}),
+	})
+	f.waitWorkersAlive(t, 1)
+	st := f.waitJob(t, f.submit(t, threecnotBody).ID, 30*time.Second)
+	if st.State != service.StateDone || !st.Profiled {
+		t.Fatalf("job = %s profiled=%t (err %q), want done and profiled", st.State, st.Profiled, st.Error)
+	}
+	if code := getJSON(t, f.ts.URL+"/v1/jobs/"+st.ID+"/profile", nil); code != http.StatusOK {
+		t.Fatalf("profile: http %d", code)
+	}
 }

@@ -3,9 +3,9 @@ package fleet
 import (
 	"context"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"tqec/internal/obs"
@@ -13,63 +13,33 @@ import (
 	"tqec/internal/tsdb"
 )
 
-// startHistory wires the coordinator's metrics-history surface when
-// Config.HistoryInterval > 0: a self-scrape collector samples the
-// coordinator's own registry (tqecd_fleet_*, tqecd_slo_*, go_*), and the
-// after-scrape hook additionally live-scrapes every non-dead worker's
-// /metrics document, retaining the worker families as per-worker series
-// tagged worker="<id>". A worker that dies simply stops producing new
-// samples, so its series trail the store's write cursor and come back
-// from /v1/query_range marked stale — the dead-worker gap marking.
-func (c *Coordinator) startHistory() {
-	if c.cfg.HistoryInterval <= 0 {
-		if len(c.cfg.SLOs) > 0 {
-			c.logger.Warn("slo objectives configured but metrics history is disabled; enable the self-scrape loop")
-		}
-		return
-	}
-	c.history = tsdb.New(c.cfg.HistorySamples)
-	c.collector = tsdb.NewCollector(c.history, c.metrics.reg, c.cfg.HistoryInterval)
-	if len(c.cfg.SLOs) > 0 {
-		c.slo = tsdb.NewEngine(c.history, c.cfg.SLOs, c.metrics.reg, c.logger)
-	}
-	c.collector.AfterScrape = func(t time.Time) {
-		c.retainWorkerHistory(t)
-		if c.slo != nil {
-			c.slo.Eval(t)
-		}
-	}
-	c.collector.Start()
-}
-
-// retainWorkerHistory appends one scrape round of per-worker series.
-func (c *Coordinator) retainWorkerHistory(t time.Time) {
-	ctx, cancel := context.WithTimeout(c.rootCtx, c.cfg.HistoryInterval)
+// retainWorkerHistory runs after each of the coordinator's self-scrapes:
+// it live-scrapes every non-dead worker's /metrics document and retains
+// the worker families as per-worker series tagged worker="<id>". A worker
+// that dies simply stops producing new samples, so its series trail the
+// store's write cursor and come back from /v1/query_range marked stale —
+// the dead-worker gap marking.
+func (c *Coordinator) retainWorkerHistory(db *tsdb.DB, t time.Time) {
+	workers := c.reg.snapshotIf(func(w *workerEntry) bool { return w.state != WorkerDead })
+	snaps := make([]*service.MetricsSnapshot, len(workers))
+	ctx, cancel := context.WithTimeout(c.ctx, c.cfg.HistoryInterval)
 	defer cancel()
-	for _, r := range c.scrapeEach(ctx) {
-		if r.err != nil {
-			continue // the gap left behind is the signal
+	var wg sync.WaitGroup
+	for i, wk := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if snap, err := c.workerClient(wk.URL).Metrics(ctx); err == nil {
+				snaps[i] = &snap
+			} // the gap left behind is the signal
+		}()
+	}
+	wg.Wait()
+	for i, snap := range snaps {
+		if snap != nil {
+			db.AppendSamples(t, snapshotSamples(*snap), obs.Label{Name: "worker", Value: workers[i].ID})
 		}
-		c.history.AppendSamples(t, snapshotSamples(r.snap), obs.Label{Name: "worker", Value: r.id})
 	}
-}
-
-// handleQueryRange serves coordinator + per-worker metrics history.
-func (c *Coordinator) handleQueryRange(w http.ResponseWriter, r *http.Request) {
-	if c.history == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "metrics history disabled (start with -self-scrape > 0)"})
-		return
-	}
-	tsdb.HandleQueryRange(c.history)(w, r)
-}
-
-// handleAlerts serves the coordinator's SLO alert states.
-func (c *Coordinator) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if c.slo == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no SLOs configured (start with -slo objectives.json)"})
-		return
-	}
-	tsdb.HandleAlerts(c.slo)(w, r)
 }
 
 // snapshotSamples flattens a worker's /metrics JSON document into the

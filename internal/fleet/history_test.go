@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tqec/internal/service"
 	"tqec/internal/tsdb"
 )
 
@@ -31,9 +32,9 @@ func workerLabel(fr tsdb.Frame) string {
 }
 
 func TestFleetHistoryRetainsPerWorkerSeries(t *testing.T) {
-	f := newTestFleet(t, Config{
+	f := newTestFleet(t, Config{Config: service.Config{
 		HistoryInterval: 30 * time.Millisecond,
-	}, []string{"w1", "w2"}, nil)
+	}}, []string{"w1", "w2"}, nil)
 
 	st := f.submit(t, threecnotBody)
 	if got := f.waitJob(t, st.ID, 30*time.Second); got.State != "done" {
@@ -73,9 +74,9 @@ func TestFleetHistoryRetainsPerWorkerSeries(t *testing.T) {
 }
 
 func TestFleetHistoryDeadWorkerGoesStale(t *testing.T) {
-	f := newTestFleet(t, Config{
+	f := newTestFleet(t, Config{Config: service.Config{
 		HistoryInterval: 25 * time.Millisecond,
-	}, []string{"w1", "w2"}, nil)
+	}}, []string{"w1", "w2"}, nil)
 
 	// Let both workers accumulate some history first.
 	waitCondition(t, 10*time.Second, "both workers retained", func() bool {
@@ -118,15 +119,15 @@ func TestFleetHistoryDisabledAnswers404(t *testing.T) {
 }
 
 func TestFleetAlertsStartInactive(t *testing.T) {
-	f := newTestFleet(t, Config{
+	f := newTestFleet(t, Config{Config: service.Config{
 		HistoryInterval: 25 * time.Millisecond,
 		SLOs: []tsdb.Objective{{
-			Name:   "fleet-job-success",
-			Good:   []string{"tqecd_fleet_jobs_done_total"},
-			Bad:    []string{"tqecd_fleet_jobs_failed_total"},
+			Name:   "job-success",
+			Good:   []string{"tqecd_jobs_done_total", "tqecd_jobs_done_cached_total"},
+			Bad:    []string{"tqecd_jobs_failed_total"},
 			Target: 0.99,
 		}},
-	}, []string{"w1"}, nil)
+	}}, []string{"w1"}, nil)
 
 	var doc tsdb.AlertsDoc
 	waitCondition(t, 10*time.Second, "alert evaluated inactive", func() bool {
@@ -135,7 +136,7 @@ func TestFleetAlertsStartInactive(t *testing.T) {
 		}
 		return len(doc.Alerts) == 1 && doc.Alerts[0].State == tsdb.StateInactive
 	})
-	if doc.Alerts[0].SLO != "fleet-job-success" {
+	if doc.Alerts[0].SLO != "job-success" {
 		t.Fatalf("alert slo = %q", doc.Alerts[0].SLO)
 	}
 }

@@ -1,19 +1,13 @@
 package fleet
 
-import (
-	"io"
+import "tqec/internal/obs"
 
-	"tqec/internal/obs"
-)
-
-// fleetMetrics is the coordinator's own observability surface: the
-// tqecd_fleet_* families describing the distribution layer itself.
-// Worker-side compile metrics (tqecd_jobs_*, tqecd_cache_*, …) are not
-// duplicated here — the /metrics endpoint scrapes and aggregates them
-// fleet-wide on demand.
+// fleetMetrics are the tqecd_fleet_* families describing the distribution
+// layer itself, registered on the coordinator's service registry beside
+// its tqecd_jobs_* families (which count coordinator jobs). Per-worker
+// compile metrics stay on each worker's /metrics and in the coordinator's
+// worker="<id>" history series.
 type fleetMetrics struct {
-	reg *obs.Registry
-
 	workersAlive   *obs.Gauge
 	workersSuspect *obs.Gauge
 	workersDead    *obs.Counter
@@ -25,17 +19,6 @@ type fleetMetrics struct {
 	// exported so skew is watchable before it corrupts a stitched trace.
 	clockOffset *obs.GaugeVec
 
-	// journalDropped counts events the coordinator's own per-job dispatch
-	// journals lost to their ring bounds (the workers' compile-journal
-	// drops are aggregated separately from their snapshots).
-	journalDropped *obs.Counter
-
-	jobsSubmitted *obs.Counter
-	jobsInflight  *obs.Gauge
-	jobsDone      *obs.Counter
-	jobsFailed    *obs.Counter
-	jobsCanceled  *obs.Counter
-
 	dispatches      *obs.Counter
 	dispatchRetries *obs.Counter
 	failovers       *obs.Counter
@@ -45,23 +28,10 @@ type fleetMetrics struct {
 	// override. routed/(routed+fallback) is the affinity hit rate.
 	affinityRouted   *obs.Counter
 	affinityFallback *obs.Counter
-
-	jobSeconds *obs.Histogram // submit → terminal, coordinator view
 }
 
-// fleetSecondsBounds mirror the service's job-latency buckets.
-var fleetSecondsBounds = []float64{
-	.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600,
-}
-
-func newFleetMetrics() *fleetMetrics {
-	reg := obs.NewRegistry()
-	// The coordinator process reports its own vitals too, so every
-	// /metrics surface in a fleet carries the go_* families.
-	obs.RegisterRuntimeMetrics(reg)
+func newFleetMetrics(reg *obs.Registry) *fleetMetrics {
 	return &fleetMetrics{
-		reg: reg,
-
 		workersAlive:   reg.Gauge("tqecd_fleet_workers_alive", "Registered workers currently heartbeating."),
 		workersSuspect: reg.Gauge("tqecd_fleet_workers_suspect", "Registered workers with overdue heartbeats, not yet declared dead."),
 		workersDead:    reg.Counter("tqecd_fleet_workers_dead_total", "Workers declared dead after missing heartbeats."),
@@ -69,26 +39,11 @@ func newFleetMetrics() *fleetMetrics {
 		heartbeats:     reg.Counter("tqecd_fleet_heartbeats_total", "Worker heartbeats accepted."),
 		clockOffset:    reg.GaugeVec("tqecd_fleet_worker_clock_offset_us", "Estimated worker clock offset (coordinator receive minus worker send of the last heartbeat), microseconds.", "worker"),
 
-		journalDropped: reg.Counter("tqecd_journal_dropped_events_total", "Dispatch-journal events dropped by per-job ring bounds on the coordinator."),
-
-		jobsSubmitted: reg.Counter("tqecd_fleet_jobs_submitted_total", "Jobs accepted by the coordinator's POST /v1/jobs."),
-		jobsInflight:  reg.Gauge("tqecd_fleet_jobs_inflight", "Jobs the coordinator has dispatched and not yet seen terminal."),
-		jobsDone:      reg.Counter("tqecd_fleet_jobs_done_total", "Coordinator jobs that reached done (including worker cache hits)."),
-		jobsFailed:    reg.Counter("tqecd_fleet_jobs_failed_total", "Coordinator jobs that ended failed (including exhausted dispatch retries)."),
-		jobsCanceled:  reg.Counter("tqecd_fleet_jobs_canceled_total", "Coordinator jobs canceled by DELETE."),
-
 		dispatches:      reg.Counter("tqecd_fleet_dispatches_total", "Job submissions forwarded to a worker."),
 		dispatchRetries: reg.Counter("tqecd_fleet_dispatch_retries_total", "Dispatch attempts retried after a worker was unavailable or unreachable."),
 		failovers:       reg.Counter("tqecd_fleet_failovers_total", "Jobs re-dispatched to a different worker after their owner died mid-run."),
 
 		affinityRouted:   reg.Counter("tqecd_fleet_affinity_routed_total", "Dispatches that landed on the rendezvous-hash winner for the cache key."),
 		affinityFallback: reg.Counter("tqecd_fleet_affinity_fallback_total", "Dispatches diverted from the rendezvous winner (exclusion or load override)."),
-
-		jobSeconds: reg.Histogram("tqecd_fleet_job_seconds", "Seconds from coordinator submission to terminal state.", fleetSecondsBounds),
 	}
-}
-
-// writePrometheus renders the fleet families in text exposition form.
-func (m *fleetMetrics) writePrometheus(w io.Writer) error {
-	return m.reg.WritePrometheus(w)
 }

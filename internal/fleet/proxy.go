@@ -3,51 +3,30 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"tqec/internal/journal"
 	"tqec/internal/obs"
 	"tqec/internal/service"
 )
 
 // handleEvents streams a job's journal as Server-Sent Events. Once the
-// job is owned by a worker the stream is a byte-for-byte proxy of the
-// worker's own /events endpoint (the compile-pipeline flight recorder);
-// before dispatch — or when the job finished without ever reaching a
-// worker — it streams the coordinator's dispatch journal instead. A
+// job is dispatched the stream is a byte-for-byte proxy of the owning
+// worker's /events endpoint (the compile-pipeline flight recorder);
+// before that — or when the job finished without ever reaching a worker
+// — the service streams the coordinator's dispatch journal instead. A
 // stream proxied from a worker that then dies simply ends; the client
 // reconnects and the re-dispatched job's new owner replays its journal
 // from the start.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := c.jobByID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
+	d, _, ok := c.JobDispatch(r.PathValue("id"))
+	if !ok || d.RemoteID == "" {
+		c.Server.ServeHTTP(w, r)
 		return
 	}
-	c.mu.Lock()
-	workerURL, remoteID, rec := j.workerURL, j.remoteID, j.recorder
-	c.mu.Unlock()
-
-	if workerURL != "" && remoteID != "" {
-		c.proxyEvents(w, r, workerURL, remoteID)
-		return
-	}
-	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "journaling disabled (coordinator started with journal events < 0)"})
-		return
-	}
-	streamRecorder(w, r, rec)
-}
-
-// proxyEvents pipes the owning worker's SSE stream through unchanged.
-func (c *Coordinator) proxyEvents(w http.ResponseWriter, r *http.Request, workerURL, remoteID string) {
-	target := strings.TrimRight(workerURL, "/") + "/v1/jobs/" + remoteID + "/events"
+	target := strings.TrimRight(d.URL, "/") + "/v1/jobs/" + d.RemoteID + "/events"
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target, nil)
 	if err != nil {
 		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "events proxy: " + err.Error()})
@@ -83,308 +62,83 @@ func (c *Coordinator) proxyEvents(w http.ResponseWriter, r *http.Request, worker
 	}
 }
 
-// streamRecorder serves a journal recorder as SSE: buffered replay, then
-// live tail until the recorder closes or the client disconnects.
-func streamRecorder(w http.ResponseWriter, r *http.Request, rec *journal.Recorder) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "response writer cannot stream"})
+// handleTrace serves the stitched fleet-wide trace of a traced job once
+// it is terminal: the coordinator's own span tree (routing, dispatch,
+// retries, failovers) with the owning worker's pipeline span tree
+// fetched on demand and grafted under the final dispatch span. Worker
+// timestamps are aligned with the heartbeat-derived clock-offset
+// estimate, clamped so the graft never precedes its dispatch parent.
+// When the worker is unreachable the coordinator-only view is served
+// with a worker_trace_error attribute rather than an error status.
+// ?format=chrome selects the Chrome trace_event form, with coordinator
+// and worker spans in separate process lanes.
+func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	tree := c.JobTrace(id)
+	if tree == nil {
+		// Unknown, untraced or still running: the service says which.
+		c.Server.ServeHTTP(w, r)
 		return
 	}
-	replay, live, cancel := rec.Subscribe()
+	if d, _, _ := c.JobDispatch(id); d.RemoteID != "" {
+		tctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
+		guest, err := c.workerClient(d.URL).Trace(tctx, d.RemoteID)
+		cancel()
+		if err == nil {
+			guest.Process = d.Worker
+			if !obs.Graft(tree, "dispatch", guest, c.reg.clockOffset(d.Worker)) {
+				err = errors.New("stitch failed: no dispatch span or missing epoch anchors")
+			}
+		}
+		if err != nil {
+			setTreeAttr(tree, "worker_trace_error", err.Error())
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if r.URL.Query().Get("format") == "chrome" {
+		_ = obs.WriteChromeTraceTree(w, tree)
+		return
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(tree)
+}
+
+// setTreeAttr annotates an exported span tree in place.
+func setTreeAttr(tree *obs.SpanJSON, key string, value any) {
+	if tree.Attrs == nil {
+		tree.Attrs = map[string]any{}
+	}
+	tree.Attrs[key] = value
+}
+
+// handleProfile proxies the owning worker's slow-job CPU profile. The
+// coordinator does not copy profiles at completion time (they are large
+// and rarely wanted); a worker that died since the job finished answers
+// 502 here, which is an honest account of where the bytes live.
+func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	d, st, ok := c.JobDispatch(id)
+	if !ok || !st.Terminal() || d.RemoteID == "" {
+		// Unknown, not final, or never dispatched: the service answers.
+		c.Server.ServeHTTP(w, r)
+		return
+	}
+	pctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
 	defer cancel()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	for _, ev := range replay {
-		if writeSSE(w, ev) != nil {
-			return
-		}
-	}
-	fl.Flush()
-	for {
-		select {
-		case ev, ok := <-live:
-			if !ok {
-				return
-			}
-			if writeSSE(w, ev) != nil {
-				return
-			}
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeSSE frames one journal event in text/event-stream form (the same
-// framing the worker endpoint uses).
-func writeSSE(w http.ResponseWriter, ev journal.Event) error {
-	data, err := json.Marshal(ev)
+	raw, err := c.workerClient(d.URL).Profile(pctx, d.RemoteID)
 	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-	return err
-}
-
-// FleetMetricsDoc is the coordinator's /metrics JSON document: the
-// tqecd_fleet_* families, the per-worker registry snapshot (this is
-// where per-worker in-flight counts live — the obs registry has no
-// labelled gauges by design), and the tqecd_* worker families summed
-// across every reachable worker.
-type FleetMetricsDoc struct {
-	Fleet struct {
-		WorkersAlive     int64           `json:"workers_alive"`
-		WorkersSuspect   int64           `json:"workers_suspect"`
-		WorkersDead      int64           `json:"workers_dead"`
-		Registrations    int64           `json:"registrations"`
-		Heartbeats       int64           `json:"heartbeats"`
-		JobsSubmitted    int64           `json:"jobs_submitted"`
-		JobsInflight     int64           `json:"jobs_inflight"`
-		JobsDone         int64           `json:"jobs_done"`
-		JobsFailed       int64           `json:"jobs_failed"`
-		JobsCanceled     int64           `json:"jobs_canceled"`
-		Dispatches       int64           `json:"dispatches"`
-		DispatchRetries  int64           `json:"dispatch_retries"`
-		Failovers        int64           `json:"failovers"`
-		AffinityRouted   int64           `json:"affinity_routed"`
-		AffinityFallback int64           `json:"affinity_fallback"`
-		AffinityHitRate  float64         `json:"affinity_hit_rate"`
-		JobSeconds       histSecondsJSON `json:"job_seconds"`
-	} `json:"fleet"`
-	Workers []WorkerInfo `json:"workers"`
-	// Aggregate sums the worker-side tqecd_* families; absent when no
-	// worker could be scraped.
-	Aggregate *service.MetricsSnapshot `json:"aggregate,omitempty"`
-	// ScrapeErrors lists workers whose /metrics could not be fetched for
-	// this document (their numbers are missing from Aggregate).
-	ScrapeErrors []string `json:"scrape_errors,omitempty"`
-}
-
-// handleMetrics content-negotiates like the worker endpoint: text/plain
-// in Accept selects Prometheus exposition (fleet families plus the
-// aggregated worker counters), anything else the JSON document.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	agg, errs := c.scrapeWorkers(r.Context())
-	if accept := r.Header.Get("Accept"); strings.Contains(accept, "text/plain") {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = c.metrics.writePrometheus(w)
-		if agg != nil {
-			writeAggregatePrometheus(w, agg)
+		var se *service.StatusError
+		if errors.As(err, &se) {
+			// Forward the worker's own verdict (404 no profile, 409 not
+			// final) untouched.
+			writeJSON(w, se.Code, errorResponse{Error: se.Message})
+			return
 		}
+		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "fetch profile: " + err.Error()})
 		return
 	}
-	doc := c.metricsDoc()
-	doc.Aggregate = agg
-	doc.ScrapeErrors = errs
-	writeJSON(w, http.StatusOK, doc)
-}
-
-// metricsDoc snapshots the fleet-side families and the worker registry.
-func (c *Coordinator) metricsDoc() FleetMetricsDoc {
-	var doc FleetMetricsDoc
-	m := c.metrics
-	f := &doc.Fleet
-	f.WorkersAlive = m.workersAlive.Value()
-	f.WorkersSuspect = m.workersSuspect.Value()
-	f.WorkersDead = m.workersDead.Value()
-	f.Registrations = m.registrations.Value()
-	f.Heartbeats = m.heartbeats.Value()
-	f.JobsSubmitted = m.jobsSubmitted.Value()
-	f.JobsInflight = m.jobsInflight.Value()
-	f.JobsDone = m.jobsDone.Value()
-	f.JobsFailed = m.jobsFailed.Value()
-	f.JobsCanceled = m.jobsCanceled.Value()
-	f.Dispatches = m.dispatches.Value()
-	f.DispatchRetries = m.dispatchRetries.Value()
-	f.Failovers = m.failovers.Value()
-	f.AffinityRouted = m.affinityRouted.Value()
-	f.AffinityFallback = m.affinityFallback.Value()
-	if total := f.AffinityRouted + f.AffinityFallback; total > 0 {
-		f.AffinityHitRate = float64(f.AffinityRouted) / float64(total)
-	}
-	f.JobSeconds = jsonHist(m.jobSeconds.Snapshot())
-	doc.Workers = c.reg.snapshot()
-	sort.Slice(doc.Workers, func(a, b int) bool { return doc.Workers[a].ID < doc.Workers[b].ID })
-	return doc
-}
-
-// workerScrape is one worker's /metrics fetch outcome.
-type workerScrape struct {
-	id   string
-	snap service.MetricsSnapshot
-	err  error
-}
-
-// scrapeEach fetches every non-dead worker's /metrics JSON document
-// concurrently (bounded to 2s each). Both the on-demand aggregate and
-// the history loop's per-worker retention consume this.
-func (c *Coordinator) scrapeEach(ctx context.Context) []workerScrape {
-	workers := c.reg.snapshotIf(func(w *workerEntry) bool { return w.state != WorkerDead })
-	if len(workers) == 0 {
-		return nil
-	}
-	results := make([]workerScrape, len(workers))
-	var wg sync.WaitGroup
-	for i, wk := range workers {
-		wg.Add(1)
-		go func(i int, wk WorkerInfo) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			snap, err := c.workerClient(wk.URL).Metrics(sctx)
-			results[i] = workerScrape{snap: snap, err: err, id: wk.ID}
-		}(i, wk)
-	}
-	wg.Wait()
-	return results
-}
-
-// scrapeWorkers fetches every non-dead worker's metrics and sums the
-// families. Workers that fail to answer are reported, not silently
-// dropped.
-func (c *Coordinator) scrapeWorkers(ctx context.Context) (*service.MetricsSnapshot, []string) {
-	var agg *service.MetricsSnapshot
-	var errs []string
-	for _, r := range c.scrapeEach(ctx) {
-		if r.err != nil {
-			errs = append(errs, r.id+": "+r.err.Error())
-			continue
-		}
-		if agg == nil {
-			agg = &service.MetricsSnapshot{}
-			agg.Stages = map[string]service.HistogramJSON{}
-		}
-		addSnapshot(agg, r.snap)
-	}
-	if agg != nil {
-		if total := agg.Cache.Hits + agg.Cache.Misses; total > 0 {
-			agg.Cache.HitRate = float64(agg.Cache.Hits) / float64(total)
-		}
-	}
-	sort.Strings(errs)
-	return agg, errs
-}
-
-// addSnapshot accumulates one worker's snapshot into the aggregate.
-func addSnapshot(agg *service.MetricsSnapshot, s service.MetricsSnapshot) {
-	agg.Jobs.Submitted += s.Jobs.Submitted
-	agg.Jobs.Rejected += s.Jobs.Rejected
-	agg.Jobs.Queued += s.Jobs.Queued
-	agg.Jobs.Running += s.Jobs.Running
-	agg.Jobs.Done += s.Jobs.Done
-	agg.Jobs.DoneCached += s.Jobs.DoneCached
-	agg.Jobs.Failed += s.Jobs.Failed
-	agg.Jobs.Canceled += s.Jobs.Canceled
-	agg.Cache.Hits += s.Cache.Hits
-	agg.Cache.Misses += s.Cache.Misses
-	agg.Cache.Evictions += s.Cache.Evictions
-	agg.Cache.Entries += s.Cache.Entries
-	agg.Journal.DroppedEvents += s.Journal.DroppedEvents
-	agg.SlowProfiles.Started += s.SlowProfiles.Started
-	agg.SlowProfiles.Skipped += s.SlowProfiles.Skipped
-	agg.Runtime.Goroutines += s.Runtime.Goroutines
-	agg.Runtime.HeapBytes += s.Runtime.HeapBytes
-	agg.Runtime.GCPauseCount += s.Runtime.GCPauseCount
-	agg.Pipeline.AnnealMoves += s.Pipeline.AnnealMoves
-	agg.Pipeline.AnnealAccepted += s.Pipeline.AnnealAccepted
-	agg.Pipeline.RouteRounds += s.Pipeline.RouteRounds
-	agg.Pipeline.PrimalMerges += s.Pipeline.PrimalMerges
-	agg.Pipeline.DualBridges += s.Pipeline.DualBridges
-	agg.QueueDepth += s.QueueDepth
-	agg.QueueWait = mergeHist(agg.QueueWait, s.QueueWait)
-	agg.Compile = mergeHist(agg.Compile, s.Compile)
-	for name, h := range s.Stages {
-		agg.Stages[name] = mergeHist(agg.Stages[name], h)
-	}
-}
-
-// mergeHist sums two JSON histograms (workers share bucket bounds, so
-// merging by upper-bound key is exact).
-func mergeHist(a, b service.HistogramJSON) service.HistogramJSON {
-	out := service.HistogramJSON{
-		Count:   a.Count + b.Count,
-		SumMS:   a.SumMS + b.SumMS,
-		Buckets: map[string]int64{},
-	}
-	for k, v := range a.Buckets {
-		out.Buckets[k] += v
-	}
-	for k, v := range b.Buckets {
-		out.Buckets[k] += v
-	}
-	if out.Count > 0 {
-		out.MeanMS = out.SumMS / float64(out.Count)
-	}
-	if len(out.Buckets) == 0 {
-		out.Buckets = nil
-	}
-	return out
-}
-
-// writeAggregatePrometheus renders the fleet-summed worker counters and
-// gauges in exposition form. The names carry the same tqecd_ prefix the
-// workers use: a scraper pointed at the coordinator sees the fleet as
-// one logical daemon.
-func writeAggregatePrometheus(w io.Writer, s *service.MetricsSnapshot) {
-	type family struct {
-		name, kind, help string
-		value            int64
-	}
-	fams := []family{
-		{"tqecd_jobs_submitted_total", "counter", "Jobs accepted, summed across workers.", s.Jobs.Submitted},
-		{"tqecd_jobs_rejected_total", "counter", "Submissions rejected, summed across workers.", s.Jobs.Rejected},
-		{"tqecd_jobs_queued", "gauge", "Jobs waiting for a worker slot, summed across workers.", s.Jobs.Queued},
-		{"tqecd_jobs_running", "gauge", "Jobs currently compiling, summed across workers.", s.Jobs.Running},
-		{"tqecd_jobs_done_total", "counter", "Compiles run to completion, summed across workers.", s.Jobs.Done},
-		{"tqecd_jobs_done_cached_total", "counter", "Cache replays, summed across workers.", s.Jobs.DoneCached},
-		{"tqecd_jobs_failed_total", "counter", "Failed jobs, summed across workers.", s.Jobs.Failed},
-		{"tqecd_jobs_canceled_total", "counter", "Canceled jobs, summed across workers.", s.Jobs.Canceled},
-		{"tqecd_cache_hits_total", "counter", "Result-cache hits, summed across workers.", s.Cache.Hits},
-		{"tqecd_cache_misses_total", "counter", "Result-cache misses, summed across workers.", s.Cache.Misses},
-		{"tqecd_cache_evictions_total", "counter", "Result-cache evictions, summed across workers.", s.Cache.Evictions},
-		{"tqecd_anneal_moves_total", "counter", "Annealing moves attempted, summed across workers.", s.Pipeline.AnnealMoves},
-		{"tqecd_anneal_accepted_total", "counter", "Annealing moves accepted, summed across workers.", s.Pipeline.AnnealAccepted},
-		{"tqecd_route_rounds_total", "counter", "Routing negotiation rounds, summed across workers.", s.Pipeline.RouteRounds},
-		{"tqecd_primal_merges_total", "counter", "Primal-bridging merges, summed across workers.", s.Pipeline.PrimalMerges},
-		{"tqecd_dual_bridges_total", "counter", "Dual-bridging merges, summed across workers.", s.Pipeline.DualBridges},
-	}
-	for _, f := range fams {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", f.name, f.help, f.name, f.kind, f.name, f.value)
-	}
-}
-
-// histSecondsJSON is the JSON form of the fleet's seconds-unit job
-// latency histogram (the service's HistogramJSON is ms-unit; reusing it
-// here would mislabel the sums).
-type histSecondsJSON struct {
-	Count       int64            `json:"count"`
-	SumSeconds  float64          `json:"sum_seconds"`
-	MeanSeconds float64          `json:"mean_seconds"`
-	Buckets     map[string]int64 `json:"buckets,omitempty"`
-}
-
-// jsonHist converts an obs histogram snapshot (seconds-unit) to JSON.
-func jsonHist(s obs.HistSnapshot) histSecondsJSON {
-	out := histSecondsJSON{Count: s.Count, SumSeconds: s.Sum, Buckets: map[string]int64{}}
-	if s.Count > 0 {
-		out.MeanSeconds = s.Sum / float64(s.Count)
-	}
-	for i, cnt := range s.Counts {
-		if cnt == 0 {
-			continue
-		}
-		if i < len(s.Bounds) {
-			out.Buckets[fmt.Sprintf("%g", s.Bounds[i])] = cnt
-		} else {
-			out.Buckets["+Inf"] = cnt
-		}
-	}
-	if len(out.Buckets) == 0 {
-		out.Buckets = nil
-	}
-	return out
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Disposition", `attachment; filename="`+id+`.pprof"`)
+	_, _ = w.Write(raw)
 }

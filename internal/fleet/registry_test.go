@@ -9,7 +9,7 @@ import (
 
 func newTestRegistry(t *testing.T) (*registry, *fleetMetrics) {
 	t.Helper()
-	m := newFleetMetrics()
+	m := newFleetMetrics(obs.NewRegistry())
 	return newRegistry(m, obs.NopLogger(), 50*time.Millisecond, 150*time.Millisecond), m
 }
 

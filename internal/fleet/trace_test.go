@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -85,8 +84,8 @@ func TestFleetTraceStitchedAfterFailover(t *testing.T) {
 	if code := getJSON(t, f.ts.URL+"/v1/jobs/"+st.ID+"/trace", &tree); code != http.StatusOK {
 		t.Fatalf("trace: http %d", code)
 	}
-	if !strings.HasPrefix(tree.Name, "fleet:") {
-		t.Fatalf("root span = %q, want fleet:<id>", tree.Name)
+	if tree.Name != "job:"+st.ID {
+		t.Fatalf("root span = %q, want job:%s", tree.Name, st.ID)
 	}
 	if tree.TraceID == "" {
 		t.Fatal("stitched trace has no distributed trace ID")

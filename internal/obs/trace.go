@@ -134,6 +134,14 @@ func (t *Tracer) Finish() {
 	t.mu.Unlock()
 }
 
+// Tracer returns the tracer that owns s, or nil when s is nil.
+func (s *Span) Tracer() *Tracer {
+	if s == nil {
+		return nil
+	}
+	return s.tracer
+}
+
 // StartChild opens a child span under s. Returns nil when s is nil.
 func (s *Span) StartChild(name string) *Span {
 	if s == nil {

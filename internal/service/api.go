@@ -81,6 +81,11 @@ type JobStatus struct {
 	// Profiled reports that the job crossed the daemon's slow-job
 	// threshold and a CPU profile is waiting at GET /v1/jobs/{id}/profile.
 	Profiled bool `json:"profiled,omitempty"`
+	// Worker is the fleet worker a coordinator dispatched the job to, and
+	// Retries the failed dispatch attempts and failovers it took (both
+	// empty outside a coordinator).
+	Worker  string `json:"worker,omitempty"`
+	Retries int    `json:"retries,omitempty"`
 }
 
 type errorResponse struct {
@@ -154,9 +159,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	name := req.Name
-	if name == "" {
-		name = c.Name
+	if req.Name == "" {
+		req.Name = c.Name
 	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -185,13 +189,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	j := s.newJob(name, key, c, opt, seeds, req.Options.Parallel, timeout, req.NoCache, req.Trace,
-		traceCtx, r.Header.Get(obs.RequestIDHeader))
+	j := &Job{Name: req.Name, Key: key, req: req, circ: c, opt: opt, seeds: seeds, timeout: timeout,
+		traceCtx: traceCtx, requestID: r.Header.Get(obs.RequestIDHeader)}
+	s.register(j)
 	s.metrics.jobsSubmitted.Inc()
 	// Durable before runnable: the submitted record reaches the WAL
 	// before the job can enter the queue, so a crash at any later moment
 	// replays it.
-	s.walSubmitted(j, req.Options)
+	s.walSubmitted(j)
 
 	// Content-addressed fast path: an identical compile already ran, so
 	// the job completes instantly with the cached payload (re-labelled
@@ -386,7 +391,9 @@ type HealthStatus struct {
 	QueueDepth int     `json:"queue_depth"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// Health reports the daemon's liveness document: status "ok", or
+// "draining" once Shutdown or Close has begun.
+func (s *Server) Health() HealthStatus {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
@@ -396,9 +403,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeMS:   ms(time.Since(s.started)),
 		QueueDepth: len(s.queue),
 	}
-	code := http.StatusOK
 	if draining {
 		h.Status = "draining"
+	}
+	return h
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	h := s.Health()
+	code := http.StatusOK
+	if h.Status == "draining" {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, h)
@@ -432,7 +446,9 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		Cached:   j.cached,
 		Error:    j.errMsg,
 		CacheKey: j.Key,
-		Profiled: len(j.profile) > 0,
+		Profiled: len(j.profile) > 0 || j.dispatch.Profiled,
+		Worker:   j.dispatch.Worker,
+		Retries:  j.dispatch.Retries,
 	}
 	if !j.started.IsZero() {
 		st.QueuedMS = ms(j.started.Sub(j.submitted))
@@ -447,29 +463,6 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		st.QueuedMS = ms(time.Since(j.submitted))
 	}
 	return st
-}
-
-// Resolve validates the request exactly the way submission does and
-// returns the defaulted job name plus the content-addressed cache key,
-// without compiling anything. It is the forwarding hook the fleet
-// coordinator uses: routing on the same key the worker will compute is
-// what makes cache-affinity dispatch land repeat submissions on the
-// worker that already holds the result.
-func (req SubmitRequest) Resolve() (name, key string, err error) {
-	c, err := loadSource(req.Source)
-	if err != nil {
-		return "", "", err
-	}
-	opt, seeds, err := req.Options.resolve()
-	if err != nil {
-		return "", "", err
-	}
-	name = req.Name
-	if name == "" {
-		name = c.Name
-	}
-	key, err = CacheKey(c, opt, seeds)
-	return name, key, err
 }
 
 // loadSource materializes the submitted circuit.

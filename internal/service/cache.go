@@ -15,9 +15,18 @@ import (
 	"tqec/internal/store"
 )
 
-// CacheKey content-addresses one compile: the SHA-256 of the normalized
-// circuit text plus a canonical encoding of every Options field that can
-// change the result, plus the seed set. Two submissions with the same key
+// pipelineVersion is hashed into every cache key. Bump it with any change
+// that can alter a compile's result for the same circuit, options and
+// seeds (a placer or router change, a determinism fix), so a warm result
+// store never serves an older pipeline's answer as done_cached.
+//
+//	2: dual nets are routed in a fixed order (was Go map order)
+const pipelineVersion = 2
+
+// CacheKey content-addresses one compile: the SHA-256 of the pipeline
+// version, the normalized circuit text, a canonical encoding of every
+// Options field that can change the result, and the seed set. Two
+// submissions with the same key
 // are guaranteed to produce byte-identical result payloads (the pipeline
 // is deterministic for a fixed seed list), so the second can be answered
 // from the cache without running anything.
@@ -42,8 +51,8 @@ func CacheKey(c *circuit.Circuit, opt compress.Options, seeds []int64) (string, 
 	// that steers the pipeline goes into the key. KeepGeometry is excluded:
 	// it only materializes a visualization artifact the service never
 	// returns.
-	fmt.Fprintf(h, "|mode=%d|effort=%d|ms=%t|skip=%t|nocomp=%t|restarts=%d|drc=%t|seeds=",
-		opt.Mode, opt.Effort, opt.MeasurementSideIShape, opt.SkipRouting,
+	fmt.Fprintf(h, "|pipeline=%d|mode=%d|effort=%d|ms=%t|skip=%t|nocomp=%t|restarts=%d|drc=%t|seeds=",
+		pipelineVersion, opt.Mode, opt.Effort, opt.MeasurementSideIShape, opt.SkipRouting,
 		opt.NoCompaction, opt.PrimalRestarts, opt.DRC)
 	for _, s := range seeds {
 		fmt.Fprintf(h, "%d,", s)

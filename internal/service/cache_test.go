@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -101,6 +102,48 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 	if k == base {
 		t.Error("different circuit produced the same cache key")
+	}
+}
+
+// cacheKeyExcluded lists the compress.Options fields CacheKey leaves out
+// on purpose: Seed is overridden per seed from the seed set, and
+// KeepGeometry only materializes a visualization artifact the service
+// never returns.
+var cacheKeyExcluded = map[string]bool{"Seed": true, "KeepGeometry": true}
+
+// TestCacheKeyCoversEveryOption walks compress.Options by reflection:
+// flipping any field must change the key unless the field is on the
+// exclusion list, and flipping an excluded field must not. A new Options
+// field therefore fails this test until it is keyed or excluded.
+func TestCacheKeyCoversEveryOption(t *testing.T) {
+	c := threecnot(t)
+	base, err := CacheKey(c, compress.Options{}, []int64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(compress.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var opt compress.Options
+		v := reflect.ValueOf(&opt).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(1)
+		default:
+			t.Fatalf("Options.%s has kind %s; teach this test to change it", f.Name, v.Kind())
+		}
+		k, err := CacheKey(c, opt, []int64{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch keyed := k != base; {
+		case cacheKeyExcluded[f.Name] && keyed:
+			t.Errorf("Options.%s is excluded but changes the cache key", f.Name)
+		case !cacheKeyExcluded[f.Name] && !keyed:
+			t.Errorf("Options.%s does not change the cache key: hash it in CacheKey or add it to cacheKeyExcluded", f.Name)
+		}
 	}
 }
 

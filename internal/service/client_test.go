@@ -18,7 +18,7 @@ func instantCompile(ctx context.Context, c *circuit.Circuit, opt compress.Option
 }
 
 func TestListEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, Compile: instantCompile})
+	_, ts := newTestServer(t, Config{Workers: 2, Runner: Compiler(instantCompile)})
 	ids := make([]string, 0, 3)
 	for i := 0; i < 3; i++ {
 		body := fmt.Sprintf(`{"source":{"sample":"threecnot"},"options":{"seeds":[%d]}}`, i+1)
@@ -74,7 +74,7 @@ func TestListEndpoint(t *testing.T) {
 }
 
 func TestClientRoundTrip(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, Compile: instantCompile})
+	_, ts := newTestServer(t, Config{Workers: 2, Runner: Compiler(instantCompile)})
 	cl := NewClient(ts.URL + "/") // trailing slash must be tolerated
 	ctx := contextWithTimeout(t, 30*time.Second)
 

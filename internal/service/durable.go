@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tqec/internal/circuit"
-	"tqec/internal/journal"
 )
 
 // WAL record vocabulary. The store frames and persists records; the
@@ -76,7 +75,7 @@ func (s *Server) walAppend(typ, jobID string, data any) {
 // walSubmitted makes a freshly registered job durable before it can
 // reach the queue (or the cache fast path): a crash at any later instant
 // replays it.
-func (s *Server) walSubmitted(j *Job, spec OptionSpec) {
+func (s *Server) walSubmitted(j *Job) {
 	if s.store == nil {
 		return
 	}
@@ -89,9 +88,9 @@ func (s *Server) walSubmitted(j *Job, spec OptionSpec) {
 		Name:      j.Name,
 		Key:       j.Key,
 		Circuit:   sb.String(),
-		Options:   spec,
+		Options:   j.req.Options,
 		TimeoutMS: j.timeout.Milliseconds(),
-		NoCache:   j.noCache,
+		NoCache:   j.req.NoCache,
 	})
 }
 
@@ -172,7 +171,7 @@ func (s *Server) recoverFromWAL() {
 		// job's own interrupted run never wrote the store — partial sweeps
 		// are excluded at the write site). Serve it as done_cached, the
 		// same disjoint counter a live cache hit lands in.
-		if !j.noCache {
+		if !j.req.NoCache {
 			if p, ok := s.cache.Get(j.Key); ok {
 				s.finishCached(j, p)
 				s.log(j, "done", "cached", true, "replayed", true)
@@ -207,7 +206,8 @@ func (s *Server) recoverFromWAL() {
 
 // rebuildJob reconstructs a queued job from its submitted record,
 // keeping the original ID so clients polling across the restart find
-// their job again.
+// their job again. A record without a circuit — one written in another
+// format by an older binary — fails to parse and is unrecoverable.
 func (s *Server) rebuildJob(id string, w *walSubmit) (*Job, error) {
 	c, err := circuit.ParseText(strings.NewReader(w.Circuit))
 	if err != nil {
@@ -224,26 +224,18 @@ func (s *Server) rebuildJob(id string, w *walSubmit) (*Job, error) {
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	j := &Job{
-		ID:        id,
-		Name:      w.Name,
-		Key:       w.Key,
-		circ:      c,
-		opt:       opt,
-		seeds:     seeds,
-		parallel:  w.Options.Parallel,
-		timeout:   timeout,
-		noCache:   w.NoCache,
-		state:     StateQueued,
-		submitted: time.Now(),
+		ID:   id,
+		Name: w.Name,
+		Key:  w.Key,
+		req: SubmitRequest{Name: w.Name, Source: Source{Text: w.Circuit}, Options: w.Options,
+			TimeoutMS: w.TimeoutMS, NoCache: w.NoCache},
+		circ:    c,
+		opt:     opt,
+		seeds:   seeds,
+		timeout: timeout,
 	}
-	if s.cfg.JournalEvents > 0 {
-		j.recorder = journal.NewRecorder(s.cfg.JournalEvents)
-		j.recorder.JobState(string(StateQueued), "")
-	}
-	s.jobs[j.ID] = j
+	s.register(j)
 	return j, nil
 }
 

@@ -72,7 +72,7 @@ func waitRunning(t *testing.T, ts *httptest.Server, id string) {
 func TestWALReplayRequeuesInterruptedJob(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
-	svc, ts := durableServer(t, st, Config{Workers: 1, Compile: blockUntilCanceled})
+	svc, ts := durableServer(t, st, Config{Workers: 1, Runner: Compiler(blockUntilCanceled)})
 
 	job, code := postJob(t, ts, `{"source":{"sample":"threecnot"},"options":{"mode":"full"}}`)
 	if code != http.StatusAccepted {
@@ -103,10 +103,15 @@ func TestWALReplayRequeuesInterruptedJob(t *testing.T) {
 		t.Fatal("replayed job served from cache, but nothing was ever stored")
 	}
 
-	// The replayed completion wrote through to the result store, so it
-	// survives yet another restart.
-	if w := st2.Results.Stats().Writes; w == 0 {
-		t.Fatal("completed replayed job never reached the result store")
+	// The replayed completion writes through to the result store, so it
+	// survives yet another restart. The write lands just after the job
+	// reads done (disk latency stays off the job table), so wait for it.
+	deadline := time.Now().Add(10 * time.Second)
+	for st2.Results.Stats().Writes == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("completed replayed job never reached the result store")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -144,7 +149,7 @@ func TestWarmCacheHitSurvivesRestart(t *testing.T) {
 		return nil, errors.New("compile ran on a warm key")
 	}
 	st2 := openTestStore(t, dir)
-	svc2, ts2 := durableServer(t, st2, Config{Workers: 1, Compile: failCompile})
+	svc2, ts2 := durableServer(t, st2, Config{Workers: 1, Runner: Compiler(failCompile)})
 	defer func() { ts2.Close(); svc2.Close(); st2.Close() }()
 
 	warm, code := postJob(t, ts2, body)
@@ -182,11 +187,10 @@ func TestWarmCacheHitSurvivesRestart(t *testing.T) {
 func TestPartialSweepNeverWrittenToStore(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
-	svc, ts := durableServer(t, st, Config{Workers: 1})
-	svc.compile = func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+	svc, ts := durableServer(t, st, Config{Workers: 1, Runner: Compiler(func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
 		<-ctx.Done()
 		return partialResult(c.Name, seeds, ctx.Err()), nil
-	}
+	})})
 
 	job, code := postJob(t, ts, `{"source":{"sample":"threecnot"},"options":{"seeds":[1,2]}}`)
 	if code != http.StatusAccepted {
@@ -227,7 +231,7 @@ func TestPartialSweepNeverWrittenToStore(t *testing.T) {
 func TestCanceledQueuedJobNotReplayed(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir)
-	svc, ts := durableServer(t, st, Config{Workers: 1, Compile: blockUntilCanceled})
+	svc, ts := durableServer(t, st, Config{Workers: 1, Runner: Compiler(blockUntilCanceled)})
 
 	running, code := postJob(t, ts, `{"source":{"sample":"threecnot"},"options":{"mode":"full"}}`)
 	if code != http.StatusAccepted {
@@ -310,5 +314,39 @@ func TestStoreEndpoint(t *testing.T) {
 	}
 	if stats.Results == nil {
 		t.Fatal("store stats missing results section")
+	}
+}
+
+// TestReplaySkipsRecordsWithoutCircuit replays a data dir holding a
+// submitted record in another format — the shape a coordinator of the
+// previous binary logged, the wire request under "req" and an f-prefixed
+// ID — beside a current one: the old job is unrecoverable and skipped,
+// the current one replays.
+func TestReplaySkipsRecordsWithoutCircuit(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	old := map[string]any{"name": "threecnot", "key": "k", "req": map[string]any{"source": map[string]any{"sample": "threecnot"}}}
+	if err := st.WAL.Append(walTypeSubmitted, "f000001", time.Now().UnixMilli(), old); err != nil {
+		t.Fatal(err)
+	}
+	svc, ts := durableServer(t, st, Config{Workers: 1, Runner: Compiler(blockUntilCanceled)})
+	job, code := postJob(t, ts, `{"source":{"sample":"threecnot"}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: http %d", code)
+	}
+	ts.Close()
+	svc.Close()
+	if err := st.Close(); err != nil {
+		t.Fatalf("store close: %v", err)
+	}
+
+	st2 := openTestStore(t, dir)
+	svc2, ts2 := durableServer(t, st2, Config{Workers: 1, Runner: Compiler(instantCompile)})
+	defer func() { ts2.Close(); svc2.Close(); st2.Close() }()
+	if code := getJSON(t, ts2.URL+"/v1/jobs/f000001", nil); code != http.StatusNotFound {
+		t.Fatalf("old-format job after replay: http %d, want 404", code)
+	}
+	if final := waitState(t, ts2, job.ID, 10*time.Second); final.State != StateDone {
+		t.Fatalf("current-format job replayed as %s (err %q), want done", final.State, final.Error)
 	}
 }

@@ -24,7 +24,7 @@ func failingCompile(ctx context.Context, c *circuit.Circuit, opt compress.Option
 func TestQueryRangeEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:         1,
-		Compile:         instantCompile,
+		Runner:          Compiler(instantCompile),
 		HistoryInterval: 20 * time.Millisecond,
 	})
 	st, _ := postJob(t, ts, `{"source":{"sample":"threecnot"}}`)
@@ -70,7 +70,7 @@ func TestQueryRangeEndpoint(t *testing.T) {
 }
 
 func TestHistoryDisabledAnswers404(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Compile: instantCompile})
+	_, ts := newTestServer(t, Config{Workers: 1, Runner: Compiler(instantCompile)})
 	if code := getJSON(t, ts.URL+"/v1/query_range?query=tqecd_jobs_done_total", nil); code != http.StatusNotFound {
 		t.Fatalf("query_range with history disabled: http %d, want 404", code)
 	}
@@ -85,7 +85,7 @@ func TestHistoryDisabledAnswers404(t *testing.T) {
 func TestSLOFailureStreakFires(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:         1,
-		Compile:         failingCompile,
+		Runner:          Compiler(failingCompile),
 		CacheEntries:    -1,
 		HistoryInterval: 20 * time.Millisecond,
 		SLOs: []tsdb.Objective{{
@@ -169,7 +169,7 @@ func TestSLOFailureStreakFires(t *testing.T) {
 func TestJournalDroppedCounter(t *testing.T) {
 	svc, ts := newTestServer(t, Config{
 		Workers:       1,
-		Compile:       instantCompile,
+		Runner:        Compiler(instantCompile),
 		JournalEvents: 1, // every job emits >1 lifecycle event
 	})
 	st, _ := postJob(t, ts, `{"source":{"sample":"threecnot"}}`)

@@ -192,7 +192,7 @@ func jsonHist(s obs.HistSnapshot) HistogramJSON {
 
 // MetricsSnapshot is the /metrics JSON document. Exported so the fleet
 // coordinator can scrape each worker's endpoint, decode the document,
-// and aggregate the counters fleet-wide.
+// and retain the counters as per-worker history.
 type MetricsSnapshot struct {
 	Jobs struct {
 		Submitted int64 `json:"submitted"`

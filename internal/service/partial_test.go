@@ -11,7 +11,7 @@ import (
 	"tqec/internal/compress"
 )
 
-// Tests in this file substitute Server.compile with deterministic fakes so
+// Tests in this file substitute the compile with deterministic fakes so
 // the cancel-after-partial-success race, drain aborts, and job retention
 // can be exercised without timing-sensitive real compiles.
 
@@ -29,14 +29,13 @@ func partialResult(name string, seeds []int64, cause error) *compress.Result {
 }
 
 func TestCancelAfterPartialSuccessIsCanceledAndUncached(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 1})
 	// One seed "succeeds", then the DELETE's cancel interrupts the rest:
 	// the sweep returns a surviving best with err==nil and the context
 	// error only in SeedErrors.
-	svc.compile = func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+	svc, ts := newTestServer(t, Config{Workers: 1, Runner: Compiler(func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
 		<-ctx.Done()
 		return partialResult(c.Name, seeds, ctx.Err()), nil
-	}
+	})})
 
 	body := `{"source":{"sample":"threecnot"},"options":{"seeds":[1,2]}}`
 	st, code := postJob(t, ts, body)
@@ -73,12 +72,11 @@ func TestCancelAfterPartialSuccessIsCanceledAndUncached(t *testing.T) {
 }
 
 func TestDeadlinePartialSuccessIsDoneButUncached(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 1})
 	// The deadline fired mid-sweep but a seed survived: the job owner gets
 	// the best-effort result, the cache must not.
-	svc.compile = func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+	svc, ts := newTestServer(t, Config{Workers: 1, Runner: Compiler(func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
 		return partialResult(c.Name, seeds, fmt.Errorf("compile: %w", context.DeadlineExceeded)), nil
-	}
+	})})
 
 	body := `{"source":{"sample":"threecnot"},"options":{"seeds":[1,2]}}`
 	st, code := postJob(t, ts, body)
@@ -98,11 +96,10 @@ func TestDeadlinePartialSuccessIsDoneButUncached(t *testing.T) {
 }
 
 func TestDrainAbortReportsCanceledNotFailed(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 1})
-	svc.compile = func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+	svc, ts := newTestServer(t, Config{Workers: 1, Runner: Compiler(func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
 		<-ctx.Done()
 		return nil, fmt.Errorf("compress: %w", ctx.Err())
-	}
+	})})
 
 	st, code := postJob(t, ts, `{"source":{"sample":"threecnot"},"no_cache":true}`)
 	if code != http.StatusAccepted {
@@ -139,10 +136,9 @@ func TestDrainAbortReportsCanceledNotFailed(t *testing.T) {
 }
 
 func TestFinishedJobRetentionPrunesOldest(t *testing.T) {
-	svc, ts := newTestServer(t, Config{Workers: 1, MaxFinishedJobs: 2})
-	svc.compile = func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+	svc, ts := newTestServer(t, Config{Workers: 1, MaxFinishedJobs: 2, Runner: Compiler(func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
 		return &compress.Result{Name: c.Name, Mode: opt.Mode, Volume: 6, PlacedVolume: 6}, nil
-	}
+	})})
 
 	var ids []string
 	for i := 0; i < 3; i++ {

@@ -26,6 +26,11 @@
 //	                            (JSON by default; Prometheus text exposition
 //	                            when the request Accepts text/plain)
 //
+// How a running job executes is its Runner's business (Config.Runner):
+// Compiler runs the pipeline in process, and a fleet coordinator
+// (internal/fleet) runs the same job lifecycle but dispatches each job to
+// a worker.
+//
 // Everything is stdlib-only and deterministic for a fixed seed list: the
 // same submission always produces the same result payload, which is what
 // makes content-addressed caching sound.
@@ -53,7 +58,9 @@ import (
 
 // Config tunes the service. Zero values select defaults.
 type Config struct {
-	// Workers bounds concurrent compiles (default GOMAXPROCS).
+	// Workers bounds concurrent runs (default GOMAXPROCS). Negative lifts
+	// the bound: every admitted job runs at once on its own goroutine, no
+	// job waits, and QueueDepth is unused.
 	Workers int
 	// QueueDepth bounds waiting jobs; submits beyond it are rejected with
 	// 503 (default 64).
@@ -110,15 +117,15 @@ type Config struct {
 	// Logger receives structured per-job log lines (default: text handler
 	// on stderr at info level, the same shape the tqec CLIs use).
 	Logger *slog.Logger
-	// Compile substitutes the compile pipeline (default
-	// compress.CompileBestContext). Tests and embedders — the fleet
-	// failover tests in particular — inject deterministic or blocking
-	// stand-ins here.
-	Compile CompileFunc
+	// Runner executes each job once a worker slot picks it up (default
+	// Compiler(nil): the compression pipeline, in process). Tests inject
+	// deterministic or blocking compiles through Compiler; a fleet
+	// coordinator's Runner dispatches jobs to workers instead.
+	Runner Runner
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
+	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
@@ -145,6 +152,9 @@ func (c Config) withDefaults() Config {
 			panic(err)
 		}
 		c.Logger = l
+	}
+	if c.Runner == nil {
+		c.Runner = Compiler(nil)
 	}
 	return c
 }
@@ -173,13 +183,13 @@ type Job struct {
 	Name string
 	Key  string // cache key
 
-	circ     *circuit.Circuit
-	opt      compress.Options
-	seeds    []int64
-	parallel int
-	timeout  time.Duration
-	noCache  bool
-	trace    bool
+	// req is the submission in wire form (as received, or rebuilt from the
+	// WAL); its Source is released with circ once the job is terminal.
+	req     SubmitRequest
+	circ    *circuit.Circuit
+	opt     compress.Options
+	seeds   []int64
+	timeout time.Duration
 	// traceCtx is the inbound distributed trace context (from a
 	// traceparent header) the job's tracer links under; zero when the
 	// submission is the trace root. requestID is the X-Request-ID the
@@ -192,13 +202,14 @@ type Job struct {
 	cached          bool
 	errMsg          string
 	cancelRequested bool
-	cancel          context.CancelFunc
+	cancel          context.CancelCauseFunc
 	submitted       time.Time
 	started         time.Time
 	finished        time.Time
 	payload         *ResultPayload
 	tracer          *obs.Tracer // non-nil once a traced job starts running
 	profile         []byte      // pprof CPU profile of a slow job; nil otherwise
+	dispatch        Dispatch    // set by a fleet coordinator's Runner
 
 	// recorder is the job's flight recorder, created at submission so even
 	// queued, cache-answered, and rejected jobs stream their lifecycle;
@@ -221,10 +232,6 @@ type ResultPayload struct {
 	Summary  string          `json:"summary"`
 }
 
-// CompileFunc runs one multi-seed compile; it is a Server field (and a
-// Config hook) so tests can substitute a deterministic pipeline.
-type CompileFunc func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error)
-
 // Server is the compile service. Create with New, mount via Handler, and
 // stop with Shutdown (graceful) or Close (immediate).
 type Server struct {
@@ -233,7 +240,7 @@ type Server struct {
 	cache   *resultCache
 	store   *store.Store // nil without a data dir
 	mux     *http.ServeMux
-	compile CompileFunc
+	runner  Runner
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
@@ -244,6 +251,9 @@ type Server struct {
 	history   *tsdb.DB
 	collector *tsdb.Collector
 	slo       *tsdb.Engine
+	// scrapeHook runs after every self-scrape, before SLO evaluation; set
+	// only from Runner.Attach, before the collector starts.
+	scrapeHook func(*tsdb.DB, time.Time)
 
 	mu       sync.Mutex
 	jobs     map[string]*Job // guarded by mu
@@ -273,11 +283,8 @@ func New(ctx context.Context, cfg Config) *Server {
 		store:   cfg.Store,
 		jobs:    map[string]*Job{},
 		queue:   make(chan *Job, cfg.QueueDepth),
-		compile: compress.CompileBestContext,
+		runner:  cfg.Runner,
 		started: time.Now(),
-	}
-	if cfg.Compile != nil {
-		s.compile = cfg.Compile
 	}
 	s.rootCtx, s.rootCancel = context.WithCancel(ctx)
 	if cfg.HistoryInterval > 0 {
@@ -285,13 +292,13 @@ func New(ctx context.Context, cfg Config) *Server {
 		s.collector = tsdb.NewCollector(s.history, m.reg, cfg.HistoryInterval)
 		if len(cfg.SLOs) > 0 {
 			s.slo = tsdb.NewEngine(s.history, cfg.SLOs, m.reg, cfg.Logger)
-			s.collector.AfterScrape = s.slo.Eval
 		}
-		s.collector.Start()
+		s.collector.AfterScrape = s.afterScrape
 	} else if len(cfg.SLOs) > 0 {
 		cfg.Logger.WarnContext(ctx, "slo objectives configured but metrics history is disabled; enable the self-scrape loop")
 	}
 	s.mux = s.routes()
+	s.runner.Attach(s)
 	// Replay the write-ahead log before any worker starts: jobs queued or
 	// running when the previous process died re-enter the queue (under
 	// their original IDs) ahead of every new submission.
@@ -302,7 +309,21 @@ func New(ctx context.Context, cfg Config) *Server {
 		s.workers.Add(1)
 		go s.worker()
 	}
+	if s.collector != nil {
+		s.collector.Start()
+	}
 	return s
+}
+
+// afterScrape runs the Runner's scrape hook, then evaluates the SLOs
+// over the samples it and the scrape appended.
+func (s *Server) afterScrape(t time.Time) {
+	if s.scrapeHook != nil {
+		s.scrapeHook(s.history, t)
+	}
+	if s.slo != nil {
+		s.slo.Eval(t)
+	}
 }
 
 // Handler returns the HTTP surface.
@@ -360,33 +381,23 @@ func (s *Server) Close() {
 	s.stopCollector()
 }
 
-// newJob registers a job in the queued state. Callers hold no locks.
-func (s *Server) newJob(name, key string, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int, timeout time.Duration, noCache, trace bool, traceCtx obs.TraceContext, requestID string) *Job {
+// register enters a job into the table in the queued state, drawing the
+// next ID unless it already has one (a WAL replay keeps its original ID).
+// Callers hold no locks.
+func (s *Server) register(j *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.nextID++
-	j := &Job{
-		ID:        fmt.Sprintf("j%06d", s.nextID),
-		Name:      name,
-		Key:       key,
-		circ:      c,
-		opt:       opt,
-		seeds:     seeds,
-		parallel:  parallel,
-		timeout:   timeout,
-		noCache:   noCache,
-		trace:     trace,
-		traceCtx:  traceCtx,
-		requestID: requestID,
-		state:     StateQueued,
-		submitted: time.Now(),
+	if j.ID == "" {
+		s.nextID++
+		j.ID = fmt.Sprintf("j%06d", s.nextID)
 	}
+	j.state = StateQueued
+	j.submitted = time.Now()
 	if s.cfg.JournalEvents > 0 {
 		j.recorder = journal.NewRecorder(s.cfg.JournalEvents)
 		j.recorder.JobState(string(StateQueued), "")
 	}
 	s.jobs[j.ID] = j
-	return j
 }
 
 // enqueue pushes a registered job onto the bounded queue. It returns
@@ -397,6 +408,15 @@ func (s *Server) enqueue(j *Job) bool {
 	defer s.mu.Unlock()
 	if s.draining {
 		return false
+	}
+	if s.cfg.Workers < 0 {
+		s.metrics.jobsQueued.Add(1)
+		s.workers.Add(1)
+		go func() {
+			defer s.workers.Done()
+			s.runJob(j)
+		}()
+		return true
 	}
 	select {
 	case s.queue <- j:
@@ -415,7 +435,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job end to end and records its outcome.
+// runJob executes one job end to end through the Runner and records its
+// outcome.
 func (s *Server) runJob(j *Job) {
 	s.mu.Lock()
 	s.metrics.jobsQueued.Add(-1)
@@ -426,11 +447,16 @@ func (s *Server) runJob(j *Job) {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	ctx, cancel := context.WithTimeout(s.rootCtx, j.timeout)
+	// The job's deadline is the Runner's to enforce (see Runner.Run).
+	ctx, cancel := context.WithCancelCause(s.rootCtx)
 	j.cancel = cancel
+	if j.requestID != "" {
+		// Outbound calls a Runner makes for this job carry its request ID.
+		ctx = obs.WithRequestID(ctx, j.requestID)
+	}
 	// Each traced job gets its own tracer, so concurrent jobs never
 	// interleave spans; untraced jobs keep the nil fast path.
-	if j.trace {
+	if j.req.Trace {
 		j.tracer = obs.NewTracer("job:" + j.ID)
 		if j.traceCtx.Valid() {
 			// The submission arrived with a traceparent header: this
@@ -447,7 +473,7 @@ func (s *Server) runJob(j *Job) {
 		j.recorder.JobState(string(StateRunning), "")
 	}
 	s.mu.Unlock()
-	defer cancel()
+	defer cancel(nil)
 	s.walAppend(walTypeStarted, j.ID, nil)
 
 	s.metrics.jobsRunning.Add(1)
@@ -456,23 +482,19 @@ func (s *Server) runJob(j *Job) {
 	s.metrics.queueWait.ObserveDuration(queueDur)
 	s.metrics.jobQueueSeconds.Observe(queueDur.Seconds())
 	s.log(j, "start", "seeds", len(j.seeds), "effort", int(j.opt.Effort),
-		"mode", j.opt.Mode.String(), "timeout", j.timeout, "trace", j.trace)
+		"mode", j.opt.Mode.String(), "timeout", j.timeout, "trace", j.req.Trace)
 
-	prof := s.armSlowProfile(j)
-	res, err := s.compile(ctx, j.circ, j.opt, j.seeds, j.parallel)
-	profile := prof.stop()
+	out, err := s.runner.Run(ctx, j)
 	j.tracer.Finish()
 
 	s.mu.Lock()
-	j.profile = profile
 	j.finished = time.Now()
 	j.cancel = nil
 	runDur := j.finished.Sub(j.started)
-	// A best-of sweep in which the context fired after >=1 seed succeeded
-	// returns err==nil with the context error only in SeedErrors. Such a
-	// result is valid for this job but NOT the deterministic full-seed-set
-	// answer the cache key promises, so it must never be cached.
-	interrupted := err == nil && (ctx.Err() != nil || seedsInterrupted(res.SeedErrors))
+	// A partial result — a best-of sweep in which the context fired after
+	// >=1 seed succeeded — is valid for this job but NOT the deterministic
+	// full-seed-set answer the cache key promises, so it is never cached.
+	partial := err == nil && (out.Partial || ctx.Err() != nil)
 	switch {
 	case err != nil && j.cancelRequested && errors.Is(err, context.Canceled):
 		j.state = StateCanceled
@@ -491,25 +513,29 @@ func (s *Server) runJob(j *Job) {
 		j.errMsg = err.Error()
 		s.metrics.jobsFailed.Inc()
 		s.log(j, "failed", "run_ms", ms(runDur), "err", j.errMsg)
-	case j.cancelRequested && interrupted:
+	case j.cancelRequested && partial:
 		// The cancel landed after some seeds had already succeeded; honor
 		// the DELETE rather than reporting the partial sweep as done.
 		j.state = StateCanceled
 		j.errMsg = "canceled"
 		s.metrics.jobsCanceled.Inc()
-		s.log(j, "canceled", "run_ms", ms(runDur), "partial_seeds", res.SeedsTried-len(res.SeedErrors))
+		s.log(j, "canceled", "run_ms", ms(runDur), "partial", true)
 	default:
 		j.state = StateDone
-		j.journal = res.Journal
-		j.payload = s.buildPayload(j, res)
-		s.metrics.jobsDone.Inc()
-		s.metrics.compile.ObserveDuration(runDur)
-		for _, st := range res.StageTimes {
-			s.metrics.observeStage(st.Stage, st.Duration)
+		j.journal = out.Journal
+		j.payload = out.Payload
+		if out.Cached {
+			// Answered from a cache without compiling (a fleet worker's
+			// cache hit): done_cached, and RunMS reports 0 like a cache hit
+			// at submission.
+			j.cached = true
+			j.started = j.finished
+			s.metrics.jobsDoneCached.Inc()
+		} else {
+			s.metrics.jobsDone.Inc()
 		}
-		s.recordPipeline(res)
-		s.log(j, "done", "run_ms", ms(runDur), "volume", res.Volume, "placed", res.PlacedVolume,
-			"seeds_failed", len(res.SeedErrors), "partial", interrupted)
+		s.log(j, "done", "run_ms", ms(runDur), "volume", out.Payload.Report.Volume,
+			"placed", out.Payload.Report.PlacedVolume, "cached", out.Cached, "partial", partial)
 	}
 	s.metrics.jobRunSeconds.Observe(runDur.Seconds())
 	s.finishLocked(j)
@@ -522,46 +548,13 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Unlock()
 
 	// Cache insertion (and its durable write-through) happens outside the
-	// server lock: disk latency must not stall the job table. A partial
-	// (interrupted) sweep is never admitted — the key promises the full
-	// deterministic seed-set answer, and a partial result is not it.
-	if state == StateDone && !j.noCache && !interrupted {
+	// server lock: disk latency must not stall the job table.
+	if state == StateDone && !j.req.NoCache && !partial {
 		s.cache.Put(j.Key, payload)
 	}
 	if !shutdownCancel {
 		s.walTerminalFor(j, state, cached, errMsg)
 	}
-}
-
-// recordPipeline folds the best-seed result of a completed compile into
-// the pipeline-level counters: how much optimization work the daemon has
-// performed, not just how many jobs it ran.
-func (s *Server) recordPipeline(res *compress.Result) {
-	if res.Placement != nil {
-		s.metrics.annealMoves.Add(int64(res.Placement.SA.Moves))
-		s.metrics.annealAccepted.Add(int64(res.Placement.SA.Accepted))
-	}
-	if res.Routing != nil {
-		s.metrics.routeRounds.Add(int64(res.Routing.Iters))
-	}
-	if merges := res.NumModules - res.NumNodes; merges > 0 {
-		s.metrics.primalMerges.Add(int64(merges))
-	}
-	if res.Dual != nil {
-		s.metrics.dualBridges.Add(int64(res.Dual.NumBridges()))
-	}
-}
-
-// seedsInterrupted reports whether any per-seed failure was the context
-// being canceled or timing out, i.e. the sweep stopped early rather than
-// running every seed to completion.
-func seedsInterrupted(errs []compress.SeedError) bool {
-	for _, se := range errs {
-		if errors.Is(se.Err, context.Canceled) || errors.Is(se.Err, context.DeadlineExceeded) {
-			return true
-		}
-	}
-	return false
 }
 
 // finishLocked finalizes a terminal job under s.mu: the flight recorder
@@ -583,6 +576,7 @@ func (s *Server) finishLocked(j *Job) {
 		}
 	}
 	j.circ = nil
+	j.req.Source = Source{}
 	if s.cfg.MaxFinishedJobs < 0 {
 		return
 	}
@@ -590,19 +584,6 @@ func (s *Server) finishLocked(j *Job) {
 	for len(s.finished) > s.cfg.MaxFinishedJobs {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
-	}
-}
-
-// buildPayload serializes a finished compile.
-func (s *Server) buildPayload(j *Job, res *compress.Result) *ResultPayload {
-	rep := res.Report()
-	rep.Name = j.Name
-	return &ResultPayload{
-		Name:     j.Name,
-		CacheKey: j.Key,
-		Report:   rep,
-		DRC:      res.DRC,
-		Summary:  res.Summary(),
 	}
 }
 
@@ -628,7 +609,7 @@ func (s *Server) cancelJob(j *Job) (State, bool) {
 		cancel := j.cancel
 		s.mu.Unlock()
 		if cancel != nil {
-			cancel()
+			cancel(ErrCanceled)
 		}
 		// Durable intent: even if the compile (or the whole process) dies
 		// before the cancel lands, replay must never resurrect this job.

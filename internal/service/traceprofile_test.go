@@ -68,7 +68,7 @@ func TestSlowProfileCapture(t *testing.T) {
 	svc, ts := newTestServer(t, Config{
 		Workers:          1,
 		SlowProfileAfter: 20 * time.Millisecond,
-		Compile:          slowCompile(250 * time.Millisecond),
+		Runner:           Compiler(slowCompile(250 * time.Millisecond)),
 	})
 	_ = svc
 	st, code := postJob(t, ts, `{"source":{"sample":"threecnot"}}`)
@@ -107,7 +107,7 @@ func TestSlowProfileNotCrossed(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:          1,
 		SlowProfileAfter: time.Hour,
-		Compile:          instantCompile,
+		Runner:           Compiler(instantCompile),
 	})
 	st, _ := postJob(t, ts, `{"source":{"sample":"threecnot"}}`)
 	st = waitState(t, ts, st.ID, 10*time.Second)
@@ -128,7 +128,7 @@ func TestSubmitTraceparentLink(t *testing.T) {
 	var logBuf bytes.Buffer
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		Compile: instantCompile,
+		Runner:  Compiler(instantCompile),
 		Logger:  slog.New(slog.NewTextHandler(&logBuf, nil)),
 	})
 
