@@ -17,7 +17,6 @@ import (
 	"os/signal"
 
 	"tqec/internal/bench"
-	"tqec/internal/compress"
 )
 
 func main() {
@@ -31,10 +30,6 @@ func main() {
 		skipRouting = flag.Bool("skip-routing", false, "Table 3: stop after placement")
 		jsonOut     = flag.String("json", "", "also write a machine-readable report to this file")
 		effortCurve = flag.String("effort-curve", "", "also run the quality-vs-budget curve on this benchmark")
-		tag         = flag.String("tag", "", "also run a timing trajectory and write it to BENCH_<tag>.json (CI artifact)")
-		compareTo   = flag.String("compare", "", "re-run the trajectory of this baseline file (BENCH_seed.json) and report per-stage time and volume deltas")
-		tolerance   = flag.Float64("tolerance", bench.DefaultCompareTolerance, "relative slack for -compare before a delta counts as a regression")
-		strict      = flag.Bool("compare-strict", false, "exit nonzero when -compare finds regressions (default: warn only)")
 	)
 	flag.Parse()
 
@@ -43,14 +38,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	eff := compress.EffortFast
-	switch *effort {
-	case "fast":
-	case "normal":
-		eff = compress.EffortNormal
-	case "high":
-		eff = compress.EffortHigh
-	default:
+	eff, ok := bench.EffortByName(*effort)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "tqec-bench: unknown effort %q\n", *effort)
 		os.Exit(1)
 	}
@@ -123,58 +112,6 @@ func main() {
 		fail(f.Close())
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
 	}
-	if *tag != "" {
-		traj, err := bench.RunTrajectory(ctx, *tag, specs, *seed, eff, *skipRouting)
-		fail(err)
-		path := fmt.Sprintf("BENCH_%s.json", *tag)
-		f, err := os.Create(path)
-		fail(err)
-		fail(traj.WriteJSON(f))
-		fail(f.Close())
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	}
-	if *compareTo != "" {
-		fail(runCompare(ctx, *compareTo, *tolerance, *strict))
-	}
-}
-
-// runCompare replays the baseline trajectory's exact configuration —
-// its seed, effort, routing mode, and benchmark set, NOT this
-// invocation's flags — and prints the delta report. With strict unset
-// the report is informational (the CI step is warn-only: timings on CI
-// runners are noisy).
-func runCompare(ctx context.Context, path string, tolerance float64, strict bool) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	base, err := bench.ReadTrajectory(f)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	eff, ok := bench.EffortByName(base.Effort)
-	if !ok {
-		return fmt.Errorf("%s: unknown effort %q", path, base.Effort)
-	}
-	specs := make([]bench.Spec, 0, len(base.Entries))
-	for _, e := range base.Entries {
-		spec, ok := bench.ByName(e.Name)
-		if !ok {
-			return fmt.Errorf("%s: unknown benchmark %q", path, e.Name)
-		}
-		specs = append(specs, spec)
-	}
-	cur, err := bench.RunTrajectory(ctx, "current", specs, base.Seed, eff, base.SkipRouting)
-	if err != nil {
-		return err
-	}
-	cmp := bench.Compare(base, cur, tolerance)
-	fmt.Print(bench.FormatComparison(cmp))
-	if strict && cmp.Regressions > 0 {
-		return fmt.Errorf("%d regression(s) against %s", cmp.Regressions, path)
-	}
-	return nil
 }
 
 func fail(err error) {

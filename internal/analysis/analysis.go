@@ -3,8 +3,8 @@
 // no golang.org/x/tools), preserving the module's zero-dependency
 // property. It mechanically enforces the project conventions that the
 // pipeline's correctness rests on but that the compiler cannot check:
-// the nil fast path that keeps untraced/unjournaled compiles
-// bit-identical (DESIGN.md §9–§10), context plumbed through the
+// the nil fast path that keeps unobserved compiles bit-identical
+// (DESIGN.md §9), context plumbed through the
 // anneal/route/bridge hot loops for cancellation, the *Locked /
 // "guarded by mu" discipline in internal/service, the tqec[cd]_*
 // metric-naming scheme, and structured (never raw-printed) daemon

@@ -5,94 +5,44 @@ import (
 )
 
 // DefaultNilGuardTargets are the types whose nil fast path keeps
-// untraced and unjournaled compiles bit-identical (DESIGN.md §9–§10):
-// every exported pointer-receiver method must tolerate a nil receiver,
-// because instrumentation call sites deliberately hold nil when no
-// tracer/recorder is installed in the context.
+// unobserved compiles bit-identical (DESIGN.md §9): every exported
+// pointer-receiver method must tolerate a nil receiver, because
+// instrumentation call sites deliberately hold nil when neither a tracer
+// nor a sink is installed in the context.
 var DefaultNilGuardTargets = map[string][]string{
-	"tqec/internal/obs":     {"Tracer", "Span"},
-	"tqec/internal/journal": {"Recorder", "Journal"},
+	"tqec/internal/obs": {"Tracer", "Span"},
 }
 
 // NilGuard builds the nilguard analyzer for the given targets
 // (package path → type names). Exported pointer-receiver methods on a
 // target type must begin with a nil-receiver guard
-// (`if r == nil { return ... }`) or forward the receiver, as their first
-// statement, to another method of the same type that satisfies the rule.
+// (`if r == nil { return ... }`).
 func NilGuard(targets map[string][]string) *Analyzer {
 	a := &Analyzer{
 		Name: "nilguard",
 		Doc:  "exported pointer-receiver methods on nil-fast-path types must begin with a nil-receiver guard",
 	}
 	a.Run = func(pass *Pass) {
-		typeNames := targets[pass.Pkg.Path]
-		if len(typeNames) == 0 {
-			return
-		}
 		isTarget := map[string]bool{}
-		for _, n := range typeNames {
+		for _, n := range targets[pass.Pkg.Path] {
 			isTarget[n] = true
 		}
-
-		// Index every pointer-receiver method of the target types so
-		// delegation (m calls r.emit(...) as its first statement) can be
-		// resolved to the forwarded-to declaration.
-		type methodKey struct{ typ, name string }
-		methods := map[methodKey]*ast.FuncDecl{}
 		for _, file := range pass.Pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv == nil {
+				if !ok || fd.Recv == nil || !ast.IsExported(fd.Name.Name) {
 					continue
 				}
 				typ, ptr := receiverType(fd)
-				if ptr && isTarget[typ] {
-					methods[methodKey{typ, fd.Name.Name}] = fd
+				if !ptr || !isTarget[typ] {
+					continue
 				}
-			}
-		}
-
-		memo := map[*ast.FuncDecl]bool{}
-		var safe func(fd *ast.FuncDecl, visiting map[*ast.FuncDecl]bool) bool
-		safe = func(fd *ast.FuncDecl, visiting map[*ast.FuncDecl]bool) bool {
-			if v, ok := memo[fd]; ok {
-				return v
-			}
-			if visiting[fd] {
-				return false // delegation cycle: nobody actually guards
-			}
-			visiting[fd] = true
-			defer delete(visiting, fd)
-
-			recv := receiverName(fd)
-			ok := false
-			switch {
-			case fd.Body == nil || len(fd.Body.List) == 0 || recv == "":
-				ok = false
-			case isNilGuard(fd.Body.List[0], recv):
-				ok = true
-			default:
-				// Forwarding: the first statement calls another method on
-				// the same receiver, which must itself be nil-safe.
-				if target := forwardedMethod(fd.Body.List[0], recv); target != "" {
-					typ, _ := receiverType(fd)
-					if dst, found := methods[methodKey{typ, target}]; found {
-						ok = safe(dst, visiting)
-					}
+				recv := receiverName(fd)
+				if recv == "" || fd.Body == nil || len(fd.Body.List) == 0 || !isNilGuard(fd.Body.List[0], recv) {
+					pass.Reportf(fd.Name.Pos(),
+						"exported method (*%s).%s must begin with a nil-receiver guard: the nil fast path keeps unobserved runs bit-identical",
+						typ, fd.Name.Name)
 				}
-			}
-			memo[fd] = ok
-			return ok
-		}
-
-		for key, fd := range methods {
-			if !ast.IsExported(key.name) {
-				continue
-			}
-			if !safe(fd, map[*ast.FuncDecl]bool{}) {
-				pass.Reportf(fd.Name.Pos(),
-					"exported method (*%s).%s must begin with a nil-receiver guard (or forward to a nil-safe method): the nil fast path keeps untraced runs bit-identical",
-					key.typ, key.name)
 			}
 		}
 	}
@@ -157,30 +107,4 @@ func isRecvNilPair(x, y ast.Expr, recv string) bool {
 	}
 	yi, ok := y.(*ast.Ident)
 	return ok && yi.Name == "nil"
-}
-
-// forwardedMethod returns the method name when stmt is a plain
-// forwarding call `recv.M(...)` or `return recv.M(...)`, else "".
-func forwardedMethod(stmt ast.Stmt, recv string) string {
-	var call *ast.CallExpr
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		call, _ = s.X.(*ast.CallExpr)
-	case *ast.ReturnStmt:
-		if len(s.Results) == 1 {
-			call, _ = s.Results[0].(*ast.CallExpr)
-		}
-	}
-	if call == nil {
-		return ""
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	base, ok := sel.X.(*ast.Ident)
-	if !ok || base.Name != recv {
-		return ""
-	}
-	return sel.Sel.Name
 }

@@ -21,7 +21,8 @@ var spanNameRE = regexp.MustCompile(`^[a-z][a-z0-9]*(-[a-z0-9]+)*$`)
 var spanPrefixRE = regexp.MustCompile(`^[a-z][a-z0-9-]*[-:]$`)
 
 // SpanName builds the spanname analyzer: every span name passed to
-// obs.StartSpan or (*obs.Span).StartChild must be a lowercase-hyphen
+// obs.StartSpan or (*obs.Span).StartChild, and every warning code passed
+// to obs.Warn, must be a lowercase-hyphen
 // string literal, a literal-prefixed concatenation or Sprintf (the
 // "drc:"/"seed-" pattern), or a parameter of a local wrapper function
 // whose own call sites satisfy the same rule (the stage-begin closure
@@ -32,7 +33,7 @@ var spanPrefixRE = regexp.MustCompile(`^[a-z][a-z0-9-]*[-:]$`)
 func SpanName() *Analyzer {
 	a := &Analyzer{
 		Name: "spanname",
-		Doc:  "span names passed to obs.StartSpan/Span.StartChild must be lowercase-hyphen literals or taxonomy-prefixed dynamic names (DESIGN §9)",
+		Doc:  "span names passed to obs.StartSpan/Span.StartChild and warning codes passed to obs.Warn must be lowercase-hyphen literals or taxonomy-prefixed dynamic names (DESIGN §9)",
 	}
 	a.Run = func(pass *Pass) {
 		// The obs package itself forwards caller-supplied names through
@@ -81,7 +82,9 @@ func SpanName() *Analyzer {
 }
 
 // spanNameArg returns the span-name argument of a call to obs.StartSpan
-// (second argument) or (*obs.Span).StartChild (first argument).
+// (second argument) or (*obs.Span).StartChild (first argument), or the
+// warning code of a call to obs.Warn (second argument): a warning is a
+// probe fact too, and its code shares the taxonomy.
 func spanNameArg(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 	fn := funcFor(info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != obsRegistryPath {
@@ -92,7 +95,7 @@ func spanNameArg(info *types.Info, call *ast.CallExpr) (ast.Expr, bool) {
 		return nil, false
 	}
 	switch {
-	case fn.Name() == "StartSpan" && sig.Recv() == nil && len(call.Args) >= 2:
+	case (fn.Name() == "StartSpan" || fn.Name() == "Warn") && sig.Recv() == nil && len(call.Args) >= 2:
 		return call.Args[1], true
 	case fn.Name() == "StartChild" && recvNamed(sig) == "Span" && len(call.Args) >= 1:
 		return call.Args[0], true

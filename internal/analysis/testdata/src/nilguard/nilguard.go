@@ -1,6 +1,6 @@
 // Package nilguard is a tqec-vet fixture: exported pointer-receiver
 // methods on the target types (Tracer, Span — configured by the test)
-// must begin with a nil-receiver guard or forward to a method that does.
+// must begin with a nil-receiver guard of their own.
 package nilguard
 
 // Tracer mimics the obs.Tracer nil-fast-path contract.
@@ -25,13 +25,13 @@ func (t *Tracer) GuardedFlipped() {
 	t.n++
 }
 
-// Forwards delegates to a guarded method as its first statement.
-func (t *Tracer) Forwards() {
+// Forwards delegates to a guarded method, but the guard must be its own.
+func (t *Tracer) Forwards() { // want "nil-receiver guard"
 	t.Guarded()
 }
 
-// ForwardsReturn delegates via a single-result return.
-func (t *Tracer) ForwardsReturn() int {
+// ForwardsReturn delegates via a single-result return; same rule.
+func (t *Tracer) ForwardsReturn() int { // want "nil-receiver guard"
 	return t.value()
 }
 

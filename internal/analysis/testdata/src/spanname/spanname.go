@@ -1,5 +1,6 @@
 // Package spanname is a tqec-vet fixture: span names passed to
-// obs.StartSpan and (*obs.Span).StartChild must be lowercase-hyphen
+// obs.StartSpan and (*obs.Span).StartChild, and warning codes passed to
+// obs.Warn, must be lowercase-hyphen
 // literals from the DESIGN §9 taxonomy, taxonomy-prefixed dynamic names
 // ("drc:" + x, Sprintf("seed-%d", …)), or parameters of a local wrapper
 // whose call sites satisfy the same rule. Tracer roots (obs.NewTracer)
@@ -22,6 +23,8 @@ func Literals(ctx context.Context, root *obs.Span) {
 	root.StartChild("-leading")    // want "does not match the taxonomy"
 	obs.StartSpan(ctx, "anneal-epoch")
 	obs.StartSpan(ctx, "annealEpoch") // want "does not match the taxonomy"
+	obs.Warn(ctx, "route-overflow", "3 cells still shared")
+	obs.Warn(ctx, "RouteOverflow", "3 cells still shared") // want "does not match the taxonomy"
 }
 
 func Dynamic(ctx context.Context, root *obs.Span, stage string, seed int) {

@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 
-	"tqec/internal/journal"
 	"tqec/internal/obs"
 )
 
@@ -82,15 +81,16 @@ const ctxCheckEvery = 64
 // RunContext anneals the problem, polling ctx at move-batch boundaries.
 // On cancellation (or deadline) it restores the best state found so far
 // and returns the partial result together with ctx's error, so callers
-// can distinguish a completed schedule from an interrupted one. An
-// uninterrupted run is identical to Run for the same seed: the context
-// polls never touch the random stream.
+// can distinguish a completed schedule from an interrupted one. The
+// context polls never touch the random stream, so an uninterrupted run
+// depends on the seed alone.
 //
-// When ctx carries an obs tracer, every temperature epoch becomes an
-// "anneal-epoch" sub-span recording the temperature and the epoch's
-// attempted/accepted/rejected move counts. The tracer is consulted once
-// per epoch, never per move, and instrumentation reads no randomness, so
-// a traced run is bit-identical to an untraced one.
+// Every temperature epoch, including one cut short by cancellation, is
+// one "anneal-epoch" obs span carrying the epoch index, the temperature
+// and the epoch's attempted/accepted move counts; a journal reads its end
+// as a progress heartbeat. The probe is consulted once per epoch, never
+// per move, and reads no randomness, so an observed run is bit-identical
+// to an unobserved one.
 func RunContext(ctx context.Context, p Problem, opt Options) (Result, error) {
 	cur := p.Cost()
 	opt = opt.withDefaults(cur)
@@ -98,60 +98,16 @@ func RunContext(ctx context.Context, p Problem, opt Options) (Result, error) {
 
 	res := Result{InitialCost: cur, BestCost: cur}
 	best := p.Snapshot()
-	parent := obs.FromContext(ctx)
-	jr := journal.FromContext(ctx)
-	observing := parent != nil || jr != nil
-
-	// endEpoch stamps the finished (or interrupted) epoch with its move
-	// accounting — span attributes for the tracer and a progress
-	// heartbeat for the flight recorder (the temperature/acceptance-rate
-	// trajectory, and the live-progress signal tqecd streams over SSE).
-	// With neither observer installed all of this is skipped.
-	var epochSpan *obs.Span
-	epochOpen := false
-	epochIdx := 0
-	epochTemp := 0.0
-	epochMoves, epochAccepted := 0, 0
-	endEpoch := func() {
-		if !epochOpen {
-			return
-		}
-		epochOpen = false
-		moves := res.Moves - epochMoves
-		accepted := res.Accepted - epochAccepted
-		if epochSpan != nil {
-			epochSpan.SetAttr("moves", moves)
-			epochSpan.SetAttr("accepted", accepted)
-			epochSpan.SetAttr("rejected", moves-accepted)
-			epochSpan.End()
-			epochSpan = nil
-		}
-		if jr != nil {
-			jr.Progress("anneal-epoch", map[string]float64{
-				"epoch":    float64(epochIdx),
-				"temp":     epochTemp,
-				"moves":    float64(moves),
-				"accepted": float64(accepted),
-			})
-		}
-	}
 
 	var err error
-anneal:
+	epoch := 0
 	for temp := opt.InitialTemp; temp > opt.FinalTemp && res.Moves < opt.MaxMoves; temp *= opt.Cooling {
 		if err = ctx.Err(); err != nil {
 			break
 		}
-		if observing {
-			epochOpen = true
-			epochIdx++
-			epochTemp = temp
-			epochMoves, epochAccepted = res.Moves, res.Accepted
-			if parent != nil {
-				epochSpan = parent.StartChild("anneal-epoch")
-				epochSpan.SetAttr("temp", temp)
-			}
-		}
+		epoch++
+		moves, accepted := res.Moves, res.Accepted
+		sp, _ := obs.StartSpan(ctx, "anneal-epoch")
 		for i := 0; i < opt.MovesPerTemp && res.Moves < opt.MaxMoves; i++ {
 			undo := p.Perturb(rng)
 			if undo == nil {
@@ -160,7 +116,7 @@ anneal:
 			res.Moves++
 			if res.Moves%ctxCheckEvery == 0 {
 				if err = ctx.Err(); err != nil {
-					break anneal
+					break
 				}
 			}
 			next := p.Cost()
@@ -180,9 +136,17 @@ anneal:
 				best = p.Snapshot()
 			}
 		}
-		endEpoch()
+		if sp != nil {
+			sp.SetAttr("epoch", epoch)
+			sp.SetAttr("temp", temp)
+			sp.SetAttr("moves", res.Moves-moves)
+			sp.SetAttr("accepted", res.Accepted-accepted)
+			sp.End()
+		}
+		if err != nil {
+			break
+		}
 	}
-	endEpoch() // the epoch interrupted by a mid-batch cancellation, if any
 	p.Restore(best)
 	return res, err
 }

@@ -66,3 +66,18 @@ func FormatEffortCurve(name string, pts []EffortPoint) string {
 	}
 	return sb.String()
 }
+
+// EffortByName maps an effort label ("fast", "normal", "high"; "" means
+// fast) to the pipeline's effort level.
+func EffortByName(name string) (compress.Effort, bool) {
+	switch name {
+	case "", "fast":
+		return compress.EffortFast, true
+	case "normal":
+		return compress.EffortNormal, true
+	case "high":
+		return compress.EffortHigh, true
+	default:
+		return compress.EffortFast, false
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"tqec/internal/journal"
 	"tqec/internal/obs"
 	"tqec/internal/simplify"
 )
@@ -58,9 +57,10 @@ func DualNone(r *simplify.Result) *DualResult {
 //
 // Passes repeat until no merge applies, making the result maximal.
 //
-// When ctx carries an obs tracer, every merge-iteration pass becomes a
-// "dual-pass" sub-span recording the merges it performed. The algorithm
-// ignores cancellation (passes are cheap and strictly decreasing).
+// Every merge-iteration pass is one "dual-pass" obs span recording the
+// merges it performed; a journal reads the span's end as a progress
+// heartbeat. The algorithm ignores cancellation (passes are cheap and
+// strictly decreasing).
 func DualContext(ctx context.Context, r *simplify.Result) *DualResult {
 	g := r.Graph
 	d := &DualResult{
@@ -72,16 +72,10 @@ func DualContext(ctx context.Context, r *simplify.Result) *DualResult {
 		d.parent[i] = i
 		d.members[i] = []int{i}
 	}
-	parent := obs.FromContext(ctx)
-	jr := journal.FromContext(ctx)
 	for pass, changed := 0, true; changed; pass++ {
 		changed = false
-		var passSpan *obs.Span
 		merged := len(d.Bridges)
-		if parent != nil {
-			passSpan = parent.StartChild("dual-pass")
-			passSpan.SetAttr("pass", pass+1)
-		}
+		sp, _ := obs.StartSpan(ctx, "dual-pass")
 		for _, part := range r.Parts() {
 			nets := r.PartNets(part)
 			for i := 0; i < len(nets); i++ {
@@ -92,15 +86,10 @@ func DualContext(ctx context.Context, r *simplify.Result) *DualResult {
 				}
 			}
 		}
-		if passSpan != nil {
-			passSpan.SetAttr("merges", len(d.Bridges)-merged)
-			passSpan.End()
-		}
-		if jr != nil {
-			jr.Progress("dual-pass", map[string]float64{
-				"pass":   float64(pass + 1),
-				"merges": float64(len(d.Bridges) - merged),
-			})
+		if sp != nil {
+			sp.SetAttr("pass", pass+1)
+			sp.SetAttr("merges", len(d.Bridges)-merged)
+			sp.End()
 		}
 	}
 	return d

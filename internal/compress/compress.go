@@ -215,66 +215,39 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 	if start.IsZero() {
 		start = time.Now()
 	}
-	// Journaling: when the context carries a flight recorder, every stage
-	// emits started/done events (the latter with its volume-waterfall
-	// entry) and the hot loops add progress heartbeats. The recorder view
-	// is stamped with this compile's seed so the parallel restarts of a
-	// multi-seed sweep stay attributable on the shared live feed. With no
-	// recorder, jr is nil and every call is a nil no-op.
-	jr := journal.FromContext(ctx)
-	if jr != nil {
-		jr = jr.WithSeed(opt.Seed)
-		ctx = journal.WithRecorder(ctx, jr)
-	}
-	// canonical.Volume is the pure closed form the waterfall starts from.
+	// Every executed stage is one span under ctx's current span, and the
+	// span's attributes are the stage's volume-waterfall row: volume
+	// telescopes from the canonical closed form through the placed and
+	// routed volumes, so the deltas sum exactly from CanonicalVolume to
+	// the final Volume. Stages whose effect is realized later carry a zero
+	// delta plus the mechanism counts that earn it. A journal reads the
+	// span's start as stage-started and its end as stage-done. With no
+	// tracer or recorder in ctx, sp is nil and every span call is a nil
+	// no-op; StageTimes is recorded either way.
 	canonVol := canonical.Volume(rep)
 	curVol := canonVol
-	var waterfall []journal.StageEntry
-	stageStart := time.Now()
 	var stages []StageTime
-	// Tracing: every executed stage becomes a span under the context's
-	// current span; begin() hands the stage's inner loops a context
-	// carrying that span so they can attach their own sub-spans
-	// (anneal epochs, route rounds, dual passes). With no tracer in ctx,
-	// begin() returns ctx itself and every span call is a nil no-op, so
-	// the untraced pipeline runs the exact same instruction stream apart
-	// from a handful of nil checks per stage.
-	root := obs.FromContext(ctx)
-	var stageSpan *obs.Span
-	begin := func(stage string) context.Context {
-		jr.StageStarted(stage)
-		stageStart = time.Now()
-		if root == nil {
-			return ctx
-		}
-		stageSpan = root.StartChild(stage)
-		return obs.ContextWithSpan(ctx, stageSpan)
+	var sp *obs.Span
+	var stage string
+	var stageStart time.Time
+	begin := func(name string) context.Context {
+		var sctx context.Context
+		sp, sctx = obs.StartSpan(ctx, name)
+		sp.SetAttr(journal.AttrVolumeBefore, curVol)
+		stage, stageStart = name, time.Now()
+		return sctx
 	}
-	mark := func(stage string) {
+	done := func(after int) {
 		stages = append(stages, StageTime{Stage: stage, Duration: time.Since(stageStart)})
-		stageSpan.End()
-		stageSpan = nil
-	}
-	// jrecord appends the just-marked stage's waterfall entry: volume
-	// telescopes from the canonical closed form through the placed and
-	// routed volumes (stages whose effect is realized later carry a zero
-	// delta plus the mechanism counts that earn it), so the deltas sum
-	// exactly from CanonicalVolume to the final Volume.
-	jrecord := func(stage string, after int, mech map[string]int) {
-		if jr == nil {
-			return
-		}
-		e := journal.StageEntry{
-			Stage:        stage,
-			VolumeBefore: curVol,
-			VolumeAfter:  after,
-			Delta:        after - curVol,
-			Mechanisms:   mech,
-			DurationMS:   float64(stages[len(stages)-1].Duration) / float64(time.Millisecond),
-		}
-		waterfall = append(waterfall, e)
-		jr.StageDone(e)
+		sp.SetAttr(journal.AttrVolumeAfter, after)
+		sp.SetAttr(journal.AttrDelta, after-curVol)
+		sp.End()
 		curVol = after
+	}
+	fail := func(err error) error {
+		sp.SetAttr("error", err.Error())
+		sp.End()
+		return err
 	}
 	// In -drc mode the artifact set grows as stages complete and the
 	// checker runs at every stage transition (stage rules see exactly the
@@ -289,11 +262,11 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 		if drcRep == nil {
 			drcRep = &drc.Report{Name: name}
 		}
-		sp := root.StartChild("drc:" + st.String())
+		dsp, _ := obs.StartSpan(ctx, "drc:"+st.String())
 		batch := drc.RunStage(art, st)
-		sp.SetAttr("rules_ran", len(batch.Ran))
-		sp.SetAttr("violations", len(batch.Violations))
-		sp.End()
+		dsp.SetAttr("rules_ran", len(batch.Ran))
+		dsp.SetAttr("violations", len(batch.Violations))
+		dsp.End()
 		drcRep.Merge(batch)
 	}
 	check(drc.StageICM)
@@ -304,23 +277,20 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 	begin("pdgraph")
 	g, err := pdgraph.New(rep)
 	if err != nil {
-		stageSpan.End()
-		return nil, fmt.Errorf("compress: pdgraph: %w", err)
+		return nil, fail(fmt.Errorf("compress: pdgraph: %w", err))
 	}
 	art.Graph = g
-	stageSpan.SetAttr("modules", g.NumModules())
-	stageSpan.SetAttr("nets", len(g.Nets))
-	mark("pdgraph")
-	jrecord("pdgraph", curVol, map[string]int{"modules": g.NumModules(), "nets": len(g.Nets)})
+	sp.SetAttr("modules", g.NumModules())
+	sp.SetAttr("nets", len(g.Nets))
+	done(curVol)
 	check(drc.StagePDGraph)
 
 	var s *simplify.Result
 	if opt.Mode == Full {
 		begin("simplify")
 		s = simplify.Run(g, simplify.Options{MeasurementSide: opt.MeasurementSideIShape})
-		stageSpan.SetAttr("merges", s.NumMerges())
-		mark("simplify")
-		jrecord("simplify", curVol, map[string]int{"ishape_merges": s.NumMerges()})
+		sp.SetAttr("ishape_merges", s.NumMerges())
+		done(curVol)
 	} else {
 		// I-shaped simplification is off outside Full mode; the stage is
 		// skipped entirely and therefore absent from StageTimes.
@@ -344,21 +314,16 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 		p = bridge.Singletons(s)
 	}
 	art.Primal = p
-	stageSpan.SetAttr("nodes", p.NumNodes())
-	mark("primal-bridge")
-	if jr != nil {
-		flipped := 0
-		for _, ch := range p.Chains {
-			if len(ch) > 1 {
-				flipped++
-			}
+	flipped := 0
+	for _, ch := range p.Chains {
+		if len(ch) > 1 {
+			flipped++
 		}
-		jrecord("primal-bridge", curVol, map[string]int{
-			"chains":         p.NumNodes(),
-			"flipped_chains": flipped,
-			"flip_merges":    g.NumModules() - p.NumNodes(),
-		})
 	}
+	sp.SetAttr("chains", p.NumNodes())
+	sp.SetAttr("flipped_chains", flipped)
+	sp.SetAttr("flip_merges", g.NumModules()-p.NumNodes())
+	done(curVol)
 	check(drc.StagePrimal)
 
 	dualCtx := begin("dual-bridge")
@@ -369,13 +334,9 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 		d = bridge.DualContext(dualCtx, s)
 	}
 	art.Dual = d
-	stageSpan.SetAttr("components", d.NumComponents())
-	stageSpan.SetAttr("bridges", d.NumBridges())
-	mark("dual-bridge")
-	jrecord("dual-bridge", curVol, map[string]int{
-		"bridges":    d.NumBridges(),
-		"components": d.NumComponents(),
-	})
+	sp.SetAttr("bridges", d.NumBridges())
+	sp.SetAttr("components", d.NumComponents())
+	done(curVol)
 	check(drc.StageDual)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compress: %w", err)
@@ -391,8 +352,7 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 		MaxMoves: opt.Effort.placeMoves(len(in.Items)),
 	})
 	if err != nil {
-		stageSpan.End()
-		return nil, fmt.Errorf("compress: place: %w", err)
+		return nil, fail(fmt.Errorf("compress: place: %w", err))
 	}
 	if !opt.NoCompaction {
 		place.Compact(pl)
@@ -401,14 +361,13 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 	// soft penalty left behind; compaction alone never moves items right.
 	place.LegalizeOrder(pl)
 	if err := pl.CheckLegal(); err != nil {
-		stageSpan.End()
-		return nil, fmt.Errorf("compress: placement legality: %w", err)
+		return nil, fail(fmt.Errorf("compress: placement legality: %w", err))
 	}
 	art.Placement = pl
-	stageSpan.SetAttr("moves", pl.SA.Moves)
-	stageSpan.SetAttr("accepted", pl.SA.Accepted)
-	stageSpan.SetAttr("volume", pl.Volume)
-	mark("place")
+	sp.SetAttr("moves", pl.SA.Moves)
+	sp.SetAttr("accepted", pl.SA.Accepted)
+	placed := contentVolume(pl)
+	done(placed)
 	check(drc.StagePlace)
 
 	res := &Result{
@@ -426,20 +385,15 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 		NumNodes:        p.NumNodes(),
 		IShapeMerges:    s.NumMerges(),
 		DualComponents:  d.NumComponents(),
+		PlacedVolume:    placed,
+		Volume:          placed,
 	}
-	res.PlacedVolume = contentVolume(pl)
-	res.Volume = res.PlacedVolume
-	jrecord("place", res.PlacedVolume, map[string]int{
-		"moves":    pl.SA.Moves,
-		"accepted": pl.SA.Accepted,
-	})
 
 	if !opt.SkipRouting {
 		routeCtx := begin("route")
 		rr, grid, nets, off, err := routeNets(routeCtx, pl, opt)
 		if err != nil {
-			stageSpan.End()
-			return nil, fmt.Errorf("compress: route: %w", err)
+			return nil, fail(fmt.Errorf("compress: route: %w", err))
 		}
 		res.Routing = rr
 		res.Wirelength = rr.Wirelength
@@ -451,28 +405,21 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 		art.RouteGrid = grid
 		art.RouteNets = nets
 		art.RouteOffset = off
-		stageSpan.SetAttr("rounds", rr.Iters)
-		stageSpan.SetAttr("wirelength", rr.Wirelength)
-		stageSpan.SetAttr("overflow", rr.Overflow)
-		mark("route")
-		jrecord("route", res.Volume, map[string]int{
-			"rounds":     rr.Iters,
-			"wirelength": rr.Wirelength,
-			"overflow":   rr.Overflow,
-			"failed":     len(rr.Failed),
-			"squeezed":   rr.Squeezed,
-		})
-		if jr != nil {
-			if rr.Overflow > 0 {
-				jr.Warn("route-overflow", fmt.Sprintf("%d cells still shared after negotiation", rr.Overflow))
-			}
-			if len(rr.Failed) > 0 {
-				jr.Warn("route-failed", fmt.Sprintf("%d nets failed to route", len(rr.Failed)))
-			}
-			if rr.Squeezed > 0 {
-				jr.Warn("route-squeezed", fmt.Sprintf("%d route cells cross distillation-box walls", rr.Squeezed))
-			}
+		sp.SetAttr("rounds", rr.Iters)
+		sp.SetAttr("wirelength", rr.Wirelength)
+		sp.SetAttr("overflow", rr.Overflow)
+		sp.SetAttr("failed", len(rr.Failed))
+		sp.SetAttr("squeezed", rr.Squeezed)
+		if rr.Overflow > 0 {
+			obs.Warn(routeCtx, "route-overflow", fmt.Sprintf("%d cells still shared after negotiation", rr.Overflow))
 		}
+		if len(rr.Failed) > 0 {
+			obs.Warn(routeCtx, "route-failed", fmt.Sprintf("%d nets failed to route", len(rr.Failed)))
+		}
+		if rr.Squeezed > 0 {
+			obs.Warn(routeCtx, "route-squeezed", fmt.Sprintf("%d route cells cross distillation-box walls", rr.Squeezed))
+		}
+		done(res.Volume)
 	}
 	// The last two transitions also run when their stage was skipped, so
 	// the report records the route/geometry rules as not checked.
@@ -481,29 +428,24 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 		begin("geometry")
 		res.Geometry = realize(res)
 		art.Geometry = res.Geometry
-		mark("geometry")
-		jrecord("geometry", curVol, nil)
+		done(curVol)
 	}
 	check(drc.StageGeometry)
 	res.DRC = drcRep
 	res.DRCArtifacts = art
 	res.StageTimes = stages
 	res.Runtime = time.Since(start)
-	if jr != nil {
+	if obs.Observed(ctx) {
 		// The audit is a pure read over the finished result; it runs here
-		// only to surface its anomalies as journal warnings.
+		// only to surface its anomalies as warnings.
 		audit := res.AuditSchedule()
 		if audit.Unresolved > 0 {
-			jr.Warn("audit-unresolved", fmt.Sprintf("%d rails unresolved; schedule audit coverage incomplete", audit.Unresolved))
+			obs.Warn(ctx, "audit-unresolved", fmt.Sprintf("%d rails unresolved; schedule audit coverage incomplete", audit.Unresolved))
 		}
 		if !audit.Satisfied() {
-			jr.Warn("audit-violated", fmt.Sprintf("%d measurement-ordering constraints violated", audit.Violations))
+			obs.Warn(ctx, "audit-violated", fmt.Sprintf("%d measurement-ordering constraints violated", audit.Violations))
 		}
-		doc := jr.BuildDoc(name)
-		doc.CanonicalVolume = canonVol
-		doc.FinalVolume = res.Volume
-		doc.Stages = waterfall
-		res.Journal = doc
+		res.Journal = journal.Document(ctx, name, opt.Seed)
 	}
 	return res, nil
 }

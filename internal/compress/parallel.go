@@ -110,13 +110,14 @@ func bestOf(ctx context.Context, seeds []int64, parallel int, run func(context.C
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			// Each restart gets its own span so a traced multi-seed sweep
-			// shows the parallel pipelines side by side; with no tracer in
-			// ctx this is a nil no-op.
+			// shows the parallel pipelines side by side, and its seed
+			// attribute stamps every journal event emitted beneath it; with
+			// nothing observing ctx this is a nil no-op.
 			sp, runCtx := obs.StartSpan(ctx, fmt.Sprintf("seed-%d", seed))
 			sp.SetAttr("seed", seed)
 			res, err := run(runCtx, seed)
 			if err != nil {
-				sp.SetAttr("error", err.Error())
+				obs.Warn(runCtx, "seed-failed", err.Error())
 			} else {
 				sp.SetAttr("volume", res.Volume)
 			}
@@ -145,13 +146,11 @@ func bestOf(ctx context.Context, seeds []int64, parallel int, run func(context.C
 		return nil, &AllSeedsFailedError{Seeds: failed}
 	}
 	sort.Slice(failed, func(a, b int) bool { return failed[a].Seed < failed[b].Seed })
-	// Partial seed failures are surfaced on the flight recorder (stamped
-	// with the failing seed) and folded into the winning restart's
-	// journal document, so -explain and the SSE feed both show them.
-	jr := journal.FromContext(ctx)
-	for _, se := range failed {
-		jr.WithSeed(se.Seed).Warn("seed-failed", se.Err.Error())
-		if best.Journal != nil {
+	// Each failed seed warned under its own seed span; the winning
+	// restart's journal document collects those warnings too, so -explain
+	// shows them beside the waterfall.
+	if best.Journal != nil {
+		for _, se := range failed {
 			best.Journal.Warnings = append(best.Journal.Warnings,
 				journal.Warning{Code: "seed-failed", Message: se.Err.Error(), Seed: se.Seed})
 		}

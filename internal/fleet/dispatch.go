@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"tqec/internal/journal"
 	"tqec/internal/obs"
 	"tqec/internal/service"
 )
@@ -20,9 +19,11 @@ import (
 // cancel). The job's deadline is the worker's: the forwarded request
 // carries timeout_ms, and the worker applies it to the compile alone.
 func (c *Coordinator) Run(ctx context.Context, j *service.Job) (service.Outcome, error) {
-	// Every span call below is a no-op for untraced jobs (nil root).
-	root := obs.FromContext(ctx)
-	tr := root.Tracer()
+	// The dispatch spans are the job's dispatch record: the trace keeps
+	// them, and the job's journal turns a route decision into
+	// worker-assigned and a retry or failover into dispatch-retried. Every
+	// span call is a no-op for a job nobody observes.
+	tr := obs.FromContext(ctx).Tracer()
 	tr.SetProcess("coordinator")
 	if tr != nil && tr.TraceID() == "" {
 		// The coordinator is the distributed root.
@@ -34,7 +35,7 @@ func (c *Coordinator) Run(ctx context.Context, j *service.Job) (service.Outcome,
 		if attempt >= c.cfg.DispatchAttempts {
 			return service.Outcome{}, fmt.Errorf("dispatch failed: no worker completed the job in %d attempts", attempt)
 		}
-		rs := root.StartChild("route-decision")
+		rs, _ := obs.StartSpan(ctx, "route-decision")
 		w, affinity, ok := route(c.reg.alive(), j.Key, exclude, c.cfg.MaxImbalance)
 		if !ok {
 			rs.SetAttr("outcome", "no-alive-workers")
@@ -53,7 +54,7 @@ func (c *Coordinator) Run(ctx context.Context, j *service.Job) (service.Outcome,
 		// and result fetch — so the worker's grafted pipeline tree nests
 		// inside it. Each attempt gets its own span; the stitcher grafts
 		// under the last one, the attempt whose worker actually finished.
-		ds := root.StartChild("dispatch")
+		ds, _ := obs.StartSpan(ctx, "dispatch")
 		ds.SetAttr("worker", w.ID)
 		dctx := ctx
 		if tr != nil {
@@ -123,7 +124,6 @@ func (c *Coordinator) attempt(ctx context.Context, j *service.Job, d *service.Di
 	} else {
 		c.metrics.affinityFallback.Inc()
 	}
-	journal.FromContext(ctx).WorkerAssigned(w.ID)
 	c.log(ctx, j, "dispatched", "worker", w.ID, "remote_id", st.ID, "affinity", affinity, "remote_state", string(st.State))
 
 	c.reg.addInflight(w.ID, 1)
@@ -177,9 +177,8 @@ func (c *Coordinator) retry(ctx context.Context, j *service.Job, d *service.Disp
 	}
 	d.Retries++
 	c.Server.SetDispatch(j, *d)
-	journal.FromContext(ctx).DispatchRetried(reason)
 	c.log(ctx, j, "dispatch-"+kind, "reason", reason, "attempt", attempt+1)
-	sp := obs.FromContext(ctx).StartChild(kind)
+	sp, _ := obs.StartSpan(ctx, kind)
 	sp.SetAttr("attempt", attempt+1)
 	sp.SetAttr("reason", reason)
 	defer sp.End()

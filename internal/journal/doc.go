@@ -50,9 +50,10 @@ type DualPass struct {
 }
 
 // Journal is the structured flight-recorder document of one compile: the
-// volume waterfall, the hot-loop trajectories, and the warnings. It is
-// attached to compress.Result when a recorder was installed in the
-// compile's context, and served by tqecd's /v1/jobs/{id}/journal.
+// volume waterfall, the hot-loop trajectories, and the warnings, folded
+// from the compile's events. It is attached to compress.Result when a
+// recorder was installed in the compile's context, and served by tqecd's
+// /v1/jobs/{id}/journal.
 type Journal struct {
 	Name            string        `json:"name"`
 	Seed            int64         `json:"seed"`
@@ -63,8 +64,8 @@ type Journal struct {
 	RouteRounds     []RouteRound  `json:"route_rounds,omitempty"`
 	DualPasses      []DualPass    `json:"dual_passes,omitempty"`
 	Warnings        []Warning     `json:"warnings,omitempty"`
-	// EventsDropped counts ring-buffer drops; nonzero means the
-	// trajectories above may be missing their earliest points.
+	// EventsDropped counts the raw events the recorder's ring buffer
+	// dropped; the document itself is folded from every event.
 	EventsDropped int64 `json:"events_dropped,omitempty"`
 }
 
@@ -99,49 +100,4 @@ func (j *Journal) CheckWaterfall() error {
 		return fmt.Errorf("journal: deltas sum to %d, want %d", sum, j.FinalVolume-j.CanonicalVolume)
 	}
 	return nil
-}
-
-// BuildDoc assembles the document skeleton for this recorder view's seed:
-// the hot-loop trajectories and warnings are reconstructed from the
-// buffered events (filtered to this view's seed stamp, so a multi-seed
-// sweep yields one clean document per restart). The caller fills in the
-// waterfall and the volume endpoints, which it tracks exactly rather
-// than through the lossy ring. Returns nil on a nil recorder.
-func (r *Recorder) BuildDoc(name string) *Journal {
-	if r == nil {
-		return nil
-	}
-	j := &Journal{Name: name, Seed: r.seed, EventsDropped: r.Dropped()}
-	for _, ev := range r.Events() {
-		if r.stamped && ev.Seed != r.seed {
-			continue
-		}
-		switch ev.Type {
-		case TypeProgress:
-			f := ev.Fields
-			switch ev.Stage {
-			case "anneal-epoch":
-				j.Anneal = append(j.Anneal, AnnealEpoch{
-					Epoch:    int(f["epoch"]),
-					Temp:     f["temp"],
-					Moves:    int(f["moves"]),
-					Accepted: int(f["accepted"]),
-				})
-			case "route-round":
-				j.RouteRounds = append(j.RouteRounds, RouteRound{
-					Round:    int(f["round"]),
-					Ripped:   int(f["ripped"]),
-					Overflow: int(f["overflow"]),
-				})
-			case "dual-pass":
-				j.DualPasses = append(j.DualPasses, DualPass{
-					Pass:   int(f["pass"]),
-					Merges: int(f["merges"]),
-				})
-			}
-		case TypeWarning:
-			j.Warnings = append(j.Warnings, Warning{Code: ev.Code, Message: ev.Message, Seed: ev.Seed})
-		}
-	}
-	return j
 }

@@ -6,54 +6,55 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tqec/internal/obs"
 )
 
+// span emits one finished span the way the pipeline does: opened through
+// ctx, given its attributes, ended.
+func span(ctx context.Context, name string, attrs ...obs.Attr) {
+	sp, _ := obs.StartSpan(ctx, name)
+	for _, a := range attrs {
+		sp.SetAttr(a.Key, a.Value)
+	}
+	sp.End()
+}
+
+// seedCtx opens a span stamped with seed under ctx, as a multi-seed
+// sweep's seed-<n> span is.
+func seedCtx(ctx context.Context, seed int64) context.Context {
+	sp, sctx := obs.StartSpan(ctx, "seed-n")
+	sp.SetAttr("seed", seed)
+	return sctx
+}
+
 func TestNilFastPath(t *testing.T) {
-	if FromContext(context.Background()) != nil {
-		t.Fatal("empty context returned a recorder")
-	}
-	var r *Recorder
-	// Every method must be a no-op on nil, not a panic.
-	r.StageStarted("pdgraph")
-	r.StageDone(StageEntry{Stage: "pdgraph"})
-	r.Progress("anneal-epoch", map[string]float64{"temp": 1})
-	r.Warn("x", "y")
-	r.JobState("done", "")
-	r.Close()
-	if !r.Closed() {
-		t.Fatal("nil recorder should report closed")
-	}
-	if r.WithSeed(3) != nil {
-		t.Fatal("WithSeed on nil recorder should stay nil")
-	}
-	if r.Events() != nil || r.Dropped() != 0 {
-		t.Fatal("nil recorder has events")
-	}
-	if r.BuildDoc("x") != nil {
-		t.Fatal("nil recorder built a doc")
-	}
-	if ctx := WithRecorder(context.Background(), nil); FromContext(ctx) != nil {
+	ctx := context.Background()
+	if got := WithRecorder(ctx, nil); got != ctx {
 		t.Fatal("nil recorder installed in context")
 	}
-	// Subscribing to a nil recorder yields an immediately-closed channel.
-	replay, ch, cancel := r.Subscribe()
-	if len(replay) != 0 {
-		t.Fatal("nil recorder replayed events")
+	if obs.Observed(ctx) {
+		t.Fatal("bare context reports an observer")
 	}
-	if _, ok := <-ch; ok {
-		t.Fatal("nil recorder channel not closed")
+	if Document(ctx, "x", 1) != nil {
+		t.Fatal("context without a recorder built a document")
 	}
-	cancel()
+	// A tracer alone yields spans but no journal document.
+	tctx := obs.WithTracer(ctx, obs.NewTracer("t"))
+	if Document(tctx, "x", 1) != nil {
+		t.Fatal("traced context without a recorder built a document")
+	}
 }
 
 func TestEmitSequenceAndSeedStamp(t *testing.T) {
 	r := NewRecorder(0)
-	r.StageStarted("pdgraph")
-	r.WithSeed(7).StageStarted("place")
-	r.Warn("code", "msg")
+	ctx := WithRecorder(context.Background(), r)
+	span(ctx, "pdgraph")
+	span(seedCtx(ctx, 7), "place")
+	obs.Warn(ctx, "code", "msg")
 	evs := r.Events()
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
+	if len(evs) != 5 {
+		t.Fatalf("got %d events, want 5: %+v", len(evs), evs)
 	}
 	for i, ev := range evs {
 		if ev.Seq != int64(i+1) {
@@ -63,18 +64,56 @@ func TestEmitSequenceAndSeedStamp(t *testing.T) {
 			t.Fatalf("event %d has negative timestamp", i)
 		}
 	}
-	if evs[0].Seed != 0 || evs[1].Seed != 7 {
-		t.Fatalf("seed stamps = %d,%d, want 0,7", evs[0].Seed, evs[1].Seed)
+	wantTypes := []Type{TypeStageStarted, TypeStageDone, TypeStageStarted, TypeStageDone, TypeWarning}
+	wantSeeds := []int64{0, 0, 7, 7, 0}
+	for i, ev := range evs {
+		if ev.Type != wantTypes[i] || ev.Seed != wantSeeds[i] {
+			t.Fatalf("event %d = %s seed %d, want %s seed %d", i, ev.Type, ev.Seed, wantTypes[i], wantSeeds[i])
+		}
 	}
-	if evs[2].Type != TypeWarning || evs[2].Code != "code" {
-		t.Fatalf("warning event = %+v", evs[2])
+	if evs[4].Code != "code" || evs[4].Message != "msg" {
+		t.Fatalf("warning event = %+v", evs[4])
+	}
+}
+
+// TestRecorderComposesWithTracer installs a tracer and a recorder in both
+// orders: either way the tracer keeps the span tree and the recorder sees
+// the same events.
+func TestRecorderComposesWithTracer(t *testing.T) {
+	for name, install := range map[string]func(context.Context, *obs.Tracer, *Recorder) context.Context{
+		"tracer-first": func(ctx context.Context, tr *obs.Tracer, r *Recorder) context.Context {
+			return WithRecorder(obs.WithTracer(ctx, tr), r)
+		},
+		"recorder-first": func(ctx context.Context, tr *obs.Tracer, r *Recorder) context.Context {
+			return obs.WithTracer(WithRecorder(ctx, r), tr)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr, r := obs.NewTracer("root"), NewRecorder(0)
+			ctx := install(context.Background(), tr, r)
+			sp, sctx := obs.StartSpan(ctx, "place")
+			span(sctx, "anneal-epoch", obs.Attr{Key: "moves", Value: 40})
+			sp.End()
+			if len(tr.Root().Find("anneal-epoch")) != 1 || len(tr.Root().Find("place")) != 1 {
+				t.Fatal("tracer missed the spans")
+			}
+			var types []Type
+			for _, ev := range r.Events() {
+				types = append(types, ev.Type)
+			}
+			if want := []Type{TypeStageStarted, TypeProgress, TypeStageDone}; len(types) != 3 ||
+				types[0] != want[0] || types[1] != want[1] || types[2] != want[2] {
+				t.Fatalf("recorder events = %v, want %v", types, want)
+			}
+		})
 	}
 }
 
 func TestRingBufferBoundsAndCountsDrops(t *testing.T) {
 	r := NewRecorder(8)
+	ctx := WithRecorder(context.Background(), r)
 	for i := 0; i < 30; i++ {
-		r.Progress("anneal-epoch", map[string]float64{"epoch": float64(i)})
+		span(ctx, "anneal-epoch", obs.Attr{Key: "epoch", Value: i + 1})
 	}
 	evs := r.Events()
 	if len(evs) != 8 {
@@ -87,22 +126,26 @@ func TestRingBufferBoundsAndCountsDrops(t *testing.T) {
 	if evs[0].Seq != 23 || evs[7].Seq != 30 {
 		t.Fatalf("ring window seqs = %d..%d, want 23..30", evs[0].Seq, evs[7].Seq)
 	}
+	// The document is folded from every event, dropped or not.
+	if doc := Document(ctx, "x", 0); len(doc.Anneal) != 30 || doc.EventsDropped != 22 {
+		t.Fatalf("document has %d epochs and %d drops, want 30 and 22", len(doc.Anneal), doc.EventsDropped)
+	}
 }
 
 func TestSubscribeReplayThenTail(t *testing.T) {
 	r := NewRecorder(0)
-	r.StageStarted("pdgraph")
-	r.StageStarted("simplify")
+	r.JobState("queued", "")
+	r.JobState("running", "")
 
 	replay, ch, cancel := r.Subscribe()
 	defer cancel()
 	if len(replay) != 2 {
 		t.Fatalf("replay has %d events, want 2", len(replay))
 	}
-	r.StageStarted("place")
+	r.JobState("done", "")
 	select {
 	case ev := <-ch:
-		if ev.Stage != "place" || ev.Seq != 3 {
+		if ev.Code != "done" || ev.Seq != 3 {
 			t.Fatalf("tailed event = %+v", ev)
 		}
 	case <-time.After(time.Second):
@@ -121,11 +164,11 @@ func TestSubscribeReplayThenTail(t *testing.T) {
 
 func TestLateSubscriberGetsFullReplayAndClosedChannel(t *testing.T) {
 	r := NewRecorder(0)
-	r.StageStarted("pdgraph")
+	r.JobState("running", "")
 	r.JobState("done", "")
 	r.Close()
 	// Events after Close are discarded.
-	r.Warn("late", "should not appear")
+	r.JobState("late", "should not appear")
 
 	replay, ch, cancel := r.Subscribe()
 	defer cancel()
@@ -134,9 +177,6 @@ func TestLateSubscriberGetsFullReplayAndClosedChannel(t *testing.T) {
 	}
 	if _, ok := <-ch; ok {
 		t.Fatal("late subscriber channel should be closed")
-	}
-	if !r.Closed() {
-		t.Fatal("recorder should report closed")
 	}
 }
 
@@ -149,21 +189,22 @@ func TestCancelDetachesSubscriber(t *testing.T) {
 		t.Fatal("cancelled subscriber channel should be closed")
 	}
 	// Emission after cancel must not panic on the detached channel.
-	r.StageStarted("pdgraph")
+	r.JobState("running", "")
 }
 
 // TestConcurrentEmitAndSubscribe exercises the locking under -race: many
 // emitters, a subscriber churn, and snapshot readers all at once.
 func TestConcurrentEmitAndSubscribe(t *testing.T) {
 	r := NewRecorder(128)
+	ctx := WithRecorder(context.Background(), r)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rr := r.WithSeed(int64(g))
+			sctx := seedCtx(ctx, int64(g))
 			for i := 0; i < 200; i++ {
-				rr.Progress("anneal-epoch", map[string]float64{"epoch": float64(i)})
+				span(sctx, "anneal-epoch", obs.Attr{Key: "epoch", Value: i + 1})
 			}
 		}(g)
 	}
@@ -192,24 +233,27 @@ func TestConcurrentEmitAndSubscribe(t *testing.T) {
 	}
 }
 
-func TestBuildDocFiltersBySeed(t *testing.T) {
+func TestDocumentFiltersBySeed(t *testing.T) {
 	r := NewRecorder(0)
-	a, b := r.WithSeed(1), r.WithSeed(2)
-	a.Progress("anneal-epoch", map[string]float64{"epoch": 1, "temp": 9.5, "moves": 40, "accepted": 13})
-	b.Progress("anneal-epoch", map[string]float64{"epoch": 1, "temp": 3.5, "moves": 40, "accepted": 7})
-	a.Progress("route-round", map[string]float64{"round": 1, "ripped": 5, "overflow": 2})
-	a.Progress("dual-pass", map[string]float64{"pass": 1, "merges": 3})
-	a.Warn("route-squeezed", "2 cells")
-	b.Warn("route-failed", "1 net")
+	ctx := WithRecorder(context.Background(), r)
+	a, b := seedCtx(ctx, 1), seedCtx(ctx, 2)
+	span(a, "anneal-epoch", obs.Attr{Key: "epoch", Value: 1}, obs.Attr{Key: "temp", Value: 9.5},
+		obs.Attr{Key: "moves", Value: 40}, obs.Attr{Key: "accepted", Value: 13})
+	span(b, "anneal-epoch", obs.Attr{Key: "epoch", Value: 1}, obs.Attr{Key: "temp", Value: 3.5},
+		obs.Attr{Key: "moves", Value: 40}, obs.Attr{Key: "accepted", Value: 7})
+	span(a, "route-round", obs.Attr{Key: "round", Value: 1}, obs.Attr{Key: "ripped", Value: 5}, obs.Attr{Key: "overflow", Value: 2})
+	span(a, "dual-pass", obs.Attr{Key: "pass", Value: 1}, obs.Attr{Key: "merges", Value: 3})
+	obs.Warn(a, "route-squeezed", "2 cells")
+	obs.Warn(b, "route-failed", "1 net")
 
-	doc := a.BuildDoc("circ")
+	doc := Document(a, "circ", 1)
 	if doc.Seed != 1 || doc.Name != "circ" {
 		t.Fatalf("doc identity = %q seed %d", doc.Name, doc.Seed)
 	}
 	if len(doc.Anneal) != 1 || doc.Anneal[0].Temp != 9.5 || doc.Anneal[0].Accepted != 13 {
 		t.Fatalf("anneal trajectory = %+v", doc.Anneal)
 	}
-	if len(doc.RouteRounds) != 1 || doc.RouteRounds[0].Overflow != 2 {
+	if len(doc.RouteRounds) != 1 || doc.RouteRounds[0].Overflow != 2 || doc.RouteRounds[0].Ripped != 5 {
 		t.Fatalf("route trajectory = %+v", doc.RouteRounds)
 	}
 	if len(doc.DualPasses) != 1 || doc.DualPasses[0].Merges != 3 {
@@ -217,6 +261,34 @@ func TestBuildDocFiltersBySeed(t *testing.T) {
 	}
 	if len(doc.Warnings) != 1 || doc.Warnings[0].Code != "route-squeezed" {
 		t.Fatalf("warnings = %+v", doc.Warnings)
+	}
+}
+
+// TestDocumentFollowsLatestCompile runs two compiles under one stamp: the
+// second's first stage starts a fresh document whose waterfall is built
+// from the stage spans' attributes.
+func TestDocumentFollowsLatestCompile(t *testing.T) {
+	r := NewRecorder(0)
+	ctx := WithRecorder(context.Background(), r)
+	stage := func(name string, before, after int, mech ...obs.Attr) {
+		attrs := append([]obs.Attr{{Key: AttrVolumeBefore, Value: before},
+			{Key: AttrVolumeAfter, Value: after}, {Key: AttrDelta, Value: after - before}}, mech...)
+		span(ctx, name, attrs...)
+	}
+	stage("pdgraph", 500, 500)
+	stage("place", 500, 400)
+	stage("pdgraph", 168, 168, obs.Attr{Key: "modules", Value: 14}, obs.Attr{Key: "error", Value: "ignored"})
+	stage("place", 168, 60, obs.Attr{Key: "moves", Value: 4000})
+
+	doc := Document(ctx, "circ", 3)
+	if err := doc.CheckWaterfall(); err != nil {
+		t.Fatal(err)
+	}
+	if doc.CanonicalVolume != 168 || doc.FinalVolume != 60 || len(doc.Stages) != 2 {
+		t.Fatalf("document = %+v, want the second compile only", doc)
+	}
+	if m := doc.Stages[0].Mechanisms; len(m) != 1 || m["modules"] != 14 {
+		t.Fatalf("pdgraph mechanisms = %v, want only modules=14", m)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"sort"
 
-	"tqec/internal/journal"
 	"tqec/internal/obs"
 )
 
@@ -167,14 +166,14 @@ type Result struct {
 // the next net boundary instead of finishing the remaining rounds; the
 // partial routing state is discarded and ctx's error returned.
 //
-// When ctx carries an obs tracer, every PathFinder negotiation round
-// becomes a "route-round" sub-span recording how many nets were ripped
-// up and rerouted and the overflow remaining after the round. The tracer
-// is consulted once per round, never per cell.
+// Every PathFinder negotiation round is one "route-round" obs span
+// recording how many nets were ripped up and rerouted and, once the round
+// completes, the overflow remaining after it; a round cut short by
+// cancellation ends its span without the overflow. A journal reads the
+// span's end as a progress heartbeat. The probe is consulted once per
+// round, never per cell.
 func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	parent := obs.FromContext(ctx)
-	jr := journal.FromContext(ctx)
 	for _, n := range nets {
 		for _, p := range n.Pins {
 			if !g.In(p) {
@@ -226,15 +225,14 @@ func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Resul
 				}
 			}
 		}
-		var roundSpan *obs.Span
-		if parent != nil {
-			roundSpan = parent.StartChild("route-round")
-			roundSpan.SetAttr("round", iter+1)
-			roundSpan.SetAttr("ripped_nets", len(toRoute))
+		sp, _ := obs.StartSpan(ctx, "route-round")
+		if sp != nil {
+			sp.SetAttr("round", iter+1)
+			sp.SetAttr("ripped", len(toRoute))
 		}
 		for _, oi := range toRoute {
 			if err := ctx.Err(); err != nil {
-				roundSpan.End()
+				sp.End()
 				return nil, fmt.Errorf("route: %w", err)
 			}
 			n := nets[oi]
@@ -259,16 +257,9 @@ func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Resul
 			}
 		}
 		res.Overflow = overflow
-		if roundSpan != nil {
-			roundSpan.SetAttr("overflow", overflow)
-			roundSpan.End()
-		}
-		if jr != nil {
-			jr.Progress("route-round", map[string]float64{
-				"round":    float64(iter + 1),
-				"ripped":   float64(len(toRoute)),
-				"overflow": float64(overflow),
-			})
+		if sp != nil {
+			sp.SetAttr("overflow", overflow)
+			sp.End()
 		}
 		if overflow == 0 {
 			break
