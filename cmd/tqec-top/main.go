@@ -14,17 +14,16 @@
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"strings"
 	"time"
 
-	"tqec/internal/tsdb"
+	"tqec/internal/service"
 )
 
 func main() {
@@ -37,14 +36,13 @@ func main() {
 	)
 	flag.Parse()
 
-	d := &dashboard{
-		client: &historyClient{base: strings.TrimRight(*addr, "/"), http: &http.Client{Timeout: 10 * time.Second}},
-		window: *window,
-		width:  *width,
-	}
+	client := service.NewClient(*addr)
+	client.HTTPClient = &http.Client{Timeout: 10 * time.Second}
+	d := &dashboard{client: client, window: *window, width: *width}
+	ctx := context.Background()
 
 	if *once {
-		if err := d.renderOnce(os.Stdout); err != nil {
+		if err := d.renderOnce(ctx, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "tqec-top:", err)
 			os.Exit(1)
 		}
@@ -60,7 +58,7 @@ func main() {
 	for {
 		var buf strings.Builder
 		buf.WriteString("\x1b[H")
-		if err := d.renderOnce(ansiWriter{&buf}); err != nil {
+		if err := d.renderOnce(ctx, ansiWriter{&buf}); err != nil {
 			fmt.Fprintf(&buf, "tqec-top: %v\x1b[K\r\n", err)
 		}
 		buf.WriteString("\x1b[J")
@@ -79,67 +77,4 @@ func (a ansiWriter) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	return len(p), nil
-}
-
-// historyClient fetches the two observability documents.
-type historyClient struct {
-	base string
-	http *http.Client
-}
-
-func (c *historyClient) queryRange(query string, start, end time.Time) ([]tsdb.Frame, error) {
-	u := fmt.Sprintf("%s/v1/query_range?query=%s&start=%d&end=%d",
-		c.base, url.QueryEscape(query), start.Unix(), end.Unix())
-	var doc struct {
-		Frames []tsdb.Frame `json:"frames"`
-	}
-	if err := c.getJSON(u, &doc); err != nil {
-		return nil, err
-	}
-	return doc.Frames, nil
-}
-
-// alerts returns nil (no error) when the server has no SLOs configured.
-func (c *historyClient) alerts() (*tsdb.AlertsDoc, error) {
-	var doc tsdb.AlertsDoc
-	err := c.getJSON(c.base+"/v1/alerts", &doc)
-	if err != nil {
-		if errStatus(err) == http.StatusNotFound {
-			return nil, nil
-		}
-		return nil, err
-	}
-	return &doc, nil
-}
-
-type httpStatusError struct {
-	status int
-	body   string
-}
-
-func (e *httpStatusError) Error() string {
-	return fmt.Sprintf("http %d: %s", e.status, strings.TrimSpace(e.body))
-}
-
-func errStatus(err error) int {
-	if se, ok := err.(*httpStatusError); ok {
-		return se.status
-	}
-	return 0
-}
-
-func (c *historyClient) getJSON(u string, v any) error {
-	resp, err := c.http.Get(u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return &httpStatusError{status: resp.StatusCode, body: string(raw)}
-	}
-	return json.Unmarshal(raw, v)
 }

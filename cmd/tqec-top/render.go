@@ -1,50 +1,56 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"slices"
 	"sort"
-	"strconv"
 	"time"
 
+	"tqec/internal/service"
 	"tqec/internal/tsdb"
 )
 
 // dashboard turns one poll round into one rendered frame.
 type dashboard struct {
-	client *historyClient
+	client *service.Client
 	window time.Duration
 	width  int
 }
 
 // renderOnce fetches the history window and alert states and writes one
 // full dashboard frame.
-func (d *dashboard) renderOnce(w io.Writer) error {
+func (d *dashboard) renderOnce(ctx context.Context, w io.Writer) error {
 	end := time.Now()
 	start := end.Add(-d.window)
-	frames, err := d.client.queryRange("tqecd_*", start, end)
+	frames, err := d.client.QueryRange(ctx, "tqecd_*", start, end)
 	if err != nil {
 		return err
 	}
 	frames = fleetView(frames)
-	goFrames, err := d.client.queryRange("go_*", start, end)
+	goFrames, err := d.client.QueryRange(ctx, "go_*", start, end)
 	if err != nil {
 		return err
 	}
 	frames = append(frames, goFrames...)
-	alerts, err := d.client.alerts()
-	if err != nil {
+	var alerts *tsdb.AlertsDoc
+	switch doc, err := d.client.Alerts(ctx); {
+	case err == nil:
+		alerts = &doc
+	case !service.IsStatusCode(err, http.StatusNotFound): // 404: no SLOs configured
 		return err
 	}
 
-	fmt.Fprintf(w, "tqec-top  %s  window %s  %s\n", d.client.base, d.window, end.Format("15:04:05"))
+	fmt.Fprintf(w, "tqec-top  %s  window %s  %s\n", d.client.BaseURL, d.window, end.Format("15:04:05"))
 	fmt.Fprintln(w)
 
 	queued := sumSeries(frames, "tqecd_jobs_queued")
 	running := sumSeries(frames, "tqecd_jobs_running")
-	done := rateSeries(sumSeries(frames, "tqecd_jobs_done_total", "tqecd_jobs_done_cached_total"))
-	failed := rateSeries(sumSeries(frames, "tqecd_jobs_failed_total"))
+	done := sumDeltas(frames, "tqecd_jobs_done_total", "tqecd_jobs_done_cached_total")
+	failed := sumDeltas(frames, "tqecd_jobs_failed_total")
 	d.row(w, "queued jobs", queued, lastValue(queued, "%.0f"))
 	d.row(w, "running jobs", running, lastValue(running, "%.0f"))
 	d.row(w, "done / tick", done, lastValue(done, "%.0f"))
@@ -55,20 +61,14 @@ func (d *dashboard) renderOnce(w io.Writer) error {
 	d.row(w, "compile p50 ms", p50, lastValue(p50, "%.2f"))
 	d.row(w, "compile p95 ms", p95, lastValue(p95, "%.2f"))
 
-	cacheHit := ratioTrend(
-		sumSeries(frames, "tqecd_cache_hits_total"),
-		sumSeries(frames, "tqecd_cache_misses_total"))
+	cacheHit := ratioTrend(frames, "tqecd_cache_hits_total", "tqecd_cache_misses_total")
 	d.row(w, "cache hit %", cacheHit, lastValue(cacheHit, "%.0f"))
-	if affinity := ratioTrend(
-		sumSeries(frames, "tqecd_fleet_affinity_routed_total"),
-		sumSeries(frames, "tqecd_fleet_affinity_fallback_total")); len(affinity) > 0 {
+	if affinity := ratioTrend(frames, "tqecd_fleet_affinity_routed_total", "tqecd_fleet_affinity_fallback_total"); len(affinity) > 0 {
 		d.row(w, "affinity hit %", affinity, lastValue(affinity, "%.0f"))
 	}
 	// Durable-store rows appear only when the daemon runs with -data-dir
 	// (the tqecd_store_* families exist only then).
-	if storeHit := ratioTrend(
-		sumSeries(frames, "tqecd_store_hits_total"),
-		sumSeries(frames, "tqecd_store_misses_total")); len(storeHit) > 0 {
+	if storeHit := ratioTrend(frames, "tqecd_store_hits_total", "tqecd_store_misses_total"); len(storeHit) > 0 {
 		d.row(w, "store hit %", storeHit, lastValue(storeHit, "%.0f"))
 	}
 	if storeBytes := scaleSeries(sumSeries(frames, "tqecd_store_bytes", "tqecd_store_wal_bytes"), 1.0/(1<<20)); len(storeBytes) > 0 {
@@ -209,33 +209,30 @@ func sortedPoints(byT map[int64]float64) []tsdb.Point {
 	return out
 }
 
-// rateSeries converts a cumulative counter series into per-sample
-// increases, clamping counter resets to zero.
-func rateSeries(pts []tsdb.Point) []tsdb.Point {
-	if len(pts) < 2 {
-		return nil
-	}
-	out := make([]tsdb.Point, 0, len(pts)-1)
-	for i := 1; i < len(pts); i++ {
-		d := pts[i].V - pts[i-1].V
-		if d < 0 {
-			d = 0
+// sumDeltas is sumSeries over each frame's per-sample increases. The
+// counter-reset rule (tsdb.Deltas) runs on each series before the sum,
+// so one worker restarting or vanishing reads as that worker's change,
+// not as a fleet-wide reset.
+func sumDeltas(frames []tsdb.Frame, names ...string) []tsdb.Point {
+	var deltas []tsdb.Frame
+	for _, fr := range frames {
+		if slices.Contains(names, fr.Name) {
+			fr.Points = tsdb.Deltas(fr.Points)
+			deltas = append(deltas, fr)
 		}
-		out = append(out, tsdb.Point{T: pts[i].T, V: d})
 	}
-	return out
+	return sumSeries(deltas, names...)
 }
 
-// ratioTrend renders hit/(hit+miss) per sample step as a percentage,
-// skipping steps with no traffic.
-func ratioTrend(hits, misses []tsdb.Point) []tsdb.Point {
-	h, m := rateSeries(hits), rateSeries(misses)
+// ratioTrend renders hit/(hit+miss) per sample step as a percentage from
+// the two counter families, skipping steps with no traffic.
+func ratioTrend(frames []tsdb.Frame, hitName, missName string) []tsdb.Point {
 	byT := map[int64]float64{}
 	miss := map[int64]float64{}
-	for _, p := range h {
+	for _, p := range sumDeltas(frames, hitName) {
 		byT[p.T] = p.V
 	}
-	for _, p := range m {
+	for _, p := range sumDeltas(frames, missName) {
 		miss[p.T] = p.V
 		if _, ok := byT[p.T]; !ok {
 			byT[p.T] = 0
@@ -261,92 +258,33 @@ func scaleSeries(pts []tsdb.Point, k float64) []tsdb.Point {
 }
 
 // quantileTrend estimates a latency quantile at each retained sample
-// time from the cumulative increase of <name>_bucket series since the
-// window start, summed across workers — the same estimator the SLO
-// engine uses server-side.
+// time over the window so far: tsdb.HistogramQuantile over the
+// <name>_bucket frames cut at that time — the estimator the SLO engine
+// uses server-side.
 func quantileTrend(frames []tsdb.Frame, name string, q float64) []tsdb.Point {
-	// le → timestamp → summed cumulative count.
-	byLE := map[float64]map[int64]float64{}
-	times := map[int64]bool{}
+	var buckets []tsdb.Frame
+	times := map[int64]float64{} // sample times; sortedPoints orders them
 	for _, fr := range frames {
-		if fr.Name != name+"_bucket" {
-			continue
-		}
-		le, ok := frameLE(fr)
-		if !ok {
-			continue
-		}
-		if byLE[le] == nil {
-			byLE[le] = map[int64]float64{}
-		}
-		for _, p := range fr.Points {
-			byLE[le][p.T] += p.V
-			times[p.T] = true
-		}
-	}
-	if len(byLE) == 0 {
-		return nil
-	}
-	bounds := make([]float64, 0, len(byLE))
-	for le := range byLE {
-		bounds = append(bounds, le)
-	}
-	sort.Float64s(bounds)
-	ts := make([]int64, 0, len(times))
-	for t := range times {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-
-	out := make([]tsdb.Point, 0, len(ts))
-	for _, t := range ts {
-		increase := make([]tsdb.Bucket, 0, len(bounds))
-		absolute := make([]tsdb.Bucket, 0, len(bounds))
-		for _, le := range bounds {
-			base := byLE[le][ts[0]]
-			cur, ok := byLE[le][t]
-			if !ok {
-				continue
+		if fr.Name == name+"_bucket" {
+			buckets = append(buckets, fr)
+			for _, p := range fr.Points {
+				times[p.T] = 0
 			}
-			d := cur - base
-			if d < 0 {
-				d = cur // counter reset: the post-reset count is the increase
-			}
-			increase = append(increase, tsdb.Bucket{UpperBound: le, Count: d})
-			absolute = append(absolute, tsdb.Bucket{UpperBound: le, Count: cur})
 		}
-		v := tsdb.EstimateQuantile(q, increase)
-		if math.IsNaN(v) {
-			// No in-window increase — either the series was born with its
-			// counts mid-window (a worker's first compile: the snapshot
-			// omits zero buckets, so there is no zero baseline to diff
-			// against) or the traffic predates the window. The absolute
-			// cumulative distribution is the honest fallback for both.
-			v = tsdb.EstimateQuantile(q, absolute)
+	}
+	var out []tsdb.Point
+	for _, p := range sortedPoints(times) {
+		upTo := make([]tsdb.Frame, len(buckets))
+		for i, fr := range buckets {
+			n := sort.Search(len(fr.Points), func(j int) bool { return fr.Points[j].T > p.T })
+			fr.Points = fr.Points[:n]
+			upTo[i] = fr
 		}
-		if !math.IsNaN(v) {
-			out = append(out, tsdb.Point{T: t, V: v})
+		if v := tsdb.HistogramQuantile(q, upTo); !math.IsNaN(v) {
+			out = append(out, tsdb.Point{T: p.T, V: v})
 		}
 	}
 	return out
-}
-
-// frameLE extracts the le label as a float (+Inf included).
-func frameLE(fr tsdb.Frame) (float64, bool) {
-	for _, l := range fr.Labels {
-		if l.Name != "le" {
-			continue
-		}
-		if l.Value == "+Inf" {
-			return math.Inf(1), true
-		}
-		v, err := strconv.ParseFloat(l.Value, 64)
-		if err != nil {
-			return 0, false
-		}
-		return v, true
-	}
-	return 0, false
 }
 
 // lastValue formats the newest point ("-" when the series is empty).

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -37,19 +38,6 @@ func TestSparklineScalesToSeriesRange(t *testing.T) {
 	}
 }
 
-func TestRateSeriesClampsResets(t *testing.T) {
-	got := rateSeries(pts(5, 9, 2, 3))
-	want := []float64{4, 0, 1}
-	if len(got) != len(want) {
-		t.Fatalf("rateSeries len = %d, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i].V != w {
-			t.Fatalf("rate[%d] = %g, want %g", i, got[i].V, w)
-		}
-	}
-}
-
 func TestSumSeriesMergesWorkers(t *testing.T) {
 	frames := []tsdb.Frame{
 		{Name: "tqecd_jobs_queued", Labels: []obs.Label{{Name: "worker", Value: "w1"}}, Points: pts(1, 2)},
@@ -78,9 +66,11 @@ func TestFleetViewPrefersWorkerSeries(t *testing.T) {
 }
 
 func TestRatioTrend(t *testing.T) {
-	hits := pts(0, 3, 3)
-	misses := pts(0, 1, 1)
-	got := ratioTrend(hits, misses)
+	frames := []tsdb.Frame{
+		{Name: "hits_total", Points: pts(0, 3, 3)},
+		{Name: "misses_total", Points: pts(0, 1, 1)},
+	}
+	got := ratioTrend(frames, "hits_total", "misses_total")
 	// Step 1: 3 hits / 4 total = 75%; step 2 has no traffic and is skipped.
 	if len(got) != 1 || got[0].V != 75 {
 		t.Fatalf("ratioTrend = %+v, want one 75%% point", got)
@@ -101,15 +91,6 @@ func TestQuantileTrend(t *testing.T) {
 	// Median of 10-in-(0,1] + 10-in-(1,2] sits exactly at the first bound.
 	if math.Abs(got[0].V-1) > 1e-9 {
 		t.Fatalf("p50 = %g, want 1", got[0].V)
-	}
-}
-
-func TestFrameLE(t *testing.T) {
-	if v, ok := frameLE(tsdb.Frame{Labels: []obs.Label{{Name: "le", Value: "+Inf"}}}); !ok || !math.IsInf(v, 1) {
-		t.Fatalf("frameLE(+Inf) = %g, %v", v, ok)
-	}
-	if _, ok := frameLE(tsdb.Frame{Labels: []obs.Label{{Name: "worker", Value: "w1"}}}); ok {
-		t.Fatal("frameLE without le label should report false")
 	}
 }
 
@@ -142,13 +123,9 @@ func TestRenderOnceAgainstLiveService(t *testing.T) {
 	resp.Body.Close()
 	time.Sleep(100 * time.Millisecond) // a few scrape ticks
 
-	d := &dashboard{
-		client: &historyClient{base: ts.URL, http: ts.Client()},
-		window: time.Minute,
-		width:  24,
-	}
+	d := &dashboard{client: service.NewClient(ts.URL), window: time.Minute, width: 24}
 	var buf strings.Builder
-	if err := d.renderOnce(&buf); err != nil {
+	if err := d.renderOnce(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -170,12 +147,87 @@ func TestRenderOnceNoAlertsConfigured(t *testing.T) {
 	defer ts.Close()
 	time.Sleep(50 * time.Millisecond)
 
-	d := &dashboard{client: &historyClient{base: ts.URL, http: ts.Client()}, window: time.Minute, width: 8}
+	d := &dashboard{client: service.NewClient(ts.URL), window: time.Minute, width: 8}
 	var buf strings.Builder
-	if err := d.renderOnce(&buf); err != nil {
+	if err := d.renderOnce(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "alerts: none configured") {
 		t.Fatalf("frame should note alerts are unconfigured:\n%s", buf.String())
 	}
+}
+
+// TestRatesSurviveOneWorkerResetting serves a coordinator's history in
+// which w1 restarts (its counters drop) or vanishes (its series stop)
+// while w2 keeps working: the rate and p50 rows must show w2's increase.
+// Differencing the cross-worker sum instead reads w1's drop as a
+// fleet-wide reset: done / tick 0 and a p50 drawn from old observations.
+func TestRatesSurviveOneWorkerResetting(t *testing.T) {
+	series := func(name, worker, le string, vs ...float64) tsdb.Frame {
+		fr := tsdb.Frame{Name: name, Labels: []obs.Label{{Name: "worker", Value: worker}}, Points: pts(vs...)}
+		if le != "" {
+			fr.Labels = append(fr.Labels, obs.Label{Name: "le", Value: le})
+		}
+		return fr
+	}
+	// w2 finishes two jobs, both slower than the 2.5 ms bound, on top
+	// of five old fast ones.
+	w2 := []tsdb.Frame{
+		series("tqecd_jobs_done_total", "w2", "", 50, 52),
+		series("tqecd_compile_ms_bucket", "w2", "1", 5, 5),
+		series("tqecd_compile_ms_bucket", "w2", "2.5", 5, 5),
+		series("tqecd_compile_ms_bucket", "w2", "+Inf", 5, 7),
+	}
+	for _, tc := range []struct {
+		name string
+		w1   []float64 // w1's counters: restart to zero, or a series that stops
+	}{
+		{"w1 restarts", []float64{100, 0}},
+		{"w1 stops", []float64{100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			frames := append([]tsdb.Frame{
+				series("tqecd_jobs_done_total", "w1", "", tc.w1...),
+				series("tqecd_compile_ms_bucket", "w1", "1", tc.w1...),
+				series("tqecd_compile_ms_bucket", "w1", "2.5", tc.w1...),
+				series("tqecd_compile_ms_bucket", "w1", "+Inf", tc.w1...),
+			}, w2...)
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/v1/query_range" {
+					http.NotFound(w, r)
+					return
+				}
+				doc := struct {
+					Frames []tsdb.Frame `json:"frames"`
+				}{Frames: []tsdb.Frame{}}
+				if r.URL.Query().Get("query") == "tqecd_*" {
+					doc.Frames = frames
+				}
+				json.NewEncoder(w).Encode(doc)
+			}))
+			defer ts.Close()
+
+			d := &dashboard{client: service.NewClient(ts.URL), window: time.Minute, width: 8}
+			var buf strings.Builder
+			if err := d.renderOnce(context.Background(), &buf); err != nil {
+				t.Fatal(err)
+			}
+			for row, want := range map[string]string{"done / tick": "2", "compile p50 ms": "2.50"} {
+				if got := rowValue(buf.String(), row); got != want {
+					t.Errorf("%s = %q, want %q\n%s", row, got, want, buf.String())
+				}
+			}
+		})
+	}
+}
+
+// rowValue returns the value column of the dashboard row with the label.
+func rowValue(frame, label string) string {
+	for _, line := range strings.Split(frame, "\n") {
+		if strings.HasPrefix(line, label+" ") {
+			f := strings.Fields(line)
+			return f[len(f)-1]
+		}
+	}
+	return ""
 }

@@ -102,9 +102,8 @@ func main() {
 		dispatchTry = flag.Int("dispatch-attempts", 3, "dispatch rounds (initial + retries + failovers) per job before it fails (coordinator role)")
 		pollEvery   = flag.Duration("poll-interval", 200*time.Millisecond, "status-poll cadence for dispatched jobs (coordinator role)")
 
-		selfScrape     = flag.Duration("self-scrape", 0, "metrics-history sample cadence behind GET /v1/query_range (0 disables history; coordinators also retain per-worker series)")
-		historySamples = flag.Int("history-samples", 0, "retained samples per metrics-history series (0 = default 512)")
-		sloPath        = flag.String("slo", "", "JSON file of SLO burn-rate objectives served at GET /v1/alerts (requires -self-scrape)")
+		selfScrape = flag.Duration("self-scrape", 0, "metrics-history sample cadence behind GET /v1/query_range; each series keeps its last 512 samples (0 disables history; coordinators also retain per-worker series)")
+		sloPath    = flag.String("slo", "", "JSON file of SLO burn-rate objectives served at GET /v1/alerts (requires -self-scrape)")
 	)
 	flag.Parse()
 
@@ -159,7 +158,6 @@ func main() {
 		JournalEvents:    *journalEvs,
 		SlowProfileAfter: *slowAfter,
 		HistoryInterval:  *selfScrape,
-		HistorySamples:   *historySamples,
 		SLOs:             objectives,
 		Logger:           logger,
 	}

@@ -20,11 +20,12 @@ const obsRegistryPath = "tqec/internal/obs"
 
 // registryMethods are the registering methods and their kind-specific
 // suffix rules.
-var registryMethods = map[string]struct{ counter, duration bool }{
+var registryMethods = map[string]struct{ counter, gauge, duration bool }{
 	"Counter":       {counter: true},
-	"Gauge":         {},
-	"GaugeFunc":     {},
-	"GaugeVec":      {},
+	"CounterFunc":   {counter: true},
+	"Gauge":         {gauge: true},
+	"GaugeFunc":     {gauge: true},
+	"GaugeVec":      {gauge: true},
 	"Histogram":     {duration: true},
 	"HistogramVec":  {duration: true},
 	"HistogramFunc": {duration: true},
@@ -33,13 +34,14 @@ var registryMethods = map[string]struct{ counter, duration bool }{
 // MetricName builds the metricname analyzer: every metric family
 // registered with the internal/obs registry must be a string literal
 // matching ^(tqec[cd]?|go)_[a-z0-9_]+$, counters must end in _total
-// (Prometheus convention), and duration histograms must carry an
-// explicit unit suffix (_seconds or _ms). Misnamed families poison
-// dashboards silently — the exposition format has no schema.
+// (Prometheus convention) and gauges must not, and duration histograms
+// must carry an explicit unit suffix (_seconds or _ms). Misnamed
+// families poison dashboards silently — the exposition format has no
+// schema, and a _total gauge is a count a scraper will not treat as one.
 func MetricName() *Analyzer {
 	a := &Analyzer{
 		Name: "metricname",
-		Doc:  "obs registry metric names must be literals matching ^(tqec[cd]?|go)_[a-z0-9_]+$ with _total counters and _seconds/_ms histograms",
+		Doc:  "obs registry metric names must be literals matching ^(tqec[cd]?|go)_[a-z0-9_]+$ with _total counters (and only counters) and _seconds/_ms histograms",
 	}
 	a.Run = func(pass *Pass) {
 		info := pass.Pkg.Info
@@ -72,6 +74,8 @@ func MetricName() *Analyzer {
 					pass.Reportf(lit.Pos(), "metric %q does not match ^(tqec[cd]?|go)_[a-z0-9_]+$", name)
 				case rule.counter && !strings.HasSuffix(name, "_total"):
 					pass.Reportf(lit.Pos(), "counter %q must end in _total (Prometheus convention)", name)
+				case rule.gauge && strings.HasSuffix(name, "_total"):
+					pass.Reportf(lit.Pos(), "gauge %q ends in _total: register a count as a Counter or CounterFunc", name)
 				case rule.duration && !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_ms"):
 					pass.Reportf(lit.Pos(), "duration histogram %q must end in _seconds or _ms so the unit is explicit", name)
 				}

@@ -1,7 +1,7 @@
 // Package metricname is a tqec-vet fixture: obs registry metric names
 // must be literals in the tqec[cd]?_* scheme (or go_* for runtime
-// self-telemetry), counters end in _total, duration histograms in
-// _seconds or _ms.
+// self-telemetry), counters end in _total and gauges do not, duration
+// histograms end in _seconds or _ms.
 package metricname
 
 import "tqec/internal/obs"
@@ -31,6 +31,11 @@ func Register(r *obs.Registry) {
 	r.GaugeVec("worker_clock_offset_us", "missing prefix", "worker") // want "does not match"
 	r.Counter("tqecd_journal_dropped_events_total", "ok: journal health family")
 	r.Counter("tqecd_slo_transitions", "missing suffix") // want "must end in _total"
+	r.CounterFunc("tqecd_store_hits_total", "ok: scrape-time counter", func() float64 { return 0 })
+	r.CounterFunc("tqecd_store_hits", "missing suffix", func() float64 { return 0 })           // want "must end in _total"
+	r.GaugeFunc("tqecd_store_misses_total", "a count as a gauge", func() float64 { return 0 }) // want "ends in _total"
+	r.Gauge("tqecd_writes_total", "a count as a gauge")                                        // want "ends in _total"
+	r.GaugeVec("tqecd_evictions_total", "a count as a gauge", "worker")                        // want "ends in _total"
 }
 
 func dynamicName() string { return "tqecd_dynamic_total" }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"tqec/internal/obs"
+	"tqec/internal/service"
 )
 
 // AgentConfig tunes a worker's fleet membership.
@@ -117,7 +117,7 @@ func (a *Agent) run(ctx context.Context) {
 		}
 		switch err := a.heartbeat(ctx); {
 		case err == nil:
-		case errors.Is(err, errUnknownWorker):
+		case service.IsStatusCode(err, http.StatusNotFound):
 			// The coordinator restarted and lost the registry.
 			a.cfg.Logger.WarnContext(ctx, "fleet heartbeat rejected, re-registering", "worker", a.cfg.WorkerID)
 			registered = false
@@ -129,9 +129,6 @@ func (a *Agent) run(ctx context.Context) {
 		}
 	}
 }
-
-// errUnknownWorker is the heartbeat 404: coordinator lost the registry.
-var errUnknownWorker = errors.New("coordinator does not know this worker")
 
 // register posts the registration, returning the coordinator-assigned
 // heartbeat interval.
@@ -149,7 +146,8 @@ func (a *Agent) register(ctx context.Context) (time.Duration, error) {
 	return time.Duration(resp.HeartbeatIntervalMS * float64(time.Millisecond)), nil
 }
 
-// heartbeat posts one load report.
+// heartbeat posts one load report. A 404 means the coordinator does not
+// know this worker.
 func (a *Agent) heartbeat(ctx context.Context) error {
 	running, queued := 0, 0
 	if a.cfg.Stats != nil {
@@ -157,7 +155,7 @@ func (a *Agent) heartbeat(ctx context.Context) error {
 	}
 	hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	err := a.post(hctx, "/fleet/v1/heartbeat", HeartbeatRequest{
+	return a.post(hctx, "/fleet/v1/heartbeat", HeartbeatRequest{
 		ID:      a.cfg.WorkerID,
 		Running: running,
 		Queued:  queued,
@@ -165,13 +163,10 @@ func (a *Agent) heartbeat(ctx context.Context) error {
 		// clock offset for trace-timestamp alignment.
 		SentUnixUS: time.Now().UnixMicro(),
 	}, nil)
-	if err != nil && strings.Contains(err.Error(), "http 404") {
-		return fmt.Errorf("%w: %s", errUnknownWorker, err)
-	}
-	return err
 }
 
-// post issues one JSON POST to the coordinator.
+// post issues one JSON POST to the coordinator. A non-2xx answer is a
+// *service.StatusError.
 func (a *Agent) post(ctx context.Context, path string, body, out any) error {
 	buf, err := json.Marshal(body)
 	if err != nil {
@@ -190,7 +185,7 @@ func (a *Agent) post(ctx context.Context, path string, body, out any) error {
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return fmt.Errorf("coordinator: http %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
+		return &service.StatusError{Code: resp.StatusCode, Message: strings.TrimSpace(string(raw))}
 	}
 	if out != nil {
 		return json.Unmarshal(raw, out)

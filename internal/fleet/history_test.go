@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"net/http"
+	"net/url"
 	"testing"
 	"time"
 
@@ -70,6 +71,38 @@ func TestFleetHistoryRetainsPerWorkerSeries(t *testing.T) {
 	// Prefix queries sweep every retained tqecd family.
 	if frames := f.queryFrames(t, "query=tqecd_*"); len(frames) < 10 {
 		t.Fatalf("prefix query returned %d frames, want many", len(frames))
+	}
+}
+
+// TestFleetHistoryRetainsEveryWorkerFamily checks that the coordinator
+// retains a worker's whole exposition, not a hand-picked subset: the
+// run-time histogram, the per-stage timings and the runtime's GC pauses
+// all come back labelled with the worker that exposed them.
+func TestFleetHistoryRetainsEveryWorkerFamily(t *testing.T) {
+	f := newTestFleet(t, Config{Config: service.Config{
+		HistoryInterval: 30 * time.Millisecond,
+	}}, []string{"w1"}, nil)
+
+	st := f.submit(t, threecnotBody)
+	if got := f.waitJob(t, st.ID, 30*time.Second); got.State != "done" {
+		t.Fatalf("job ended %s, want done", got.State)
+	}
+	// The compile is observed in the run-time and stage histograms; the
+	// GC pause series need only exist (the GC may not have run yet).
+	for name, atLeast := range map[string]float64{
+		"tqecd_job_run_seconds_count": 1,
+		"tqecd_stage_ms_count":        1,
+		"go_gc_pauses_seconds_count":  0,
+	} {
+		query := "query=" + url.QueryEscape(name+`{worker="w1"}`)
+		waitCondition(t, 10*time.Second, name+` frames for worker="w1"`, func() bool {
+			for _, fr := range f.queryFrames(t, query) {
+				if fr.Points[len(fr.Points)-1].V >= atLeast {
+					return true
+				}
+			}
+			return false
+		})
 	}
 }
 

@@ -183,6 +183,7 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
+	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindGaugeVec
@@ -193,7 +194,7 @@ const (
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
 	case kindGauge, kindGaugeFunc, kindGaugeVec:
 		return "gauge"
@@ -208,7 +209,7 @@ type family struct {
 	kind       metricKind
 	counter    *Counter
 	gauge      *Gauge
-	gaugeFn    func() float64
+	valueFn    func() float64 // CounterFunc, GaugeFunc
 	gaugeVec   *GaugeVec
 	hist       *Histogram
 	histFn     func() HistSnapshot
@@ -247,6 +248,13 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
+// CounterFunc registers a counter whose value is read at scrape time,
+// for a count another package keeps (names end in _total, as for
+// Counter).
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	r.add(&family{name: name, help: help, kind: kindCounterFunc, valueFn: fn})
+}
+
 // Gauge registers and returns a gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{}
@@ -256,7 +264,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.add(&family{name: name, help: help, kind: kindGaugeFunc, gaugeFn: fn})
+	r.add(&family{name: name, help: help, kind: kindGaugeFunc, valueFn: fn})
 }
 
 // GaugeVec registers and returns a one-label float-gauge family.
@@ -293,78 +301,40 @@ func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *His
 }
 
 // WritePrometheus renders every family in the Prometheus text exposition
-// format (version 0.0.4): # HELP / # TYPE headers, `le`-cumulative
-// histogram buckets ending in +Inf, and _sum/_count series.
+// format (version 0.0.4): # HELP / # TYPE headers, then the family's
+// samples exactly as Gather flattens them (`le`-cumulative histogram
+// buckets ending in +Inf, and _sum/_count series). ParsePrometheus reads
+// it back.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.fams...)
-	r.mu.Unlock()
 	var b strings.Builder
-	for _, f := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		switch f.kind {
-		case kindCounter:
-			fmt.Fprintf(&b, "%s %d\n", f.name, f.counter.Value())
-		case kindGauge:
-			fmt.Fprintf(&b, "%s %d\n", f.name, f.gauge.Value())
-		case kindGaugeFunc:
-			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.gaugeFn()))
-		case kindGaugeVec:
-			snaps := f.gaugeVec.Snapshot()
-			values := make([]string, 0, len(snaps))
-			for v := range snaps {
-				values = append(values, v)
-			}
-			sort.Strings(values)
-			for _, v := range values {
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelSuffix(f.gaugeVec.label, v), formatFloat(snaps[v]))
-			}
-		case kindHistogram:
-			writeHistSeries(&b, f.name, "", "", f.hist.Snapshot())
-		case kindHistogramFunc:
-			writeHistSeries(&b, f.name, "", "", f.histFn())
-		case kindHistogramVec:
-			snaps := f.vec.Snapshot()
-			values := make([]string, 0, len(snaps))
-			for v := range snaps {
-				values = append(values, v)
-			}
-			sort.Strings(values)
-			for _, v := range values {
-				writeHistSeries(&b, f.name, f.vec.label, v, snaps[v])
-			}
+	for _, g := range r.gather() {
+		fmt.Fprintf(&b, "# HELP %s %s\n", g.name, escapeHelp(g.help))
+		fmt.Fprintf(&b, "# TYPE %s %s\n", g.name, g.kind)
+		for _, s := range g.samples {
+			writeSample(&b, s)
 		}
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// writeHistSeries renders one histogram series with cumulative buckets.
-func writeHistSeries(b *strings.Builder, name, label, value string, s HistSnapshot) {
-	var cum int64
-	for i, bound := range s.Bounds {
-		cum += s.Counts[i]
-		fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", name, labelPrefix(label, value), formatFloat(bound), cum)
+// writeSample renders one exposition line: name{label="value",...} value.
+func writeSample(b *strings.Builder, s Sample) {
+	b.WriteString(s.Name)
+	for i, l := range s.Labels {
+		if i == 0 {
+			b.WriteByte('{')
+		} else {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(b, `%s="%s"`, l.Name, EscapeLabelValue(l.Value))
 	}
-	cum += s.Counts[len(s.Bounds)]
-	fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", name, labelPrefix(label, value), cum)
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, labelSuffix(label, value), formatFloat(s.Sum))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, labelSuffix(label, value), s.Count)
-}
-
-func labelPrefix(label, value string) string {
-	if label == "" {
-		return ""
+	if len(s.Labels) > 0 {
+		b.WriteByte('}')
 	}
-	return fmt.Sprintf("%s=\"%s\",", label, EscapeLabelValue(value))
-}
-
-func labelSuffix(label, value string) string {
-	if label == "" {
-		return ""
-	}
-	return fmt.Sprintf("{%s=\"%s\"}", label, EscapeLabelValue(value))
+	b.WriteByte(' ')
+	b.WriteString(formatValue(s.Value))
+	b.WriteByte('\n')
 }
 
 // EscapeLabelValue escapes a label value for the Prometheus text
@@ -380,8 +350,10 @@ func EscapeLabelValue(v string) string {
 	}
 	var b strings.Builder
 	b.Grow(len(v) + 8)
-	for _, r := range v {
-		switch r {
+	// Byte-wise, so bytes that are not valid UTF-8 pass through unchanged
+	// and ParseLabels reads back exactly v.
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -389,7 +361,7 @@ func EscapeLabelValue(v string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()
@@ -421,30 +393,45 @@ type Sample struct {
 }
 
 // Gather flattens every registered family into samples, in registration
-// order. Scrape-time families (GaugeFunc, HistogramFunc) are evaluated
-// now, exactly as a text exposition scrape would.
+// order. Scrape-time families (CounterFunc, GaugeFunc, HistogramFunc) are
+// evaluated now, exactly as a text exposition scrape would.
 func (r *Registry) Gather() []Sample {
+	var out []Sample
+	for _, g := range r.gather() {
+		out = append(out, g.samples...)
+	}
+	return out
+}
+
+// gathered is one family with its flattened samples.
+type gathered struct {
+	*family
+	samples []Sample
+}
+
+// gather evaluates every family into its samples. It holds the one switch
+// over family kinds: Gather and WritePrometheus are two views of its
+// output.
+func (r *Registry) gather() []gathered {
 	r.mu.Lock()
 	fams := append([]*family(nil), r.fams...)
 	r.mu.Unlock()
-	var out []Sample
+	out := make([]gathered, 0, len(fams))
 	for _, f := range fams {
+		var s []Sample
 		switch f.kind {
 		case kindCounter:
-			out = append(out, Sample{Name: f.name, Kind: SampleCounter, Value: float64(f.counter.Value())})
+			s = []Sample{{Name: f.name, Kind: SampleCounter, Value: float64(f.counter.Value())}}
+		case kindCounterFunc:
+			s = []Sample{{Name: f.name, Kind: SampleCounter, Value: f.valueFn()}}
 		case kindGauge:
-			out = append(out, Sample{Name: f.name, Kind: SampleGauge, Value: float64(f.gauge.Value())})
+			s = []Sample{{Name: f.name, Kind: SampleGauge, Value: float64(f.gauge.Value())}}
 		case kindGaugeFunc:
-			out = append(out, Sample{Name: f.name, Kind: SampleGauge, Value: f.gaugeFn()})
+			s = []Sample{{Name: f.name, Kind: SampleGauge, Value: f.valueFn()}}
 		case kindGaugeVec:
 			snaps := f.gaugeVec.Snapshot()
-			values := make([]string, 0, len(snaps))
-			for v := range snaps {
-				values = append(values, v)
-			}
-			sort.Strings(values)
-			for _, v := range values {
-				out = append(out, Sample{
+			for _, v := range sortedKeys(snaps) {
+				s = append(s, Sample{
 					Name:   f.name,
 					Labels: []Label{{Name: f.gaugeVec.label, Value: v}},
 					Kind:   SampleGauge,
@@ -452,22 +439,27 @@ func (r *Registry) Gather() []Sample {
 				})
 			}
 		case kindHistogram:
-			out = appendHistSamples(out, f.name, nil, f.hist.Snapshot())
+			s = appendHistSamples(nil, f.name, nil, f.hist.Snapshot())
 		case kindHistogramFunc:
-			out = appendHistSamples(out, f.name, nil, f.histFn())
+			s = appendHistSamples(nil, f.name, nil, f.histFn())
 		case kindHistogramVec:
 			snaps := f.vec.Snapshot()
-			values := make([]string, 0, len(snaps))
-			for v := range snaps {
-				values = append(values, v)
-			}
-			sort.Strings(values)
-			for _, v := range values {
-				out = appendHistSamples(out, f.name, []Label{{Name: f.vec.label, Value: v}}, snaps[v])
+			for _, v := range sortedKeys(snaps) {
+				s = appendHistSamples(s, f.name, []Label{{Name: f.vec.label, Value: v}}, snaps[v])
 			}
 		}
+		out = append(out, gathered{family: f, samples: s})
 	}
 	return out
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // appendHistSamples flattens one histogram series the way the text
@@ -494,4 +486,13 @@ func escapeHelp(h string) string {
 
 func formatFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
+}
+
+// formatValue renders a sample value. Integral values print in full
+// ("1000000", where formatFloat gives "1e+06"), so counts read as counts.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return formatFloat(v)
 }

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
 	"tqec/internal/obs"
+	"tqec/internal/tsdb"
 )
 
 // Client is the HTTP client for a tqecd job service — the one shared
@@ -46,10 +49,11 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("daemon: http %d: %s", e.Code, e.Message)
 }
 
-// IsStatusCode reports whether err is a StatusError with the given code.
+// IsStatusCode reports whether err is, or wraps, a StatusError with the
+// given code.
 func IsStatusCode(err error, code int) bool {
-	se, ok := err.(*StatusError)
-	return ok && se.Code == code
+	var se *StatusError
+	return errors.As(err, &se) && se.Code == code
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -85,8 +89,7 @@ func (c *Client) newRequest(ctx context.Context, method, path string, rd io.Read
 }
 
 // do issues one request and decodes the JSON response into out (skipped
-// when out is nil). Non-2xx responses become *StatusError carrying the
-// daemon's error message.
+// when out is nil).
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -103,14 +106,39 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	raw, err := c.send(req, 16<<20)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("client: decode response: %w", err)
+	}
+	return nil
+}
+
+// getRaw issues one GET asking for the accept media type and returns the
+// body as sent.
+func (c *Client) getRaw(ctx context.Context, path, accept string) ([]byte, error) {
+	req, err := c.newRequest(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Accept", accept)
+	return c.send(req, 64<<20)
+}
+
+// send performs one request and reads at most limit bytes of the body.
+// Non-2xx responses become *StatusError carrying the daemon's error
+// message.
+func (c *Client) send(req *http.Request, limit int64) ([]byte, error) {
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("client: %s %s: %w", req.Method, req.URL.Path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit))
 	if err != nil {
-		return fmt.Errorf("client: read response: %w", err)
+		return nil, fmt.Errorf("client: read response: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var er errorResponse
@@ -118,15 +146,9 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
 			msg = er.Error
 		}
-		return &StatusError{Code: resp.StatusCode, Message: msg}
+		return nil, &StatusError{Code: resp.StatusCode, Message: msg}
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("client: decode response: %w", err)
-	}
-	return nil
+	return raw, nil
 }
 
 // Submit posts one job. On a cache hit the returned status is already
@@ -168,28 +190,7 @@ func (c *Client) Trace(ctx context.Context, id string) (*obs.SpanJSON, error) {
 // never crossed the daemon's -profile-slow-after threshold answers 404
 // (a StatusError).
 func (c *Client) Profile(ctx context.Context, id string) ([]byte, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/v1/jobs/"+id+"/profile", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: GET profile: %w", err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, fmt.Errorf("client: read profile: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var er errorResponse
-		msg := strings.TrimSpace(string(raw))
-		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-			msg = er.Error
-		}
-		return nil, &StatusError{Code: resp.StatusCode, Message: msg}
-	}
-	return raw, nil
+	return c.getRaw(ctx, "/v1/jobs/"+id+"/profile", "application/octet-stream")
 }
 
 // Cancel requests cancellation of a queued or running job.
@@ -230,6 +231,41 @@ func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
 	var m MetricsSnapshot
 	err := c.do(ctx, http.MethodGet, "/metrics", nil, &m)
 	return m, err
+}
+
+// Scrape fetches the daemon's /metrics as Prometheus text and parses it:
+// every family the daemon registers, under its own names, kinds and
+// labels.
+func (c *Client) Scrape(ctx context.Context) ([]obs.Sample, error) {
+	raw, err := c.getRaw(ctx, "/metrics", "text/plain")
+	if err != nil {
+		return nil, err
+	}
+	return obs.ParsePrometheus(bytes.NewReader(raw))
+}
+
+// QueryRange fetches the raw retained samples of every history series the
+// selector matches between start and end. A daemon without -self-scrape
+// answers 404 (a StatusError).
+func (c *Client) QueryRange(ctx context.Context, query string, start, end time.Time) ([]tsdb.Frame, error) {
+	q := url.Values{"query": {query}, "start": {unixSeconds(start)}, "end": {unixSeconds(end)}}
+	var doc struct {
+		Frames []tsdb.Frame `json:"frames"`
+	}
+	err := c.do(ctx, http.MethodGet, "/v1/query_range?"+q.Encode(), nil, &doc)
+	return doc.Frames, err
+}
+
+func unixSeconds(t time.Time) string {
+	return strconv.FormatFloat(float64(t.UnixMilli())/1e3, 'f', 3, 64)
+}
+
+// Alerts fetches the SLO alert states. A daemon with no objectives
+// answers 404 (a StatusError).
+func (c *Client) Alerts(ctx context.Context) (tsdb.AlertsDoc, error) {
+	var doc tsdb.AlertsDoc
+	err := c.do(ctx, http.MethodGet, "/v1/alerts", nil, &doc)
+	return doc, err
 }
 
 // Wait polls the job's status every poll interval (<= 0 selects 100ms)

@@ -9,6 +9,7 @@ import (
 
 	"tqec/internal/circuit"
 	"tqec/internal/compress"
+	"tqec/internal/obs"
 )
 
 // instantCompile returns a deterministic stand-in result without
@@ -121,14 +122,32 @@ func TestClientRoundTrip(t *testing.T) {
 	if err != nil || m.Jobs.Done != 1 {
 		t.Fatalf("metrics done = %d, %v; want 1", m.Jobs.Done, err)
 	}
+	samples, err := cl.Scrape(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done *obs.Sample
+	for i := range samples {
+		if samples[i].Name == "tqecd_jobs_done_total" {
+			done = &samples[i]
+		}
+	}
+	if done == nil || done.Kind != obs.SampleCounter || done.Value != 1 {
+		t.Fatalf("scraped tqecd_jobs_done_total = %+v, want a counter at 1", done)
+	}
 
 	// Error surfaces: a terminal job rejects cancel with a StatusError
 	// the caller can classify; an unknown ID is a 404.
 	if _, err := cl.Cancel(ctx, st.ID); !IsStatusCode(err, http.StatusConflict) {
 		t.Fatalf("cancel done job: err = %v, want 409 StatusError", err)
 	}
-	if _, err := cl.Status(ctx, "j999999"); !IsStatusCode(err, http.StatusNotFound) {
+	_, err = cl.Status(ctx, "j999999")
+	if !IsStatusCode(err, http.StatusNotFound) {
 		t.Fatalf("unknown job: err = %v, want 404 StatusError", err)
+	}
+	// A caller that wraps the error keeps it classifiable.
+	if wrapped := fmt.Errorf("poll %s: %w", "j999999", err); !IsStatusCode(wrapped, http.StatusNotFound) {
+		t.Fatalf("wrapped 404 not recognized: %v", wrapped)
 	}
 
 	// Transport failures are NOT StatusErrors — the retry-policy

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -314,6 +315,36 @@ func TestStoreEndpoint(t *testing.T) {
 	}
 	if stats.Results == nil {
 		t.Fatal("store stats missing results section")
+	}
+}
+
+// TestStoreCountersExposedAsCounters pins the # TYPE of every durable
+// store count: a scraper computes rates only over counters.
+func TestStoreCountersExposedAsCounters(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	svc, ts := durableServer(t, st, Config{Workers: 1})
+	defer func() { ts.Close(); svc.Close(); st.Close() }()
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+	req.Header.Set("Accept", "text/plain")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{
+		"tqecd_store_hits_total counter", "tqecd_store_misses_total counter",
+		"tqecd_store_writes_total counter", "tqecd_store_gc_evictions_total counter",
+		"tqecd_store_corrupt_total counter", "tqecd_store_wal_records_total counter",
+		"tqecd_store_wal_replayed_total counter", "tqecd_store_wal_truncated_total counter",
+		"tqecd_store_entries gauge", "tqecd_store_wal_bytes gauge",
+	} {
+		if !strings.Contains(string(raw), "\n# TYPE "+family+"\n") {
+			t.Errorf("exposition missing # TYPE %s", family)
+		}
 	}
 }
 

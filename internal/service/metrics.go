@@ -124,15 +124,15 @@ func newMetrics() *metrics {
 // without the store importing obs.
 func (m *metrics) registerStore(st *store.Store) {
 	if r := st.Results; r != nil {
-		m.reg.GaugeFunc("tqecd_store_hits_total", "Result-store reads served from disk.",
+		m.reg.CounterFunc("tqecd_store_hits_total", "Result-store reads served from disk.",
 			func() float64 { return float64(r.Stats().Hits) })
-		m.reg.GaugeFunc("tqecd_store_misses_total", "Result-store reads that found nothing on disk.",
+		m.reg.CounterFunc("tqecd_store_misses_total", "Result-store reads that found nothing on disk.",
 			func() float64 { return float64(r.Stats().Misses) })
-		m.reg.GaugeFunc("tqecd_store_writes_total", "Result payloads written through to disk.",
+		m.reg.CounterFunc("tqecd_store_writes_total", "Result payloads written through to disk.",
 			func() float64 { return float64(r.Stats().Writes) })
-		m.reg.GaugeFunc("tqecd_store_gc_evictions_total", "Result files evicted by the byte-bounded LRU GC.",
+		m.reg.CounterFunc("tqecd_store_gc_evictions_total", "Result files evicted by the byte-bounded LRU GC.",
 			func() float64 { return float64(r.Stats().GCEvictions) })
-		m.reg.GaugeFunc("tqecd_store_corrupt_total", "Result files quarantined after failing CRC or envelope checks.",
+		m.reg.CounterFunc("tqecd_store_corrupt_total", "Result files quarantined after failing CRC or envelope checks.",
 			func() float64 { return float64(r.Stats().Corrupt) })
 		m.reg.GaugeFunc("tqecd_store_entries", "Result files currently on disk.",
 			func() float64 { return float64(r.Stats().Entries) })
@@ -140,11 +140,11 @@ func (m *metrics) registerStore(st *store.Store) {
 			func() float64 { return float64(r.Stats().Bytes) })
 	}
 	w := st.WAL
-	m.reg.GaugeFunc("tqecd_store_wal_records_total", "Write-ahead-log records appended since open.",
+	m.reg.CounterFunc("tqecd_store_wal_records_total", "Write-ahead-log records appended since open.",
 		func() float64 { return float64(w.Stats().Records) })
-	m.reg.GaugeFunc("tqecd_store_wal_replayed_total", "Write-ahead-log records recovered and replayed at startup.",
+	m.reg.CounterFunc("tqecd_store_wal_replayed_total", "Write-ahead-log records recovered and replayed at startup.",
 		func() float64 { return float64(w.Stats().Replayed) })
-	m.reg.GaugeFunc("tqecd_store_wal_truncated_total", "Corrupt or torn write-ahead-log tail records dropped at recovery.",
+	m.reg.CounterFunc("tqecd_store_wal_truncated_total", "Corrupt or torn write-ahead-log tail records dropped at recovery.",
 		func() float64 { return float64(w.Stats().Truncated) })
 	m.reg.GaugeFunc("tqecd_store_wal_bytes", "On-disk bytes held by the write-ahead log.",
 		func() float64 { return float64(w.Stats().Bytes) })
@@ -163,8 +163,7 @@ func (m *metrics) writePrometheus(w io.Writer) error {
 
 // HistogramJSON is the JSON form of a histogram (non-cumulative buckets
 // keyed by upper bound, matching the format the endpoint has always
-// served; the Prometheus form is the le-cumulative one). Exported so the
-// fleet coordinator can decode scraped worker snapshots.
+// served; the Prometheus form is the le-cumulative one).
 type HistogramJSON struct {
 	Count   int64            `json:"count"`
 	SumMS   float64          `json:"sum_ms"`
@@ -190,9 +189,9 @@ func jsonHist(s obs.HistSnapshot) HistogramJSON {
 	return out
 }
 
-// MetricsSnapshot is the /metrics JSON document. Exported so the fleet
-// coordinator can scrape each worker's endpoint, decode the document,
-// and retain the counters as per-worker history.
+// MetricsSnapshot is the /metrics JSON document, a summary for people
+// and scripts (Client.Metrics). Processes exchange the Prometheus text
+// form (Client.Scrape), which carries every family.
 type MetricsSnapshot struct {
 	Jobs struct {
 		Submitted int64 `json:"submitted"`

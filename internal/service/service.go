@@ -106,9 +106,6 @@ type Config struct {
 	// disables the loop entirely — no goroutine runs, the endpoint
 	// answers 404, and daemon behavior stays bit-identical.
 	HistoryInterval time.Duration
-	// HistorySamples bounds each retained series' sample ring (default
-	// tsdb.DefaultCapacity).
-	HistorySamples int
 	// SLOs are declarative objectives evaluated against the history
 	// store after every self-scrape; alert lifecycle is served at
 	// GET /v1/alerts and mirrored as tqecd_slo_* metric families.
@@ -288,7 +285,7 @@ func New(ctx context.Context, cfg Config) *Server {
 	}
 	s.rootCtx, s.rootCancel = context.WithCancel(ctx)
 	if cfg.HistoryInterval > 0 {
-		s.history = tsdb.New(cfg.HistorySamples)
+		s.history = tsdb.New(tsdb.DefaultCapacity)
 		s.collector = tsdb.NewCollector(s.history, m.reg, cfg.HistoryInterval)
 		if len(cfg.SLOs) > 0 {
 			s.slo = tsdb.NewEngine(s.history, cfg.SLOs, m.reg, cfg.Logger)

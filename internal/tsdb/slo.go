@@ -323,10 +323,16 @@ func (e *Engine) sumIncrease(names []string, start, end time.Time) float64 {
 }
 
 func (e *Engine) histQuantile(obj Objective, start, end time.Time) float64 {
-	frames := e.db.Query(Selector{Name: obj.Histogram + "_bucket"}, start, end, 0)
-	// Sum per-le increases across all matching series (workers, vec
-	// children): cumulativity in le survives both subtraction and
-	// addition, so the merged buckets stay a valid histogram.
+	return HistogramQuantile(obj.Quantile, e.db.Query(Selector{Name: obj.Histogram + "_bucket"}, start, end, 0))
+}
+
+// HistogramQuantile estimates quantile q over the increase of a
+// histogram's _bucket frames. Each frame's Increase is summed per `le`
+// bound across every frame (workers, vec children): cumulativity in le
+// survives both subtraction and addition, so the merged buckets stay a
+// valid histogram. Frames without an le label are ignored. NaN means no
+// observations.
+func HistogramQuantile(q float64, frames []Frame) float64 {
 	acc := map[float64]float64{}
 	for _, f := range frames {
 		le, ok := leBound(f.Labels)
@@ -339,7 +345,7 @@ func (e *Engine) histQuantile(obj Objective, start, end time.Time) float64 {
 	for b, c := range acc {
 		buckets = append(buckets, Bucket{UpperBound: b, Count: c})
 	}
-	return EstimateQuantile(obj.Quantile, buckets)
+	return EstimateQuantile(q, buckets)
 }
 
 func leBound(labels []obs.Label) (float64, bool) {

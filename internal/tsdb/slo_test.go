@@ -75,6 +75,37 @@ func TestQuantileAfterCounterReset(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileMergesWorkers merges two workers' bucket series
+// after each has had the reset rule applied on its own: w1 restarts,
+// w2 keeps growing, and the quantile reads w2's new observations. A
+// frame without an le label is ignored and "+Inf" parses as the
+// overflow bound.
+func TestHistogramQuantileMergesWorkers(t *testing.T) {
+	frame := func(worker, le string, vs ...float64) Frame {
+		f := Frame{Name: "h_bucket", Labels: []obs.Label{{Name: "worker", Value: worker}}}
+		if le != "" {
+			f.Labels = append(f.Labels, obs.Label{Name: "le", Value: le})
+		}
+		for i, v := range vs {
+			f.Points = append(f.Points, Point{T: int64(i), V: v})
+		}
+		return f
+	}
+	frames := []Frame{
+		// w1 restarts: its buckets drop to zero and add nothing.
+		frame("w1", "1", 10, 0), frame("w1", "2.5", 10, 0), frame("w1", "+Inf", 10, 0),
+		// w2 adds four observations in (1, 2.5] on top of five old fast ones.
+		frame("w2", "1", 5, 5), frame("w2", "2.5", 5, 9), frame("w2", "+Inf", 5, 9),
+		frame("w2", "", 0, 1000),
+	}
+	if got, want := HistogramQuantile(0.5, frames), 1.75; got != want {
+		t.Fatalf("merged p50 = %g, want %g", got, want)
+	}
+	if got := HistogramQuantile(0.5, frames[:3]); !math.IsNaN(got) {
+		t.Fatalf("p50 of the reset worker alone = %g, want NaN (no observations)", got)
+	}
+}
+
 // seedRatio appends good/bad counter samples at 1s cadence over
 // [from, to) with the given per-tick failure pattern.
 func seedRatio(db *DB, from, to int64, goodRate, badRate float64) {

@@ -171,22 +171,17 @@ func (db *DB) AppendSamples(t time.Time, samples []obs.Sample, extra ...obs.Labe
 	}
 }
 
-// Matcher is one label equality constraint in a Selector.
-type Matcher struct {
-	Name  string
-	Value string
-}
-
 // Selector picks series by name (exact, or prefix when the query ends
 // with '*') plus label equality matchers.
 type Selector struct {
 	Name   string
 	Prefix bool
-	Labels []Matcher
+	Labels []obs.Label
 }
 
 // ParseSelector parses `name`, `name*`, or `name{label="value",...}`.
-// Label values use the Prometheus escapes \\, \", and \n.
+// The label set is read by obs.ParseLabels, so values use the exposition
+// escapes \\, \", and \n.
 func ParseSelector(q string) (Selector, error) {
 	q = strings.TrimSpace(q)
 	if q == "" {
@@ -195,15 +190,14 @@ func ParseSelector(q string) (Selector, error) {
 	var sel Selector
 	name := q
 	if i := strings.IndexByte(q, '{'); i >= 0 {
-		if !strings.HasSuffix(q, "}") {
-			return Selector{}, fmt.Errorf("selector %q: unterminated label matcher", q)
+		labels, rest, err := obs.ParseLabels(q[i:])
+		if err == nil && strings.TrimSpace(rest) != "" {
+			err = fmt.Errorf("unexpected %q after the label set", rest)
 		}
-		name = q[:i]
-		ms, err := parseMatchers(q[i+1 : len(q)-1])
 		if err != nil {
 			return Selector{}, fmt.Errorf("selector %q: %w", q, err)
 		}
-		sel.Labels = ms
+		name, sel.Labels = q[:i], labels
 	}
 	if strings.HasSuffix(name, "*") {
 		sel.Prefix = true
@@ -214,59 +208,6 @@ func ParseSelector(q string) (Selector, error) {
 	}
 	sel.Name = name
 	return sel, nil
-}
-
-func parseMatchers(body string) ([]Matcher, error) {
-	var out []Matcher
-	rest := strings.TrimSpace(body)
-	for rest != "" {
-		eq := strings.IndexByte(rest, '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("matcher %q: missing '='", rest)
-		}
-		name := strings.TrimSpace(rest[:eq])
-		if name == "" {
-			return nil, fmt.Errorf("matcher %q: empty label name", rest)
-		}
-		rest = strings.TrimSpace(rest[eq+1:])
-		if !strings.HasPrefix(rest, `"`) {
-			return nil, fmt.Errorf("label %q: value must be quoted", name)
-		}
-		rest = rest[1:]
-		var val strings.Builder
-		closed := false
-		for i := 0; i < len(rest); i++ {
-			c := rest[i]
-			if c == '\\' && i+1 < len(rest) {
-				i++
-				switch rest[i] {
-				case 'n':
-					val.WriteByte('\n')
-				default:
-					val.WriteByte(rest[i])
-				}
-				continue
-			}
-			if c == '"' {
-				rest = strings.TrimSpace(rest[i+1:])
-				closed = true
-				break
-			}
-			val.WriteByte(c)
-		}
-		if !closed {
-			return nil, fmt.Errorf("label %q: unterminated value", name)
-		}
-		out = append(out, Matcher{Name: name, Value: val.String()})
-		if rest == "" {
-			break
-		}
-		if !strings.HasPrefix(rest, ",") {
-			return nil, fmt.Errorf("unexpected %q after matcher", rest)
-		}
-		rest = strings.TrimSpace(rest[1:])
-	}
-	return out, nil
 }
 
 func (sel Selector) matches(s *Series) bool {
@@ -364,17 +305,29 @@ func downsample(pts []Point, startMS, endMS, stepMS int64) []Point {
 	return out
 }
 
-// Increase returns the total increase of a counter series over the given
-// points, tolerating counter resets: a decrease means the process behind
-// the counter restarted, so the post-reset value counts in full.
-func Increase(pts []Point) float64 {
-	var inc float64
+// Deltas returns a counter series' increase at each point after the
+// first, tolerating counter resets: a decrease means the process behind
+// the counter restarted, so the post-reset value counts in full. Apply it
+// to each series before summing series, so one process restarting reads
+// as its own reset, not everyone's.
+func Deltas(pts []Point) []Point {
+	out := make([]Point, 0, max(len(pts)-1, 0))
 	for i := 1; i < len(pts); i++ {
 		d := pts[i].V - pts[i-1].V
 		if d < 0 {
 			d = pts[i].V
 		}
-		inc += d
+		out = append(out, Point{T: pts[i].T, V: d})
+	}
+	return out
+}
+
+// Increase returns the total increase of a counter series over the given
+// points: the sum of its Deltas.
+func Increase(pts []Point) float64 {
+	var inc float64
+	for _, d := range Deltas(pts) {
+		inc += d.V
 	}
 	return inc
 }
