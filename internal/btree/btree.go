@@ -146,56 +146,52 @@ func (t *Tree) dims(i int) (w, h int) {
 // Pack computes the placement of every block using the contour algorithm
 // and returns the placements plus the bounding width and height.
 func (t *Tree) Pack() (pl []Placement, width, height int) {
-	pl = make([]Placement, len(t.Blocks))
+	n := len(t.Blocks)
+	pl = make([]Placement, n)
 	if t.root < 0 {
 		return pl, 0, 0
 	}
-	// Contour: list of (xStart, xEnd, y) steps, kept sorted by x.
+	// Contour: list of (xStart, xEnd, y) steps, disjoint in x but kept in
+	// insertion order, not sorted: a new block's steps are appended and a
+	// lookup scans them all. An insert cuts at most one step in two and
+	// adds one, so the contour never holds more than 2n steps; two buffers
+	// of capacity 2n+1, swapped on each insert, hold it without growing.
 	type step struct{ x0, x1, y int }
-	contour := []step{}
-
-	maxYIn := func(x0, x1 int) int {
-		y := 0
-		for _, s := range contour {
-			if s.x1 <= x0 || s.x0 >= x1 {
-				continue
-			}
-			if s.y > y {
-				y = s.y
-			}
-		}
-		return y
-	}
-	insert := func(x0, x1, y int) {
-		out := contour[:0:0]
-		for _, s := range contour {
-			if s.x1 <= x0 || s.x0 >= x1 {
-				out = append(out, s)
-				continue
-			}
-			if s.x0 < x0 {
-				out = append(out, step{s.x0, x0, s.y})
-			}
-			if s.x1 > x1 {
-				out = append(out, step{x1, s.x1, s.y})
-			}
-		}
-		out = append(out, step{x0, x1, y})
-		contour = out
-	}
-
-	// DFS preorder placement.
+	contour := make([]step, 0, 2*n+1)
+	spare := make([]step, 0, 2*n+1)
+	// DFS preorder placement; every node is pushed once.
 	type frame struct{ idx, x int }
-	stack := []frame{{t.root, 0}}
+	stack := make([]frame, 1, n)
+	stack[0] = frame{t.root, 0}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		w, h := t.dims(f.idx)
-		y := maxYIn(f.x, f.x+w)
-		pl[f.idx] = Placement{X: f.x, Y: y, W: w, H: h, Rotated: t.nodes[f.idx].rotated}
-		insert(f.x, f.x+w, y+h)
-		if f.x+w > width {
-			width = f.x + w
+		x0, x1 := f.x, f.x+w
+		y := 0
+		for _, s := range contour {
+			if s.x1 > x0 && s.x0 < x1 && s.y > y {
+				y = s.y
+			}
+		}
+		pl[f.idx] = Placement{X: x0, Y: y, W: w, H: h, Rotated: t.nodes[f.idx].rotated}
+		// Raise the contour over [x0, x1) to the block's top.
+		next := spare[:0]
+		for _, s := range contour {
+			if s.x1 <= x0 || s.x0 >= x1 {
+				next = append(next, s)
+				continue
+			}
+			if s.x0 < x0 {
+				next = append(next, step{s.x0, x0, s.y})
+			}
+			if s.x1 > x1 {
+				next = append(next, step{x1, s.x1, s.y})
+			}
+		}
+		contour, spare = append(next, step{x0, x1, y + h}), contour
+		if x1 > width {
+			width = x1
 		}
 		if y+h > height {
 			height = y + h
@@ -203,10 +199,10 @@ func (t *Tree) Pack() (pl []Placement, width, height int) {
 		// Right child above (same x) is processed after the left chain;
 		// push right first so left pops first (preorder: node, left, right).
 		if r := t.nodes[f.idx].right; r >= 0 {
-			stack = append(stack, frame{r, f.x})
+			stack = append(stack, frame{r, x0})
 		}
 		if l := t.nodes[f.idx].left; l >= 0 {
-			stack = append(stack, frame{l, f.x + w})
+			stack = append(stack, frame{l, x1})
 		}
 	}
 	return pl, width, height

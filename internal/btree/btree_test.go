@@ -340,3 +340,24 @@ func TestQuickGridTreesSurvivePerturbStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPackAllocations guards Pack's fixed-capacity contour: packing a
+// perturbed tree allocates the placements and a few buffers sized up
+// front, however many blocks there are.
+func TestPackAllocations(t *testing.T) {
+	for _, n := range []int{100, 1000} {
+		tr := NewGrid(randomBlocks(n, 1))
+		rng := rand.New(rand.NewSource(2))
+		for i := 0; i < 4*n; i++ {
+			tr.Perturb(rng)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() { tr.Pack() })
+		t.Logf("%d blocks: %.0f allocations", n, allocs)
+		if allocs > 8 {
+			t.Fatalf("%d blocks: Pack made %.0f allocations, want <= 8", n, allocs)
+		}
+	}
+}

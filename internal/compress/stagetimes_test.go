@@ -144,6 +144,13 @@ func TestTracedCompileRecordsHotLoopSpans(t *testing.T) {
 			t.Fatalf("%d of %d %s spans nest under the %s stage", len(nested), len(all), loop, stage)
 		}
 	}
+	// The compile succeeded, so every negotiation round completed, and
+	// each reports the A* work it did.
+	for _, sp := range root.Find("route-round") {
+		if a := numericAttrs(sp); a["searches"] <= 0 || a["expansions"] <= 0 {
+			t.Fatalf("route round %v: %v searches, %v expansions", a["round"], a["searches"], a["expansions"])
+		}
+	}
 }
 
 func spanNames(spans []*obs.Span) []string {

@@ -76,7 +76,9 @@ func overlapOffAxis(p, q *Placed, a axis) bool {
 }
 
 // compactAxis pulls every item to the smallest legal coordinate along a,
-// processing items in coordinate order so supports settle first.
+// processing items in coordinate order so supports settle first. Only the
+// items before the current one in that order can support it: the rest
+// have not moved yet and sit at or above it.
 func compactAxis(r *Result, a axis) int {
 	order := make([]int, 0, len(r.Placed))
 	for i := range r.Placed {
@@ -90,16 +92,13 @@ func compactAxis(r *Result, a axis) int {
 		return px < py
 	})
 	moved := 0
-	for _, i := range order {
+	for k, i := range order {
 		p := &r.Placed[i]
+		pp, _ := get(p, a)
 		floor := 0
-		for _, j := range order {
-			if i == j {
-				continue
-			}
+		for _, j := range order[:k] {
 			q := &r.Placed[j]
 			qp, qe := get(q, a)
-			pp, _ := get(p, a)
 			if qp >= pp {
 				continue // only items below can support
 			}
@@ -117,7 +116,7 @@ func compactAxis(r *Result, a axis) int {
 				}
 			}
 		}
-		if pp, _ := get(p, a); floor < pp {
+		if floor < pp {
 			set(p, a, floor)
 			moved++
 		}

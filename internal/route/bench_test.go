@@ -22,14 +22,20 @@ func BenchmarkAStarStraight(b *testing.B) {
 	}
 }
 
-// BenchmarkNegotiated measures PathFinder over a congested bus.
-func BenchmarkNegotiated(b *testing.B) {
+// busNets is a congested bus: 24 two-pin nets crossing a 32×24×4 grid.
+func busNets() []Net {
 	rng := rand.New(rand.NewSource(1))
 	var nets []Net
 	for i := 0; i < 24; i++ {
 		y := rng.Intn(24)
 		nets = append(nets, Net{ID: i, Pins: []Cell{{0, y, rng.Intn(4)}, {31, 23 - y, rng.Intn(4)}}})
 	}
+	return nets
+}
+
+// BenchmarkNegotiated measures PathFinder over a congested bus.
+func BenchmarkNegotiated(b *testing.B) {
+	nets := busNets()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g, err := NewGrid(32, 24, 4)

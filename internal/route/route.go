@@ -7,9 +7,10 @@
 package route
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"tqec/internal/obs"
@@ -62,6 +63,13 @@ func (g *Grid) In(c Cell) bool {
 }
 
 func (g *Grid) idx(c Cell) int { return (c.Z*g.NY+c.Y)*g.NX + c.X }
+
+// cell inverts idx.
+func (g *Grid) cell(i int) Cell {
+	x := i % g.NX
+	i /= g.NX
+	return Cell{x, i % g.NY, i / g.NY}
+}
 
 // Block marks a cell as a static obstacle.
 func (g *Grid) Block(c Cell) {
@@ -167,11 +175,13 @@ type Result struct {
 // partial routing state is discarded and ctx's error returned.
 //
 // Every PathFinder negotiation round is one "route-round" obs span
-// recording how many nets were ripped up and rerouted and, once the round
-// completes, the overflow remaining after it; a round cut short by
+// recording how many nets were ripped up and rerouted, how many A*
+// searches the round ran and how many cells they expanded, and, once the
+// round completes, the overflow remaining after it; a round cut short by
 // cancellation ends its span without the overflow. A journal reads the
 // span's end as a progress heartbeat. The probe is consulted once per
-// round, never per cell.
+// round, never per cell: the counters are plain ints in the search
+// scratch.
 func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	for _, n := range nets {
@@ -191,6 +201,7 @@ func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Resul
 		return pinSpan(nets[order[a]]) > pinSpan(nets[order[b]])
 	})
 
+	s := newSearch(g, opt)
 	routed := map[int][]Cell{}
 	// A result with overflowed cells is unusable (the geometry would merge
 	// dual defects), so the iteration budget is soft: when the budget runs
@@ -230,16 +241,17 @@ func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Resul
 			sp.SetAttr("round", iter+1)
 			sp.SetAttr("ripped", len(toRoute))
 		}
+		s.searches, s.expansions = 0, 0
 		for _, oi := range toRoute {
 			if err := ctx.Err(); err != nil {
-				sp.End()
+				s.endRound(sp)
 				return nil, fmt.Errorf("route: %w", err)
 			}
 			n := nets[oi]
 			if old, ok := routed[n.ID]; ok {
 				g.release(old)
 			}
-			cells := g.routeNet(n, opt)
+			cells := s.routeNet(n)
 			if cells == nil {
 				delete(routed, n.ID)
 				continue
@@ -259,7 +271,7 @@ func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Resul
 		res.Overflow = overflow
 		if sp != nil {
 			sp.SetAttr("overflow", overflow)
-			sp.End()
+			s.endRound(sp)
 		}
 		if overflow == 0 {
 			break
@@ -272,11 +284,9 @@ func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Resul
 		}
 	}
 	// Collect results.
-	failedSet := map[int]bool{}
 	for _, n := range nets {
 		cells, ok := routed[n.ID]
 		if !ok {
-			failedSet[n.ID] = true
 			res.Failed = append(res.Failed, n.ID)
 			continue
 		}
@@ -320,169 +330,257 @@ func (g *Grid) release(cells []Cell) {
 	}
 }
 
+// search is the scratch one RouteContext call routes every net with. Its
+// per-cell state lives in one dense array indexed by Grid.idx, and epoch
+// stamps say which entries belong to the current A* search or the current
+// net's tree, so nothing is cleared between searches and a search
+// allocates nothing once the heap and the tree list have grown.
+type search struct {
+	g     *Grid
+	opt   Options
+	cells []searchCell
+	// epoch stamps searchCell.seen and .closed for the running A* search;
+	// tree stamps searchCell.inTree for the net being routed.
+	epoch, tree uint32
+	open        openHeap
+	// treeOrder lists the tree's cells in insertion order, for the
+	// heuristic sample; treeLo and treeHi bound them.
+	treeOrder      []Cell
+	treeLo, treeHi Cell
+	sample         []Cell
+	stride         [6]int // Grid.idx offset of each neighbors6 step
+	// searches and expansions count the round's A* searches (region
+	// retries included) and expanded cells, for its route-round span.
+	searches, expansions int
+}
+
+// searchCell is one grid cell's A* and tree state.
+type searchCell struct {
+	gScore float64 // cheapest known cost from the source (valid when seen)
+	parent int32   // predecessor on that path, −1 at the source
+	seen   uint32  // == search.epoch when gScore and parent are set
+	closed uint32  // == search.epoch once popped
+	inTree uint32  // == search.tree when on the current net's tree
+}
+
+func newSearch(g *Grid, opt Options) *search {
+	s := &search{g: g, opt: opt, cells: make([]searchCell, g.NX*g.NY*g.NZ)}
+	for k, d := range neighbors6 {
+		s.stride[k] = (d.Z*g.NY+d.Y)*g.NX + d.X
+	}
+	return s
+}
+
+// endRound records the round's A* counters on its span and ends it.
+func (s *search) endRound(sp *obs.Span) {
+	if sp != nil {
+		sp.SetAttr("searches", s.searches)
+		sp.SetAttr("expansions", s.expansions)
+		sp.End()
+	}
+}
+
+// addToTree puts cell c (index i) on the current net's tree.
+func (s *search) addToTree(c Cell, i int) {
+	s.cells[i].inTree = s.tree
+	s.treeOrder = append(s.treeOrder, c)
+	s.treeLo = Cell{min(s.treeLo.X, c.X), min(s.treeLo.Y, c.Y), min(s.treeLo.Z, c.Z)}
+	s.treeHi = Cell{max(s.treeHi.X, c.X), max(s.treeHi.Y, c.Y), max(s.treeHi.Z, c.Z)}
+}
+
 // routeNet routes one multi-pin net as a Steiner-ish tree: the first pin
 // seeds the tree; every further pin is connected by an A* search targeting
-// any tree cell. Returns nil on failure.
-func (g *Grid) routeNet(n Net, opt Options) []Cell {
+// any tree cell. The cells come back sorted by Grid.idx, that is by
+// (Z, Y, X). Returns nil on failure.
+func (s *search) routeNet(n Net) []Cell {
 	if len(n.Pins) == 0 {
 		return nil
 	}
-	// treeOrder mirrors the tree set in insertion order: the heuristic
-	// sample below must not depend on map iteration order, or the routed
-	// wirelength varies run to run for the same seed.
-	tree := map[Cell]bool{n.Pins[0]: true}
-	treeOrder := []Cell{n.Pins[0]}
+	s.tree++
+	if s.tree == 0 { // wrapped: a stale stamp could alias the new tree
+		for i := range s.cells {
+			s.cells[i].inTree = 0
+		}
+		s.tree = 1
+	}
+	g := s.g
+	s.treeOrder = s.treeOrder[:0]
+	s.treeLo, s.treeHi = n.Pins[0], n.Pins[0]
+	s.addToTree(n.Pins[0], g.idx(n.Pins[0]))
 	for _, pin := range n.Pins[1:] {
-		if tree[pin] {
+		if s.cells[g.idx(pin)].inTree == s.tree {
 			continue
 		}
-		path := g.astarToSet(pin, tree, treeOrder, opt)
-		if path == nil {
+		if !s.connect(pin) {
 			return nil
 		}
-		for _, c := range path {
-			if !tree[c] {
-				tree[c] = true
-				treeOrder = append(treeOrder, c)
-			}
-		}
 	}
-	cells := make([]Cell, 0, len(tree))
-	for c := range tree {
-		cells = append(cells, c)
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
-		if a.Z != b.Z {
-			return a.Z < b.Z
-		}
-		if a.Y != b.Y {
-			return a.Y < b.Y
-		}
-		if a.X != b.X {
-			return a.X < b.X
-		}
-		return false
-	})
+	cells := slices.Clone(s.treeOrder)
+	slices.SortFunc(cells, func(a, b Cell) int { return cmp.Compare(g.idx(a), g.idx(b)) })
 	return cells
 }
 
-// astarToSet finds a cheapest path from src to any cell of targets within
-// a restricted region, growing the region on failure.
-func (g *Grid) astarToSet(src Cell, targets map[Cell]bool, targetOrder []Cell, opt Options) []Cell {
-	// Region: bbox of src and targets.
-	lo, hi := src, src
-	for t := range targets {
-		lo = Cell{min(lo.X, t.X), min(lo.Y, t.Y), min(lo.Z, t.Z)}
-		hi = Cell{max(hi.X, t.X), max(hi.Y, t.Y), max(hi.Z, t.Z)}
+// connect finds a cheapest path from src to any tree cell within a
+// restricted region, growing the region on failure, and adds the path to
+// the tree.
+func (s *search) connect(src Cell) bool {
+	g := s.g
+	// The heuristic is the distance to the nearest of a bounded sample of
+	// tree cells: scanning a large tree per evaluation would dominate. The
+	// sample is strided over the insertion-ordered tree so the pick is
+	// deterministic AND spread across the tree (a map-range pick here made
+	// routed wirelength vary run to run). It can overestimate slightly
+	// (the true nearest tree cell may be unsampled), trading strict A*
+	// optimality for speed — acceptable inside the negotiated router.
+	const maxSample = 24
+	sample := s.treeOrder
+	if len(sample) > maxSample {
+		s.sample = s.sample[:0]
+		stride := len(sample) / maxSample
+		for i := 0; i < len(sample) && len(s.sample) < maxSample; i += stride {
+			s.sample = append(s.sample, sample[i])
+		}
+		sample = s.sample
 	}
-	for inflate := opt.RegionInflate; ; inflate *= 2 {
+	// Region: bbox of src and the tree.
+	lo := Cell{min(src.X, s.treeLo.X), min(src.Y, s.treeLo.Y), min(src.Z, s.treeLo.Z)}
+	hi := Cell{max(src.X, s.treeHi.X), max(src.Y, s.treeHi.Y), max(src.Z, s.treeHi.Z)}
+	for inflate := s.opt.RegionInflate; ; inflate *= 2 {
 		rlo := Cell{max(0, lo.X-inflate), max(0, lo.Y-inflate), max(0, lo.Z-inflate)}
 		rhi := Cell{min(g.NX-1, hi.X+inflate), min(g.NY-1, hi.Y+inflate), min(g.NZ-1, hi.Z+inflate)}
-		if path := g.astarRegion(src, targets, targetOrder, rlo, rhi, opt); path != nil {
-			return path
+		if hit := s.astar(src, sample, rlo, rhi); hit >= 0 {
+			// Walk the path back from the tree cell it reached to src.
+			for i := hit; i >= 0; i = int(s.cells[i].parent) {
+				if s.cells[i].inTree != s.tree {
+					s.addToTree(g.cell(i), i)
+				}
+			}
+			return true
 		}
 		// Stop once the region covers the whole grid.
 		if rlo == (Cell{0, 0, 0}) && rhi == (Cell{g.NX - 1, g.NY - 1, g.NZ - 1}) {
-			return nil
+			return false
 		}
 	}
 }
 
-type pqItem struct {
-	cell  Cell
-	f, gc float64
-	index int
-}
-
-type pq []*pqItem
-
-func (p pq) Len() int           { return len(p) }
-func (p pq) Less(i, j int) bool { return p[i].f < p[j].f }
-func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i]; p[i].index = i; p[j].index = j }
-func (p *pq) Push(x any)        { it := x.(*pqItem); it.index = len(*p); *p = append(*p, it) }
-func (p *pq) Pop() any          { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }
-
-func (g *Grid) astarRegion(src Cell, targets map[Cell]bool, targetOrder []Cell, rlo, rhi Cell, opt Options) []Cell {
-	// For large target trees, scanning every target per heuristic
-	// evaluation dominates; sample a bounded subset, strided over the
-	// insertion-ordered target list so the pick is deterministic AND
-	// spread across the tree (a map-range pick here made routed
-	// wirelength vary run to run). The sampled heuristic can overestimate
-	// slightly (the true nearest target may be unsampled), trading strict
-	// A* optimality for speed — acceptable inside the negotiated router.
-	const maxSample = 24
-	sample := targetOrder
-	if len(targetOrder) > maxSample {
-		sample = make([]Cell, 0, maxSample)
-		stride := len(targetOrder) / maxSample
-		for i := 0; i < len(targetOrder) && len(sample) < maxSample; i += stride {
-			sample = append(sample, targetOrder[i])
+// astar searches from src to the nearest tree cell inside the region
+// [rlo, rhi] and returns that cell's index, or −1 when none is reachable.
+// The path is left in the parent links. Because the sampled heuristic is
+// inconsistent, a closed cell's cost and parent may still be lowered;
+// only its re-expansion is skipped.
+func (s *search) astar(src Cell, sample []Cell, rlo, rhi Cell) int {
+	g, opt := s.g, s.opt
+	s.searches++
+	s.epoch++
+	if s.epoch == 0 { // wrapped: a stale stamp could alias the new search
+		for i := range s.cells {
+			s.cells[i].seen, s.cells[i].closed = 0, 0
 		}
+		s.epoch = 1
 	}
-	h := func(c Cell) float64 {
-		best := 1 << 30
-		for _, t := range sample {
-			if d := c.Manhattan(t); d < best {
-				best = d
-			}
-		}
-		return float64(best)
-	}
-	cellCost := func(c Cell) float64 {
-		i := g.idx(c)
-		cost := 1.0 + opt.HistoryFactor*g.history[i]
-		// Below capacity the cell is free of sharing cost; at or above it
-		// the present penalty grows with the would-be excess.
-		if u := int(g.usage[i]); u+1 > opt.CellCapacity {
-			cost += opt.PresentFactor * float64(u+1-opt.CellCapacity)
-		}
-		return cost
-	}
-	open := &pq{}
-	heap.Init(open)
-	gScore := map[Cell]float64{src: 0}
-	parent := map[Cell]Cell{}
-	heap.Push(open, &pqItem{cell: src, f: h(src)})
-	closed := map[Cell]bool{}
-	for open.Len() > 0 {
-		cur := heap.Pop(open).(*pqItem)
-		if closed[cur.cell] {
+	si := g.idx(src)
+	s.cells[si] = searchCell{parent: -1, seen: s.epoch, inTree: s.cells[si].inTree}
+	s.open = s.open[:0]
+	s.open.push(openItem{f: nearest(src, sample), idx: si})
+	for len(s.open) > 0 {
+		ci := s.open.pop().idx
+		cur := &s.cells[ci]
+		if cur.closed == s.epoch {
 			continue
 		}
-		closed[cur.cell] = true
-		if targets[cur.cell] {
-			// Reconstruct.
-			var path []Cell
-			for c := cur.cell; ; {
-				path = append(path, c)
-				p, ok := parent[c]
-				if !ok {
-					break
-				}
-				c = p
-			}
-			return path
+		cur.closed = s.epoch
+		if cur.inTree == s.tree {
+			return ci
 		}
-		for _, d := range neighbors6 {
-			nxt := cur.cell.Add(d)
+		s.expansions++
+		c := g.cell(ci)
+		for k, d := range neighbors6 {
+			nxt := c.Add(d)
 			if nxt.X < rlo.X || nxt.X > rhi.X || nxt.Y < rlo.Y || nxt.Y > rhi.Y ||
 				nxt.Z < rlo.Z || nxt.Z > rhi.Z {
 				continue
 			}
-			ng := gScore[cur.cell] + cellCost(nxt)
-			if g.Blocked(nxt) {
+			ni := ci + s.stride[k]
+			// Below capacity the cell is free of sharing cost; at or above
+			// it the present penalty grows with the would-be excess.
+			cost := 1.0 + opt.HistoryFactor*g.history[ni]
+			if u := int(g.usage[ni]); u+1 > opt.CellCapacity {
+				cost += opt.PresentFactor * float64(u+1-opt.CellCapacity)
+			}
+			ng := cur.gScore + cost
+			if g.blocked[ni] {
 				ng += opt.BlockPenalty
 			}
-			if old, ok := gScore[nxt]; ok && ng >= old {
+			next := &s.cells[ni]
+			if next.seen == s.epoch && ng >= next.gScore {
 				continue
 			}
-			gScore[nxt] = ng
-			parent[nxt] = cur.cell
-			heap.Push(open, &pqItem{cell: nxt, gc: ng, f: ng + h(nxt)})
+			next.gScore, next.parent, next.seen = ng, int32(ci), s.epoch
+			s.open.push(openItem{f: ng + nearest(nxt, sample), idx: ni})
 		}
 	}
-	return nil
+	return -1
+}
+
+// nearest is the A* heuristic: the distance from c to the nearest sampled
+// tree cell.
+func nearest(c Cell, sample []Cell) float64 {
+	best := 1 << 30
+	for _, t := range sample {
+		if d := c.Manhattan(t); d < best {
+			best = d
+		}
+	}
+	return float64(best)
+}
+
+// openItem is one A* frontier entry; a cell may have several, and all
+// but the cheapest are skipped once it is closed.
+type openItem struct {
+	f   float64
+	idx int
+}
+
+// openHeap is a binary min-heap on f. push and pop are container/heap's
+// Push and Pop with its up and down inlined, comparison for comparison,
+// so entries with equal f pop in exactly the order a container/heap gives
+// them, and routes stay bit-identical.
+type openHeap []openItem
+
+func (h *openHeap) push(it openItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].f < q[i].f) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *openHeap) pop() openItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].f < q[j].f {
+			j = j2 // right child
+		}
+		if !(q[j].f < q[i].f) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // Validate checks the routing result: every route connects all of its

@@ -28,6 +28,21 @@ func TestCellHelpers(t *testing.T) {
 	if a.Manhattan(Cell{0, 0, 0}) != 6 {
 		t.Fatal("Manhattan broken")
 	}
+	// The router's dense scratch walks cells by index: idx must number
+	// the grid's cells 0..n-1 in (Z, Y, X) order, and cell invert it.
+	g := mustGrid(t, 3, 4, 5)
+	i := 0
+	for z := 0; z < g.NZ; z++ {
+		for y := 0; y < g.NY; y++ {
+			for x := 0; x < g.NX; x++ {
+				c := Cell{x, y, z}
+				if g.idx(c) != i || g.cell(i) != c {
+					t.Fatalf("cell %v: idx %d, cell(%d) = %v", c, g.idx(c), i, g.cell(i))
+				}
+				i++
+			}
+		}
+	}
 }
 
 func TestBlocking(t *testing.T) {
@@ -265,5 +280,32 @@ func TestQuickRandomPinPairsAlwaysRoutedOnEmptyGrid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNegotiatedRoutingAllocations guards the router's scratch: A*
+// searches reuse one dense per-cell array and one heap, so a negotiated
+// routing allocates per routed net (its cells), not per expanded cell.
+func TestNegotiatedRoutingAllocations(t *testing.T) {
+	nets := busNets()
+	rounds := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		g, err := NewGrid(32, 24, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Route(g, nets, Options{})
+		if err != nil || len(res.Failed) != 0 {
+			t.Fatalf("routing failed: %v %v", err, res.Failed)
+		}
+		rounds = res.Iters
+	})
+	if rounds < 2 {
+		t.Fatalf("the bus negotiated %d rounds; it must exercise rip-up", rounds)
+	}
+	perNet := allocs / float64(len(nets))
+	t.Logf("%.0f allocations per net over %d rounds", perNet, rounds)
+	if perNet >= 100 {
+		t.Fatalf("%.0f allocations per net over %d rounds, want < 100", perNet, rounds)
 	}
 }
