@@ -20,10 +20,6 @@
 //	tqecd -debug-addr localhost:6060                         # net/http/pprof
 //	tqecd -log-level debug -log-format json                  # structured logs
 //	tqecd -profile-slow-after 30s                            # CPU-profile jobs that run long
-//	tqecd -self-scrape 10s -slo slo.json                     # metrics history + burn-rate alerts
-//	curl -s 'localhost:8142/v1/query_range?query=tqecd_*'    # retained samples
-//	curl -s localhost:8142/v1/alerts                         # SLO alert states
-//	tqec-top -addr localhost:8142                            # live terminal dashboard
 //
 // Durability (-data-dir) makes the daemon crash-safe: finished results
 // persist in a content-addressed on-disk store and every job's lifecycle
@@ -70,7 +66,6 @@ import (
 	"tqec/internal/obs"
 	"tqec/internal/service"
 	"tqec/internal/store"
-	"tqec/internal/tsdb"
 )
 
 func main() {
@@ -101,9 +96,6 @@ func main() {
 		deadAge     = flag.Duration("dead-after", 0, "heartbeat age that declares a worker dead and fails over its jobs (coordinator role; 0 = 3x suspect-after)")
 		dispatchTry = flag.Int("dispatch-attempts", 3, "dispatch rounds (initial + retries + failovers) per job before it fails (coordinator role)")
 		pollEvery   = flag.Duration("poll-interval", 200*time.Millisecond, "status-poll cadence for dispatched jobs (coordinator role)")
-
-		selfScrape = flag.Duration("self-scrape", 0, "metrics-history sample cadence behind GET /v1/query_range; each series keeps its last 512 samples (0 disables history; coordinators also retain per-worker series)")
-		sloPath    = flag.String("slo", "", "JSON file of SLO burn-rate objectives served at GET /v1/alerts (requires -self-scrape)")
 	)
 	flag.Parse()
 
@@ -120,15 +112,6 @@ func main() {
 				logger.Error("debug listener", "err", err)
 			}
 		}()
-	}
-
-	var objectives []tsdb.Objective
-	if *sloPath != "" {
-		objectives, err = tsdb.LoadObjectives(*sloPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tqecd: -slo:", err)
-			os.Exit(2)
-		}
 	}
 
 	// The durable store outlives the server: it is opened before New (so
@@ -157,8 +140,6 @@ func main() {
 		MaxFinishedJobs:  *retain,
 		JournalEvents:    *journalEvs,
 		SlowProfileAfter: *slowAfter,
-		HistoryInterval:  *selfScrape,
-		SLOs:             objectives,
 		Logger:           logger,
 	}
 

@@ -155,6 +155,34 @@ func TestRunTable3SmallestRow(t *testing.T) {
 	if !strings.Contains(out, "Avg. Ratio") {
 		t.Fatalf("format: %s", out)
 	}
+
+	// Routed golden pass over rows 1-3: the paper's headline record. The
+	// constants change only together with a pipelineVersion bump
+	// (internal/service/cache.go), and CHANGES.md records each old -> new
+	// value. Ratios at these values are 0.962, 1.064 and 1.023: 4gt10
+	// loses to dual-only, so no ratio floor is asserted here.
+	if testing.Short() {
+		t.Skip("routed Table-3 rows take ~10 s")
+	}
+	routed, err := RunTable3(context.Background(), Small(3), Table3Options{Seed: 1, Effort: compress.EffortFast})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := []struct {
+		name                          string
+		hsu, ours, hsuNodes, ourNodes int
+	}{
+		{"4gt10-v1_81", 20196, 21000, 362, 136},
+		{"4gt4-v0_73", 45360, 42636, 724, 264},
+		{"rd84_142", 184800, 180711, 2500, 937},
+	}
+	for i, g := range golden {
+		r := routed[i]
+		if r.Name != g.name || r.Hsu != g.hsu || r.Ours != g.ours || r.HsuNodes != g.hsuNodes || r.OurNodes != g.ourNodes {
+			t.Errorf("routed %s: [10] %d vol %d nodes, ours %d vol %d nodes (ratio %.3f); want %s: %d vol %d nodes, %d vol %d nodes",
+				r.Name, r.Hsu, r.HsuNodes, r.Ours, r.OurNodes, r.Ratio, g.name, g.hsu, g.hsuNodes, g.ours, g.ourNodes)
+		}
+	}
 }
 
 func TestRunFig1(t *testing.T) {

@@ -38,8 +38,6 @@ type AgentConfig struct {
 	Backoff Backoff
 	// Logger receives membership log lines (default: text on stderr).
 	Logger *slog.Logger
-	// HTTPClient performs the calls (default: a dedicated client).
-	HTTPClient *http.Client
 }
 
 // Agent maintains one worker's registration with the coordinator: it
@@ -49,6 +47,7 @@ type AgentConfig struct {
 // exponential backoff. Start with StartAgent, stop with Stop.
 type Agent struct {
 	cfg    AgentConfig
+	http   *http.Client
 	cancel context.CancelFunc
 	done   chan struct{}
 }
@@ -69,11 +68,8 @@ func StartAgent(ctx context.Context, cfg AgentConfig) (*Agent, error) {
 		}
 		cfg.Logger = l
 	}
-	if cfg.HTTPClient == nil {
-		cfg.HTTPClient = &http.Client{}
-	}
 	actx, cancel := context.WithCancel(ctx)
-	a := &Agent{cfg: cfg, cancel: cancel, done: make(chan struct{})}
+	a := &Agent{cfg: cfg, http: &http.Client{}, cancel: cancel, done: make(chan struct{})}
 	go a.run(actx)
 	return a, nil
 }
@@ -178,7 +174,7 @@ func (a *Agent) post(ctx context.Context, path string, body, out any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.cfg.HTTPClient.Do(req)
+	resp, err := a.http.Do(req)
 	if err != nil {
 		return err
 	}

@@ -36,7 +36,7 @@ func (c *Coordinator) Run(ctx context.Context, j *service.Job) (service.Outcome,
 			return service.Outcome{}, fmt.Errorf("dispatch failed: no worker completed the job in %d attempts", attempt)
 		}
 		rs, _ := obs.StartSpan(ctx, "route-decision")
-		w, affinity, ok := route(c.reg.alive(), j.Key, exclude, c.cfg.MaxImbalance)
+		w, affinity, ok := route(c.reg.alive(), j.Key, exclude, maxImbalance)
 		if !ok {
 			rs.SetAttr("outcome", "no-alive-workers")
 			rs.End()
@@ -215,7 +215,7 @@ func (c *Coordinator) track(ctx context.Context, w WorkerInfo, st service.JobSta
 			return st, ctx.Err()
 		default:
 			failures++
-			if failures >= c.cfg.PollFailures {
+			if failures >= pollFailures {
 				return st, fmt.Errorf("worker unreachable after %d polls: %w", failures, err)
 			}
 		}

@@ -4,10 +4,10 @@
 // tqecd (internal/service.Server).
 //
 // The coordinator is itself a service.Server: the job table, IDs,
-// retention, the /v1 handlers, the WAL and its replay, metrics history,
-// SLO alerts and drain all run the service's code. What this package adds
-// is the Runner that replaces the in-process compile with dispatch, and
-// the membership around it.
+// retention, the /v1 handlers, the WAL and its replay, metrics and drain
+// all run the service's code. What this package adds is the Runner that
+// replaces the in-process compile with dispatch, and the membership
+// around it.
 //
 // The pipeline is embarrassingly parallel across jobs and seeds, and the
 // NP-hardness of optimal braided-circuit compaction means throughput
@@ -86,23 +86,22 @@ type Config struct {
 	// PollInterval paces the coordinator's status polls of a dispatched
 	// job (default 200ms).
 	PollInterval time.Duration
-	// PollFailures is how many consecutive failed status polls declare
-	// the owning worker dead and trigger failover (default 3).
-	PollFailures int
 	// DispatchAttempts bounds how many dispatch rounds — initial
 	// dispatch, retries, and mid-job failovers combined — one job may
 	// consume before it is failed (default 3).
 	DispatchAttempts int
-	// MaxImbalance is the in-flight gap beyond which the least-loaded
-	// worker overrides the rendezvous (affinity) choice (default 8;
-	// negative disables the override).
-	MaxImbalance int
 	// Backoff shapes dispatch-retry delays.
 	Backoff Backoff
-	// HTTPClient performs worker calls (default: a dedicated client; no
-	// global timeout — per-call contexts bound every request).
-	HTTPClient *http.Client
 }
+
+const (
+	// pollFailures is how many consecutive failed status polls declare
+	// the owning worker dead and trigger failover.
+	pollFailures = 3
+	// maxImbalance is the in-flight gap beyond which the least-loaded
+	// worker overrides the rendezvous (affinity) choice.
+	maxImbalance = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -120,14 +119,8 @@ func (c Config) withDefaults() Config {
 	if c.PollInterval <= 0 {
 		c.PollInterval = 200 * time.Millisecond
 	}
-	if c.PollFailures <= 0 {
-		c.PollFailures = 3
-	}
 	if c.DispatchAttempts <= 0 {
 		c.DispatchAttempts = 3
-	}
-	if c.MaxImbalance == 0 {
-		c.MaxImbalance = 8
 	}
 	if c.Logger == nil {
 		c.Logger = c.Config.Logger
@@ -138,9 +131,6 @@ func (c Config) withDefaults() Config {
 			panic(err)
 		}
 		c.Logger = l
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
 	}
 	return c
 }
@@ -155,6 +145,9 @@ type Coordinator struct {
 	metrics *fleetMetrics
 	reg     *registry
 	mux     *http.ServeMux
+	// http performs worker calls. It has no global timeout: per-call
+	// contexts bound every request.
+	http *http.Client
 
 	ctx         context.Context // ends the liveness monitor
 	cancel      context.CancelFunc
@@ -165,7 +158,7 @@ type Coordinator struct {
 // cancelling it abandons every in-flight dispatch.
 func NewCoordinator(ctx context.Context, cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	c := &Coordinator{cfg: cfg, monitorDone: make(chan struct{})}
+	c := &Coordinator{cfg: cfg, http: &http.Client{}, monitorDone: make(chan struct{})}
 	c.ctx, c.cancel = context.WithCancel(ctx)
 	sc := cfg.Config
 	sc.Logger = cfg.Logger
@@ -180,13 +173,11 @@ func NewCoordinator(ctx context.Context, cfg Config) *Coordinator {
 }
 
 // Attach wires the coordinator into its service.Server: the fleet
-// families join the server's registry, and per-worker history retention
-// joins its self-scrape loop.
+// families join the server's registry.
 func (c *Coordinator) Attach(s *service.Server) {
 	c.Server = s
 	c.metrics = newFleetMetrics(s.Registry())
 	c.reg = newRegistry(c.metrics, c.cfg.Logger, c.cfg.SuspectAfter, c.cfg.DeadAfter)
-	s.AfterScrape(c.retainWorkerHistory)
 }
 
 // Handler returns the HTTP surface.
@@ -237,5 +228,5 @@ func (c *Coordinator) monitor() {
 
 // workerClient returns a protocol client for one worker.
 func (c *Coordinator) workerClient(baseURL string) *service.Client {
-	return &service.Client{BaseURL: baseURL, HTTPClient: c.cfg.HTTPClient}
+	return &service.Client{BaseURL: baseURL, HTTPClient: c.http}
 }

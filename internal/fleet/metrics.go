@@ -5,8 +5,7 @@ import "tqec/internal/obs"
 // fleetMetrics are the tqecd_fleet_* families describing the distribution
 // layer itself, registered on the coordinator's service registry beside
 // its tqecd_jobs_* families (which count coordinator jobs). Per-worker
-// compile metrics stay on each worker's /metrics and in the coordinator's
-// worker="<id>" history series.
+// compile metrics stay on each worker's /metrics.
 type fleetMetrics struct {
 	workersAlive   *obs.Gauge
 	workersSuspect *obs.Gauge

@@ -32,7 +32,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "events proxy: " + err.Error()})
 		return
 	}
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "events proxy: " + err.Error()})
 		return

@@ -96,7 +96,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // FloatGauge is a float64-valued gauge, used for values that are not
-// naturally integral (burn rates, clock offsets). Set/Value are atomic.
+// naturally integral (clock offsets). Set/Value are atomic.
 type FloatGauge struct{ bits atomic.Uint64 }
 
 // Set replaces the value.
@@ -106,7 +106,7 @@ func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // GaugeVec is a family of float gauges keyed by one label value (e.g.
-// per-worker clock offset, per-SLO burn rate).
+// per-worker clock offset).
 type GaugeVec struct {
 	mu     sync.Mutex
 	label  string
@@ -302,15 +302,18 @@ func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *His
 
 // WritePrometheus renders every family in the Prometheus text exposition
 // format (version 0.0.4): # HELP / # TYPE headers, then the family's
-// samples exactly as Gather flattens them (`le`-cumulative histogram
-// buckets ending in +Inf, and _sum/_count series). ParsePrometheus reads
-// it back.
+// samples (`le`-cumulative histogram buckets ending in +Inf, and
+// _sum/_count series). Scrape-time families (CounterFunc, GaugeFunc,
+// HistogramFunc) are evaluated now.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	r.mu.Lock()
+	fams := append([]*family(nil), r.fams...)
+	r.mu.Unlock()
 	var b strings.Builder
-	for _, g := range r.gather() {
-		fmt.Fprintf(&b, "# HELP %s %s\n", g.name, escapeHelp(g.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", g.name, g.kind)
-		for _, s := range g.samples {
+	for _, f := range fams {
+		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
+		for _, s := range f.samples() {
 			writeSample(&b, s)
 		}
 	}
@@ -319,7 +322,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // writeSample renders one exposition line: name{label="value",...} value.
-func writeSample(b *strings.Builder, s Sample) {
+func writeSample(b *strings.Builder, s sample) {
 	b.WriteString(s.Name)
 	for i, l := range s.Labels {
 		if i == 0 {
@@ -351,7 +354,7 @@ func EscapeLabelValue(v string) string {
 	var b strings.Builder
 	b.Grow(len(v) + 8)
 	// Byte-wise, so bytes that are not valid UTF-8 pass through unchanged
-	// and ParseLabels reads back exactly v.
+	// and a conforming parser reads back exactly v.
 	for i := 0; i < len(v); i++ {
 		switch c := v[i]; c {
 		case '\\':
@@ -367,90 +370,47 @@ func EscapeLabelValue(v string) string {
 	return b.String()
 }
 
-// SampleKind discriminates gathered samples. Histograms flatten into
-// counter samples (_bucket/_sum/_count), so only two kinds remain.
-const (
-	SampleCounter = "counter"
-	SampleGauge   = "gauge"
-)
+// label is one name=value pair attached to a sample.
+type label struct{ Name, Value string }
 
-// Label is one name=value pair attached to a gathered Sample.
-type Label struct {
-	Name  string `json:"name"`
-	Value string `json:"value"`
-}
-
-// Sample is one flattened metric sample produced by Gather. Histogram
-// families expand into their Prometheus-shaped series — cumulative
-// `le`-labelled _bucket counters plus _sum and _count — so a consumer
-// (the tsdb self-scrape loop) sees a uniform stream of counter and
-// gauge points regardless of the family kind behind them.
-type Sample struct {
+// sample is one exposition line. Histogram families expand into their
+// Prometheus-shaped series: cumulative `le`-labelled _bucket lines plus
+// _sum and _count.
+type sample struct {
 	Name   string
-	Labels []Label // nil for unlabelled families
-	Kind   string  // SampleCounter or SampleGauge
+	Labels []label // nil for unlabelled families
 	Value  float64
 }
 
-// Gather flattens every registered family into samples, in registration
-// order. Scrape-time families (CounterFunc, GaugeFunc, HistogramFunc) are
-// evaluated now, exactly as a text exposition scrape would.
-func (r *Registry) Gather() []Sample {
-	var out []Sample
-	for _, g := range r.gather() {
-		out = append(out, g.samples...)
-	}
-	return out
-}
-
-// gathered is one family with its flattened samples.
-type gathered struct {
-	*family
-	samples []Sample
-}
-
-// gather evaluates every family into its samples. It holds the one switch
-// over family kinds: Gather and WritePrometheus are two views of its
-// output.
-func (r *Registry) gather() []gathered {
-	r.mu.Lock()
-	fams := append([]*family(nil), r.fams...)
-	r.mu.Unlock()
-	out := make([]gathered, 0, len(fams))
-	for _, f := range fams {
-		var s []Sample
-		switch f.kind {
-		case kindCounter:
-			s = []Sample{{Name: f.name, Kind: SampleCounter, Value: float64(f.counter.Value())}}
-		case kindCounterFunc:
-			s = []Sample{{Name: f.name, Kind: SampleCounter, Value: f.valueFn()}}
-		case kindGauge:
-			s = []Sample{{Name: f.name, Kind: SampleGauge, Value: float64(f.gauge.Value())}}
-		case kindGaugeFunc:
-			s = []Sample{{Name: f.name, Kind: SampleGauge, Value: f.valueFn()}}
-		case kindGaugeVec:
-			snaps := f.gaugeVec.Snapshot()
-			for _, v := range sortedKeys(snaps) {
-				s = append(s, Sample{
-					Name:   f.name,
-					Labels: []Label{{Name: f.gaugeVec.label, Value: v}},
-					Kind:   SampleGauge,
-					Value:  snaps[v],
-				})
-			}
-		case kindHistogram:
-			s = appendHistSamples(nil, f.name, nil, f.hist.Snapshot())
-		case kindHistogramFunc:
-			s = appendHistSamples(nil, f.name, nil, f.histFn())
-		case kindHistogramVec:
-			snaps := f.vec.Snapshot()
-			for _, v := range sortedKeys(snaps) {
-				s = appendHistSamples(s, f.name, []Label{{Name: f.vec.label, Value: v}}, snaps[v])
-			}
+// samples evaluates the family into its exposition lines. It holds the
+// one switch over family kinds.
+func (f *family) samples() []sample {
+	switch f.kind {
+	case kindCounter:
+		return []sample{{Name: f.name, Value: float64(f.counter.Value())}}
+	case kindGauge:
+		return []sample{{Name: f.name, Value: float64(f.gauge.Value())}}
+	case kindCounterFunc, kindGaugeFunc:
+		return []sample{{Name: f.name, Value: f.valueFn()}}
+	case kindGaugeVec:
+		snaps := f.gaugeVec.Snapshot()
+		var s []sample
+		for _, v := range sortedKeys(snaps) {
+			s = append(s, sample{Name: f.name, Labels: []label{{Name: f.gaugeVec.label, Value: v}}, Value: snaps[v]})
 		}
-		out = append(out, gathered{family: f, samples: s})
+		return s
+	case kindHistogram:
+		return appendHistSamples(nil, f.name, nil, f.hist.Snapshot())
+	case kindHistogramFunc:
+		return appendHistSamples(nil, f.name, nil, f.histFn())
+	default: // kindHistogramVec
+		snaps := f.vec.Snapshot()
+		var s []sample
+		for _, v := range sortedKeys(snaps) {
+			s = appendHistSamples(s, f.name, []label{{Name: f.vec.label, Value: v}}, snaps[v])
+		}
+		return s
 	}
-	return out
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -464,18 +424,18 @@ func sortedKeys[V any](m map[string]V) []string {
 
 // appendHistSamples flattens one histogram series the way the text
 // exposition renders it: cumulative buckets, then _sum and _count.
-func appendHistSamples(out []Sample, name string, labels []Label, s HistSnapshot) []Sample {
+func appendHistSamples(out []sample, name string, labels []label, s HistSnapshot) []sample {
 	var cum int64
 	for i, bound := range s.Bounds {
 		cum += s.Counts[i]
-		le := append(append([]Label(nil), labels...), Label{Name: "le", Value: formatFloat(bound)})
-		out = append(out, Sample{Name: name + "_bucket", Labels: le, Kind: SampleCounter, Value: float64(cum)})
+		le := append(append([]label(nil), labels...), label{Name: "le", Value: formatFloat(bound)})
+		out = append(out, sample{Name: name + "_bucket", Labels: le, Value: float64(cum)})
 	}
 	cum += s.Counts[len(s.Bounds)]
-	le := append(append([]Label(nil), labels...), Label{Name: "le", Value: "+Inf"})
-	out = append(out, Sample{Name: name + "_bucket", Labels: le, Kind: SampleCounter, Value: float64(cum)})
-	out = append(out, Sample{Name: name + "_sum", Labels: labels, Kind: SampleCounter, Value: s.Sum})
-	out = append(out, Sample{Name: name + "_count", Labels: labels, Kind: SampleCounter, Value: float64(s.Count)})
+	le := append(append([]label(nil), labels...), label{Name: "le", Value: "+Inf"})
+	out = append(out, sample{Name: name + "_bucket", Labels: le, Value: float64(cum)})
+	out = append(out, sample{Name: name + "_sum", Labels: labels, Value: s.Sum})
+	out = append(out, sample{Name: name + "_count", Labels: labels, Value: float64(s.Count)})
 	return out
 }
 

@@ -49,6 +49,12 @@ func TestPrometheusExposition(t *testing.T) {
 	r.GaugeFunc("test_depth", "Depth.", func() float64 { return 2.5 })
 	h := r.Histogram("test_latency_ms", "Latency.", []float64{1, 10, 100})
 	v := r.HistogramVec("test_stage_ms", "Stage latency.", "stage", []float64{1, 10})
+	r.Counter("test_bytes_total", "Bytes.").Add(1_234_567)
+	r.CounterFunc("test_store_hits_total", "Hits.", func() float64 { return 1e6 })
+	r.HistogramFunc("test_pauses_seconds", "Pauses.", func() HistSnapshot {
+		return HistSnapshot{Bounds: []float64{1e-6, 0.5}, Counts: []int64{3, 0, 1}, Sum: 0.75, Count: 4}
+	})
+	r.GaugeVec("test_offset_us", "Offset\\with\nhelp.", "worker").With("a\\b \"quoted\"\nline").Set(0.125)
 
 	c.Add(3)
 	g.Set(1)
@@ -84,6 +90,18 @@ func TestPrometheusExposition(t *testing.T) {
 		`test_stage_ms_count{stage="place"} 1` + "\n",
 		// Spec escaping of quote and backslash in label values.
 		`test_stage_ms_sum{stage="we\"ird\\stage"} 1` + "\n",
+		// Integral values print in full, not as 1.234567e+06.
+		"test_bytes_total 1234567\n",
+		"# TYPE test_store_hits_total counter\n",
+		"test_store_hits_total 1000000\n",
+		"# TYPE test_pauses_seconds histogram\n",
+		`test_pauses_seconds_bucket{le="1e-06"} 3` + "\n",
+		`test_pauses_seconds_bucket{le="+Inf"} 4` + "\n",
+		"test_pauses_seconds_sum 0.75\n",
+		// Help text escapes backslash and newline; a label value escapes
+		// backslash, quote and newline.
+		`# HELP test_offset_us Offset\\with\nhelp.` + "\n",
+		`test_offset_us{worker="a\\b \"quoted\"\nline"} 0.125` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n--- got ---\n%s", want, out)
@@ -178,60 +196,6 @@ func TestGaugeVec(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n--- got ---\n%s", want, out)
-		}
-	}
-}
-
-// TestGather pins the flattened sample stream the tsdb self-scrape loop
-// consumes: registration order, histogram expansion into cumulative
-// buckets, and scrape-time evaluation of func families.
-func TestGather(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_jobs_total", "Jobs.")
-	g := r.Gauge("test_running", "Running.")
-	r.GaugeFunc("test_depth", "Depth.", func() float64 { return 2.5 })
-	v := r.GaugeVec("test_offset_us", "Offset.", "worker")
-	h := r.Histogram("test_latency_ms", "Latency.", []float64{1, 10})
-
-	c.Add(3)
-	g.Set(7)
-	v.With("w1").Set(9)
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(50)
-
-	samples := r.Gather()
-	byKey := map[string]Sample{}
-	for _, s := range samples {
-		key := s.Name
-		for _, l := range s.Labels {
-			key += "|" + l.Name + "=" + l.Value
-		}
-		byKey[key] = s
-	}
-	checks := []struct {
-		key  string
-		kind string
-		val  float64
-	}{
-		{"test_jobs_total", SampleCounter, 3},
-		{"test_running", SampleGauge, 7},
-		{"test_depth", SampleGauge, 2.5},
-		{"test_offset_us|worker=w1", SampleGauge, 9},
-		{"test_latency_ms_bucket|le=1", SampleCounter, 1},
-		{"test_latency_ms_bucket|le=10", SampleCounter, 2},
-		{"test_latency_ms_bucket|le=+Inf", SampleCounter, 3},
-		{"test_latency_ms_sum", SampleCounter, 55.5},
-		{"test_latency_ms_count", SampleCounter, 3},
-	}
-	for _, c := range checks {
-		s, ok := byKey[c.key]
-		if !ok {
-			t.Errorf("Gather missing sample %q (got %v)", c.key, byKey)
-			continue
-		}
-		if s.Kind != c.kind || s.Value != c.val {
-			t.Errorf("sample %q = kind %q value %v, want %q %v", c.key, s.Kind, s.Value, c.kind, c.val)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -14,7 +15,6 @@ import (
 	"tqec/internal/compress"
 	"tqec/internal/obs"
 	"tqec/internal/revlib"
-	"tqec/internal/tsdb"
 )
 
 // SubmitRequest is the POST /v1/jobs body.
@@ -105,8 +105,6 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/query_range", s.handleQueryRange)
-	mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
 	mux.HandleFunc("GET /v1/store", s.handleStore)
 	return mux
 }
@@ -121,32 +119,22 @@ func (s *Server) handleStore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.store.Stats())
 }
 
-// handleQueryRange serves metrics history from the self-scrape store;
-// 404 when the loop is disabled (the daemon retains no history then).
-func (s *Server) handleQueryRange(w http.ResponseWriter, r *http.Request) {
-	if s.history == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "metrics history disabled (start with -self-scrape > 0)"})
-		return
-	}
-	tsdb.HandleQueryRange(s.history)(w, r)
-}
-
-// handleAlerts serves SLO alert states and transition events; 404 when
-// no objectives are configured.
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if s.slo == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no SLOs configured (start with -slo objectives.json)"})
-		return
-	}
-	tsdb.HandleAlerts(s.slo)(w, r)
-}
+// maxBodyBytes bounds a submit body, and a response body the Client
+// reads. It stays well under the WAL's frame limit, so every accepted
+// submission can be logged.
+const maxBodyBytes = 16 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorResponse{Error: "bad request: " + err.Error()})
 		return
 	}
 	c, err := loadSource(req.Source)

@@ -8,13 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
 	"tqec/internal/obs"
-	"tqec/internal/tsdb"
 )
 
 // Client is the HTTP client for a tqecd job service — the one shared
@@ -106,7 +104,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	raw, err := c.send(req, 16<<20)
+	raw, err := c.send(req, maxBodyBytes)
 	if err != nil || out == nil {
 		return err
 	}
@@ -231,41 +229,6 @@ func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
 	var m MetricsSnapshot
 	err := c.do(ctx, http.MethodGet, "/metrics", nil, &m)
 	return m, err
-}
-
-// Scrape fetches the daemon's /metrics as Prometheus text and parses it:
-// every family the daemon registers, under its own names, kinds and
-// labels.
-func (c *Client) Scrape(ctx context.Context) ([]obs.Sample, error) {
-	raw, err := c.getRaw(ctx, "/metrics", "text/plain")
-	if err != nil {
-		return nil, err
-	}
-	return obs.ParsePrometheus(bytes.NewReader(raw))
-}
-
-// QueryRange fetches the raw retained samples of every history series the
-// selector matches between start and end. A daemon without -self-scrape
-// answers 404 (a StatusError).
-func (c *Client) QueryRange(ctx context.Context, query string, start, end time.Time) ([]tsdb.Frame, error) {
-	q := url.Values{"query": {query}, "start": {unixSeconds(start)}, "end": {unixSeconds(end)}}
-	var doc struct {
-		Frames []tsdb.Frame `json:"frames"`
-	}
-	err := c.do(ctx, http.MethodGet, "/v1/query_range?"+q.Encode(), nil, &doc)
-	return doc.Frames, err
-}
-
-func unixSeconds(t time.Time) string {
-	return strconv.FormatFloat(float64(t.UnixMilli())/1e3, 'f', 3, 64)
-}
-
-// Alerts fetches the SLO alert states. A daemon with no objectives
-// answers 404 (a StatusError).
-func (c *Client) Alerts(ctx context.Context) (tsdb.AlertsDoc, error) {
-	var doc tsdb.AlertsDoc
-	err := c.do(ctx, http.MethodGet, "/v1/alerts", nil, &doc)
-	return doc, err
 }
 
 // Wait polls the job's status every poll interval (<= 0 selects 100ms)

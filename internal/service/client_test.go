@@ -9,7 +9,6 @@ import (
 
 	"tqec/internal/circuit"
 	"tqec/internal/compress"
-	"tqec/internal/obs"
 )
 
 // instantCompile returns a deterministic stand-in result without
@@ -121,19 +120,6 @@ func TestClientRoundTrip(t *testing.T) {
 	m, err := cl.Metrics(ctx)
 	if err != nil || m.Jobs.Done != 1 {
 		t.Fatalf("metrics done = %d, %v; want 1", m.Jobs.Done, err)
-	}
-	samples, err := cl.Scrape(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var done *obs.Sample
-	for i := range samples {
-		if samples[i].Name == "tqecd_jobs_done_total" {
-			done = &samples[i]
-		}
-	}
-	if done == nil || done.Kind != obs.SampleCounter || done.Value != 1 {
-		t.Fatalf("scraped tqecd_jobs_done_total = %+v, want a counter at 1", done)
 	}
 
 	// Error surfaces: a terminal job rejects cancel with a StatusError

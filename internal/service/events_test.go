@@ -257,3 +257,27 @@ func TestJobLatencySecondsFamilies(t *testing.T) {
 		}
 	}
 }
+
+// TestJournalDroppedCounter bounds a job's flight-recorder ring so low
+// that lifecycle events overflow it, and checks the loss surfaces in the
+// tqecd_journal_dropped_events_total counter and the JSON snapshot.
+func TestJournalDroppedCounter(t *testing.T) {
+	svc, ts := newTestServer(t, Config{
+		Workers:       1,
+		Runner:        Compiler(instantCompile),
+		JournalEvents: 1, // every job emits >1 lifecycle event
+	})
+	st, _ := postJob(t, ts, `{"source":{"sample":"threecnot"}}`)
+	waitState(t, ts, st.ID, 10*time.Second)
+
+	if got := svc.metrics.journalDropped.Value(); got == 0 {
+		t.Fatal("journalDropped counter still 0 after ring overflow")
+	}
+	var snap MetricsSnapshot
+	if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
+		t.Fatalf("metrics: http %d", code)
+	}
+	if snap.Journal.DroppedEvents == 0 {
+		t.Fatal("snapshot journal.dropped_events = 0, want > 0")
+	}
+}

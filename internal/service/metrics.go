@@ -119,9 +119,8 @@ func newMetrics() *metrics {
 
 // registerStore exposes the durable storage layer as tqecd_store_*
 // metric families, sampled from the store's own counters on every
-// gather — the families flow into the Prometheus exposition, the
-// /metrics JSON, and the self-scrape history (so tqec-top sees them)
-// without the store importing obs.
+// scrape — the families flow into the Prometheus exposition and the
+// /metrics JSON without the store importing obs.
 func (m *metrics) registerStore(st *store.Store) {
 	if r := st.Results; r != nil {
 		m.reg.CounterFunc("tqecd_store_hits_total", "Result-store reads served from disk.",
@@ -190,8 +189,8 @@ func jsonHist(s obs.HistSnapshot) HistogramJSON {
 }
 
 // MetricsSnapshot is the /metrics JSON document, a summary for people
-// and scripts (Client.Metrics). Processes exchange the Prometheus text
-// form (Client.Scrape), which carries every family.
+// and scripts (Client.Metrics). The Prometheus text form of the same
+// endpoint carries every family.
 type MetricsSnapshot struct {
 	Jobs struct {
 		Submitted int64 `json:"submitted"`

@@ -9,7 +9,6 @@ import (
 	"tqec/internal/compress"
 	"tqec/internal/journal"
 	"tqec/internal/obs"
-	"tqec/internal/tsdb"
 )
 
 // Runner executes the jobs a Server queues. The Server owns everything
@@ -19,8 +18,8 @@ import (
 // process; a fleet coordinator's Runner dispatches each job to a worker.
 type Runner interface {
 	// Attach hands the Runner its Server. New calls it once, before WAL
-	// replay and before the first job or self-scrape runs, so a Runner can
-	// register metric families and scrape hooks here.
+	// replay and before the first job runs, so a Runner can register
+	// metric families here.
 	Attach(s *Server)
 	// Run executes one job. ctx ends on a DELETE (its context.Cause is
 	// then ErrCanceled) or on server shutdown, and carries the job's
@@ -185,13 +184,6 @@ func (s *Server) JobTrace(id string) *obs.SpanJSON {
 	return j.tracer.Tree()
 }
 
-// Registry is the metric registry behind /metrics and the self-scrape
-// history; a Runner registers its own families here from Attach.
+// Registry is the metric registry behind /metrics; a Runner registers
+// its own families here from Attach.
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
-
-// AfterScrape hooks fn into the self-scrape loop: it runs after every
-// scrape, before SLO evaluation, with the history store and the scrape
-// time. Call it from Runner.Attach; it never runs when history is off.
-func (s *Server) AfterScrape(fn func(db *tsdb.DB, t time.Time)) {
-	s.scrapeHook = fn
-}

@@ -17,10 +17,6 @@
 //	GET    /v1/jobs/{id}/journal structured compression journal of a
 //	                            finished job (409 until terminal)
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
-//	GET    /v1/query_range      metrics history frames from the self-scrape
-//	                            time-series store (404 when disabled)
-//	GET    /v1/alerts           SLO alert states and transition events
-//	                            (404 when no objectives are configured)
 //	GET    /healthz             liveness (503 while draining) + version, uptime, queue depth
 //	GET    /metrics             counters, cache stats, latency histograms
 //	                            (JSON by default; Prometheus text exposition
@@ -53,7 +49,6 @@ import (
 	"tqec/internal/journal"
 	"tqec/internal/obs"
 	"tqec/internal/store"
-	"tqec/internal/tsdb"
 )
 
 // Config tunes the service. Zero values select defaults.
@@ -100,17 +95,6 @@ type Config struct {
 	// Capture is best-effort — runtime/pprof allows one CPU profile per
 	// process, so when two slow jobs overlap only the first records.
 	SlowProfileAfter time.Duration
-	// HistoryInterval enables the metrics-history self-scrape loop: every
-	// interval the daemon gathers its own metric registry into a bounded
-	// in-process time-series store served at GET /v1/query_range. Zero
-	// disables the loop entirely — no goroutine runs, the endpoint
-	// answers 404, and daemon behavior stays bit-identical.
-	HistoryInterval time.Duration
-	// SLOs are declarative objectives evaluated against the history
-	// store after every self-scrape; alert lifecycle is served at
-	// GET /v1/alerts and mirrored as tqecd_slo_* metric families.
-	// Requires HistoryInterval > 0 (ignored with a warning otherwise).
-	SLOs []tsdb.Objective
 	// Logger receives structured per-job log lines (default: text handler
 	// on stderr at info level, the same shape the tqec CLIs use).
 	Logger *slog.Logger
@@ -243,15 +227,6 @@ type Server struct {
 	rootCancel context.CancelFunc
 	started    time.Time // process uptime anchor for /healthz
 
-	// history/collector/slo are the metrics-history surface; all nil
-	// when Config.HistoryInterval is zero.
-	history   *tsdb.DB
-	collector *tsdb.Collector
-	slo       *tsdb.Engine
-	// scrapeHook runs after every self-scrape, before SLO evaluation; set
-	// only from Runner.Attach, before the collector starts.
-	scrapeHook func(*tsdb.DB, time.Time)
-
 	mu       sync.Mutex
 	jobs     map[string]*Job // guarded by mu
 	nextID   int             // guarded by mu
@@ -284,16 +259,6 @@ func New(ctx context.Context, cfg Config) *Server {
 		started: time.Now(),
 	}
 	s.rootCtx, s.rootCancel = context.WithCancel(ctx)
-	if cfg.HistoryInterval > 0 {
-		s.history = tsdb.New(tsdb.DefaultCapacity)
-		s.collector = tsdb.NewCollector(s.history, m.reg, cfg.HistoryInterval)
-		if len(cfg.SLOs) > 0 {
-			s.slo = tsdb.NewEngine(s.history, cfg.SLOs, m.reg, cfg.Logger)
-		}
-		s.collector.AfterScrape = s.afterScrape
-	} else if len(cfg.SLOs) > 0 {
-		cfg.Logger.WarnContext(ctx, "slo objectives configured but metrics history is disabled; enable the self-scrape loop")
-	}
 	s.mux = s.routes()
 	s.runner.Attach(s)
 	// Replay the write-ahead log before any worker starts: jobs queued or
@@ -306,21 +271,7 @@ func New(ctx context.Context, cfg Config) *Server {
 		s.workers.Add(1)
 		go s.worker()
 	}
-	if s.collector != nil {
-		s.collector.Start()
-	}
 	return s
-}
-
-// afterScrape runs the Runner's scrape hook, then evaluates the SLOs
-// over the samples it and the scrape appended.
-func (s *Server) afterScrape(t time.Time) {
-	if s.scrapeHook != nil {
-		s.scrapeHook(s.history, t)
-	}
-	if s.slo != nil {
-		s.slo.Eval(t)
-	}
 }
 
 // Handler returns the HTTP surface.
@@ -349,19 +300,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.stopCollector()
 		return nil
 	case <-ctx.Done():
 		s.rootCancel()
 		<-done
-		s.stopCollector()
 		return ctx.Err()
-	}
-}
-
-func (s *Server) stopCollector() {
-	if s.collector != nil {
-		s.collector.Stop()
 	}
 }
 
@@ -375,7 +318,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.rootCancel()
 	s.workers.Wait()
-	s.stopCollector()
 }
 
 // register enters a job into the table in the queued state, drawing the

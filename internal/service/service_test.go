@@ -240,6 +240,26 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyTooLarge: a body over the submit cap is refused with 413
+// before any job is registered, so nothing reaches the WAL. The body is
+// an otherwise valid submission padded through its name.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	svc, ts := newTestServer(t, Config{Workers: 1, Runner: Compiler(instantCompile)})
+	prefix := `{"source":{"sample":"threecnot"},"name":"`
+	suffix := `"}`
+	body := prefix + strings.Repeat("x", maxBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	if _, code := postJob(t, ts, body); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("submit of %d bytes: http %d, want 413", len(body), code)
+	}
+	if got := svc.metrics.jobsSubmitted.Value(); got != 0 {
+		t.Fatalf("tqecd_jobs_submitted_total = %d after a refused body, want 0", got)
+	}
+	var list JobList
+	if getJSON(t, ts.URL+"/v1/jobs", &list); list.Total != 0 {
+		t.Fatalf("refused body registered %d jobs", list.Total)
+	}
+}
+
 func TestDrainingRejectsSubmits(t *testing.T) {
 	svc, ts := newTestServer(t, Config{Workers: 1})
 	if err := svc.Shutdown(contextWithTimeout(t, 10*time.Second)); err != nil {

@@ -32,8 +32,10 @@ type Record struct {
 // and recovery truncates the segment back to the last clean frame.
 const walFrameHeader = 8
 
-// maxWALRecordBytes rejects absurd frame lengths during recovery — a
-// corrupt length prefix must not trigger a multi-gigabyte allocation.
+// maxWALRecordBytes bounds one frame's payload. Recovery treats a longer
+// length prefix as corrupt (it must not trigger a multi-gigabyte
+// allocation), so Append refuses to write such a frame: the log never
+// acknowledges a record that replay would discard.
 const maxWALRecordBytes = 64 << 20
 
 // WALStats is a point-in-time snapshot of the log, also the source the
@@ -149,7 +151,8 @@ func (w *WAL) Recovered() []Record { return w.recovered }
 // before Append returns (surviving process death, the failure mode the
 // kill-and-restart tests exercise); it is not fsynced, so a power loss
 // can cost the most recent records — an accepted trade for EDA batch
-// jobs that can always be resubmitted.
+// jobs that can always be resubmitted. A record whose frame payload
+// exceeds maxWALRecordBytes is an error, and nothing is written.
 func (w *WAL) Append(typ, jobID string, timeUnixMS int64, data any) error {
 	var raw json.RawMessage
 	if data != nil {
@@ -164,17 +167,20 @@ func (w *WAL) Append(typ, jobID string, timeUnixMS int64, data any) error {
 	if w.closed {
 		return errors.New("store: wal closed")
 	}
+	frame, err := encodeFrame(Record{Seq: w.seq + 1, Type: typ, JobID: jobID, TimeUnixMS: timeUnixMS, Data: raw})
+	if err != nil {
+		return err
+	}
 	w.seq++
-	rec := Record{Seq: w.seq, Type: typ, JobID: jobID, TimeUnixMS: timeUnixMS, Data: raw}
 	if w.segSize >= w.segBytes {
 		if err := w.rotateLocked(); err != nil {
 			return err
 		}
 	}
-	n, err := writeFrame(w.f, rec)
-	if err != nil {
-		return err
+	if _, err := w.f.Write(frame); err != nil {
+		return fmt.Errorf("store: wal append: %w", err)
 	}
+	n := int64(len(frame))
 	w.segSize += n
 	w.bytes += n
 	w.records.Add(1)
@@ -331,16 +337,30 @@ func (w *WAL) refreshFootprintLocked() {
 	}
 }
 
-// writeFrame appends one framed record, returning the bytes written.
-func writeFrame(f *os.File, rec Record) (int64, error) {
+// encodeFrame frames one record: header, then its JSON payload. A
+// payload over maxWALRecordBytes is an error, since readSegment would
+// drop it as torn.
+func encodeFrame(rec Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		return 0, fmt.Errorf("store: wal marshal: %w", err)
+		return nil, fmt.Errorf("store: wal marshal: %w", err)
+	}
+	if len(payload) > maxWALRecordBytes {
+		return nil, fmt.Errorf("store: wal record of %d bytes exceeds the %d-byte frame limit", len(payload), maxWALRecordBytes)
 	}
 	frame := make([]byte, walFrameHeader+len(payload))
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[walFrameHeader:], payload)
+	return frame, nil
+}
+
+// writeFrame appends one framed record, returning the bytes written.
+func writeFrame(f *os.File, rec Record) (int64, error) {
+	frame, err := encodeFrame(rec)
+	if err != nil {
+		return 0, err
+	}
 	if _, err := f.Write(frame); err != nil {
 		return 0, fmt.Errorf("store: wal append: %w", err)
 	}

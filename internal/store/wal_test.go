@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -187,5 +188,39 @@ func TestWALEmptyDirRecoversNothing(t *testing.T) {
 	}
 	if err := w.Append("submitted", "j000001", 1, nil); err != nil {
 		t.Fatalf("Append: %v", err)
+	}
+}
+
+// TestWALRejectsOversizedRecord: a record whose frame recovery would drop
+// as torn must fail at Append and write nothing, so the records around it
+// recover and the log counts no truncation.
+func TestWALRejectsOversizedRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a record over the 64 MiB frame limit")
+	}
+	dir := t.TempDir()
+	w := openTestWAL(t, dir, 0)
+	if err := w.Append("submitted", "j000001", 1, nil); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := w.Append("submitted", "j000002", 2, strings.Repeat("x", maxWALRecordBytes)); err == nil {
+		t.Fatal("oversized Append returned nil")
+	}
+	if err := w.Append("submitted", "j000003", 3, nil); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	w.Close()
+
+	w2 := openTestWAL(t, dir, 0)
+	defer w2.Close()
+	recs := w2.Recovered()
+	if len(recs) != 2 || recs[0].JobID != "j000001" || recs[1].JobID != "j000003" {
+		t.Fatalf("recovered %+v, want j000001 and j000003", recs)
+	}
+	if recs[1].Seq != recs[0].Seq+1 {
+		t.Errorf("rejected record consumed a sequence number: %d then %d", recs[0].Seq, recs[1].Seq)
+	}
+	if got := w2.Stats().Truncated; got != 0 {
+		t.Errorf("Truncated = %d, want 0", got)
 	}
 }
