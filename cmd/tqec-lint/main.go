@@ -100,7 +100,6 @@ func run(args []string) int {
 			Seed:         *seed,
 			SkipRouting:  *skipRouting,
 			KeepGeometry: true,
-			DRC:          true,
 		}
 		switch *mode {
 		case "full":
@@ -129,11 +128,7 @@ func run(args []string) int {
 			fmt.Fprintln(os.Stderr, "tqec-lint:", err)
 			return 2
 		}
-		report = res.DRC
-		if len(opt.Rules) > 0 {
-			// Re-filter the staged report to the requested rules.
-			report = filterReport(report, opt.Rules)
-		}
+		report = drc.Run(res.DRCArtifacts, opt)
 	}
 
 	if *quiet {
@@ -157,31 +152,6 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// filterReport keeps only the named rules' outcomes.
-func filterReport(r *drc.Report, names []string) *drc.Report {
-	keep := map[string]bool{}
-	for _, n := range names {
-		keep[n] = true
-	}
-	out := &drc.Report{Name: r.Name}
-	for _, v := range r.Violations {
-		if keep[v.Rule] {
-			out.Violations = append(out.Violations, v)
-		}
-	}
-	for _, n := range r.Ran {
-		if keep[n] {
-			out.Ran = append(out.Ran, n)
-		}
-	}
-	for _, n := range r.Skipped {
-		if keep[n] {
-			out.Skipped = append(out.Skipped, n)
-		}
-	}
-	return out
 }
 
 func loadCircuit(inReal, inText, sample, benchName string, seed int64) (*circuit.Circuit, error) {

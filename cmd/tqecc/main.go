@@ -40,7 +40,7 @@ func main() {
 		skipRouting = flag.Bool("skip-routing", false, "stop after placement (fast, volume = placed volume)")
 		viz         = flag.Bool("viz", false, "dump ASCII layers of the compressed geometry")
 		measSide    = flag.Bool("im-measurement-side", false, "also I-shape-merge measurement-side control pairs")
-		runDRC      = flag.Bool("drc", false, "run the design-rule checker at every stage transition")
+		runDRC      = flag.Bool("drc", false, "run the design-rule checker over the finished compile")
 		jsonOut     = flag.String("json", "", "write a machine-readable result report to this file")
 		timeout     = flag.Duration("timeout", 0, "abort the compile after this long (0 = no deadline)")
 		traceOut    = flag.String("trace", "", "record a pipeline trace and write it to this file in Chrome trace_event format (chrome://tracing, Perfetto); with -server, the daemon traces the job and the stitched trace is fetched when it finishes")

@@ -26,37 +26,31 @@ type Problem interface {
 	Restore(snapshot any)
 }
 
-// Options tunes the annealing schedule. Zero values select defaults.
+// Options tunes the annealing run. Zero values select defaults.
 type Options struct {
-	Seed         int64
-	InitialTemp  float64 // default: 0.3 × initial cost (classic rule of thumb)
-	FinalTemp    float64 // default: 1e-3 × InitialTemp
-	Cooling      float64 // geometric cooling factor in (0,1); default 0.93
-	MovesPerTemp int     // default: 40
-	MaxMoves     int     // hard move budget; default 50_000
+	Seed     int64
+	MaxMoves int // hard move budget; default 50_000
 }
 
-func (o Options) withDefaults(initialCost float64) Options {
-	if o.InitialTemp <= 0 {
-		o.InitialTemp = 0.3*initialCost + 1
-	}
-	if o.FinalTemp <= 0 {
-		o.FinalTemp = o.InitialTemp * 1e-3
-	}
-	if o.Cooling <= 0 || o.Cooling >= 1 {
-		o.Cooling = 0.93
-	}
+func (o Options) withDefaults() Options {
 	if o.MaxMoves <= 0 {
 		o.MaxMoves = 50_000
 	}
-	if o.MovesPerTemp <= 0 {
-		// Spread the move budget across the geometric schedule
-		// (≈ ln(final/initial)/ln(cooling) ≈ 95 temperature steps) so
-		// MaxMoves is the effective knob.
-		o.MovesPerTemp = o.MaxMoves/95 + 1
-	}
 	return o
 }
+
+// The geometric schedule: it starts at initialTempFactor × the initial
+// cost (+1, the classic rule of thumb), cools by the factor cooling per
+// temperature step and ends below finalTempRatio × the start.
+const (
+	initialTempFactor = 0.3
+	finalTempRatio    = 1e-3
+	cooling           = 0.93
+	// tempSteps ≈ ln(finalTempRatio)/ln(cooling): movesPerTemp spreads
+	// the move budget across the schedule, so MaxMoves is the
+	// effective knob.
+	tempSteps = 95
+)
 
 // Result reports the annealing run.
 type Result struct {
@@ -93,7 +87,10 @@ const ctxCheckEvery = 64
 // to an unobserved one.
 func RunContext(ctx context.Context, p Problem, opt Options) (Result, error) {
 	cur := p.Cost()
-	opt = opt.withDefaults(cur)
+	opt = opt.withDefaults()
+	initialTemp := initialTempFactor*cur + 1
+	finalTemp := initialTemp * finalTempRatio
+	movesPerTemp := opt.MaxMoves/tempSteps + 1
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	res := Result{InitialCost: cur, BestCost: cur}
@@ -101,14 +98,14 @@ func RunContext(ctx context.Context, p Problem, opt Options) (Result, error) {
 
 	var err error
 	epoch := 0
-	for temp := opt.InitialTemp; temp > opt.FinalTemp && res.Moves < opt.MaxMoves; temp *= opt.Cooling {
+	for temp := initialTemp; temp > finalTemp && res.Moves < opt.MaxMoves; temp *= cooling {
 		if err = ctx.Err(); err != nil {
 			break
 		}
 		epoch++
 		moves, accepted := res.Moves, res.Accepted
 		sp, _ := obs.StartSpan(ctx, "anneal-epoch")
-		for i := 0; i < opt.MovesPerTemp && res.Moves < opt.MaxMoves; i++ {
+		for i := 0; i < movesPerTemp && res.Moves < opt.MaxMoves; i++ {
 			undo := p.Perturb(rng)
 			if undo == nil {
 				continue

@@ -1,82 +1,8 @@
 package compress
 
-import (
-	"fmt"
-)
+import "tqec/internal/place"
 
-// ScheduleAudit reports how well the final placement realizes the ICM
-// measurement-ordering constraints when each rail's measurement time is
-// read off as the x position of the item holding the rail's last module.
-type ScheduleAudit struct {
-	Constraints int // ordering constraints checked
-	Violations  int // constraints with before.x > after.x
-	SameItem    int // constraint pairs co-located in one super-module
-	// Unresolved counts rails whose measurement module resolved to no
-	// placement item; constraints touching such a rail cannot be checked
-	// and a nonzero count means the audit's coverage is incomplete.
-	Unresolved int
-}
-
-// Satisfied reports whether every cross-item constraint holds.
-func (a ScheduleAudit) Satisfied() bool { return a.Violations == 0 }
-
-// String renders the audit line.
-func (a ScheduleAudit) String() string {
-	s := fmt.Sprintf("schedule: %d constraints, %d co-located, %d violated",
-		a.Constraints, a.SameItem, a.Violations)
-	if a.Unresolved > 0 {
-		s += fmt.Sprintf(", %d rails unresolved", a.Unresolved)
-	}
-	return s
-}
-
-// AuditSchedule checks the time-ordering of the compiled result. Pairs
-// whose measurements land inside the same super-module are counted as
-// co-located (their relative order is fixed by the intra-module x offsets
-// of the I-shaped structure, not by placement), and cross-item pairs are
-// compared by item x position. Rails whose measurement module resolves to
-// no placement item are counted in Unresolved instead of being silently
-// dropped.
-func (r *Result) AuditSchedule() ScheduleAudit {
-	var audit ScheduleAudit
-	if r.ICM == nil || r.Placement == nil || r.Graph == nil {
-		return audit
-	}
-	// Rail → placement item holding the rail's measurement module.
-	itemOf := make([]int, len(r.ICM.Rails))
-	xOf := make([]int, len(r.ICM.Rails))
-	for _, rail := range r.ICM.Rails {
-		row := r.Graph.Rows[rail.ID]
-		last := row[len(row)-1]
-		grp := r.Simplified.GroupOf(last)
-		found := -1
-		for _, it := range r.Placement.Input.Items {
-			for _, rep := range it.Chain {
-				if rep == grp {
-					found = it.ID
-				}
-			}
-		}
-		itemOf[rail.ID] = found
-		if found >= 0 {
-			xOf[rail.ID] = r.Placement.Placed[found].X
-		} else {
-			audit.Unresolved++
-		}
-	}
-	for _, c := range r.ICM.Constraints {
-		audit.Constraints++
-		a, b := itemOf[c.Before], itemOf[c.After]
-		if a < 0 || b < 0 {
-			continue
-		}
-		if a == b {
-			audit.SameItem++
-			continue
-		}
-		if xOf[c.Before] > xOf[c.After] {
-			audit.Violations++
-		}
-	}
-	return audit
-}
+// AuditSchedule checks the time-ordering of the compiled placement
+// against the ICM measurement constraints (see place.Result.AuditSchedule);
+// a result without a placement audits to zero.
+func (r *Result) AuditSchedule() place.ScheduleAudit { return r.Placement.AuditSchedule() }

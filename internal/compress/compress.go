@@ -125,9 +125,10 @@ type Options struct {
 	// (deterministic first, then seeded random starts), keeping the one
 	// with the fewest chains. 0 or 1 = single deterministic run.
 	PrimalRestarts int
-	// DRC runs the design-rule checker after every stage transition and
-	// attaches the merged report to Result.DRC. Violations do not abort
-	// the pipeline; callers decide how strictly to treat the report.
+	// DRC runs the design-rule checker once over the finished artifacts
+	// and attaches the report to Result.DRC; each violation names the
+	// stage whose rule it breaks. Violations do not abort the pipeline;
+	// callers decide how strictly to treat the report.
 	DRC bool
 }
 
@@ -161,7 +162,7 @@ type Result struct {
 	RouteSqueezed   int // route cells crossing box walls (should be ~0)
 	Runtime         time.Duration
 
-	// DRC is the staged design-rule-check report (Options.DRC).
+	// DRC is the design-rule-check report (Options.DRC).
 	DRC *drc.Report
 	// DRCArtifacts is the artifact bundle the checker ran over (always
 	// populated); tools and tests can re-run individual rules against it.
@@ -249,27 +250,9 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 		sp.End()
 		return err
 	}
-	// In -drc mode the artifact set grows as stages complete and the
-	// checker runs at every stage transition (stage rules see exactly the
-	// artifacts that exist so far; cross-stage rules fire at the
-	// transition where their last input appears).
+	// The artifact set grows as stages complete; with Options.DRC the
+	// checker runs once over the finished set.
 	art := &drc.Artifacts{Name: name, ICM: rep, RouteCapacity: routeCellCapacity}
-	var drcRep *drc.Report
-	check := func(st drc.Stage) {
-		if !opt.DRC {
-			return
-		}
-		if drcRep == nil {
-			drcRep = &drc.Report{Name: name}
-		}
-		dsp, _ := obs.StartSpan(ctx, "drc:"+st.String())
-		batch := drc.RunStage(art, st)
-		dsp.SetAttr("rules_ran", len(batch.Ran))
-		dsp.SetAttr("violations", len(batch.Violations))
-		dsp.End()
-		drcRep.Merge(batch)
-	}
-	check(drc.StageICM)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compress: %w", err)
 	}
@@ -283,7 +266,6 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 	sp.SetAttr("modules", g.NumModules())
 	sp.SetAttr("nets", len(g.Nets))
 	done(curVol)
-	check(drc.StagePDGraph)
 
 	var s *simplify.Result
 	if opt.Mode == Full {
@@ -297,7 +279,6 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 		s = simplify.Run(g, simplify.Options{Disabled: true})
 	}
 	art.Simplified = s
-	check(drc.StageSimplify)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compress: %w", err)
 	}
@@ -324,7 +305,6 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 	sp.SetAttr("flipped_chains", flipped)
 	sp.SetAttr("flip_merges", g.NumModules()-p.NumNodes())
 	done(curVol)
-	check(drc.StagePrimal)
 
 	dualCtx := begin("dual-bridge")
 	var d *bridge.DualResult
@@ -337,7 +317,6 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 	sp.SetAttr("bridges", d.NumBridges())
 	sp.SetAttr("components", d.NumComponents())
 	done(curVol)
-	check(drc.StageDual)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compress: %w", err)
 	}
@@ -368,7 +347,6 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 	sp.SetAttr("accepted", pl.SA.Accepted)
 	placed := contentVolume(pl)
 	done(placed)
-	check(drc.StagePlace)
 
 	res := &Result{
 		Name:            name,
@@ -421,29 +399,29 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 		}
 		done(res.Volume)
 	}
-	// The last two transitions also run when their stage was skipped, so
-	// the report records the route/geometry rules as not checked.
-	check(drc.StageRoute)
 	if opt.KeepGeometry {
 		begin("geometry")
 		res.Geometry = realize(res)
 		art.Geometry = res.Geometry
 		done(curVol)
 	}
-	check(drc.StageGeometry)
-	res.DRC = drcRep
+	if opt.DRC {
+		// Rules whose artifacts a skipped stage never produced are
+		// recorded as skipped, so the report says what was not checked.
+		dsp, _ := obs.StartSpan(ctx, "drc")
+		res.DRC = drc.Run(art, drc.Options{})
+		dsp.SetAttr("rules_ran", len(res.DRC.Ran))
+		dsp.SetAttr("violations", len(res.DRC.Violations))
+		dsp.End()
+	}
 	res.DRCArtifacts = art
 	res.StageTimes = stages
 	res.Runtime = time.Since(start)
 	if obs.Observed(ctx) {
 		// The audit is a pure read over the finished result; it runs here
 		// only to surface its anomalies as warnings.
-		audit := res.AuditSchedule()
-		if audit.Unresolved > 0 {
-			obs.Warn(ctx, "audit-unresolved", fmt.Sprintf("%d rails unresolved; schedule audit coverage incomplete", audit.Unresolved))
-		}
-		if !audit.Satisfied() {
-			obs.Warn(ctx, "audit-violated", fmt.Sprintf("%d measurement-ordering constraints violated", audit.Violations))
+		if audit := res.AuditSchedule(); !audit.Satisfied() {
+			obs.Warn(ctx, "audit-violated", fmt.Sprintf("%d measurement-ordering constraints violated", len(audit.Inverted)))
 		}
 		res.Journal = journal.Document(ctx, name, opt.Seed)
 	}
@@ -673,7 +651,8 @@ func realize(res *Result) *geom.Description {
 		}
 	}
 	if res.Routing != nil {
-		for id, cells := range res.Routing.Routes {
+		for _, id := range res.Routing.NetIDs() {
+			cells := res.Routing.Routes[id]
 			d := geom.Defect{Kind: geom.Dual, Label: fmt.Sprintf("net%d", id)}
 			set := make(map[route.Cell]bool, len(cells))
 			for _, c := range cells {

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,6 +140,31 @@ func TestKeepGeometry(t *testing.T) {
 	}
 	if res.Geometry.DumpLayers() == "" {
 		t.Fatal("dump empty")
+	}
+}
+
+func TestGeometryDefectOrderDeterministic(t *testing.T) {
+	// Routed dual strands are realized in net-ID order, so the geometry
+	// (and its JSON export) is byte-stable for a fixed seed.
+	c, err := revlib.ParseString(revlib.Samples["toffoli3"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []string
+	for run := 0; run < 2; run++ {
+		res, err := Compile(c, Options{Mode: Full, Seed: 1, KeepGeometry: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var labels []string
+		for _, d := range res.Geometry.Defects {
+			labels = append(labels, d.Label)
+		}
+		if run == 0 {
+			first = labels
+		} else if !slices.Equal(labels, first) {
+			t.Fatalf("defect order differs between compiles:\n%v\n%v", first, labels)
+		}
 	}
 }
 

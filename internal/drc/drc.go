@@ -14,9 +14,9 @@
 //
 // Rules declare which artifacts they need via Applies; the engine runs
 // every applicable rule and records skipped ones, so a report also states
-// what was NOT checked. Use Run for a full sweep or Options.Stages to
-// check a single stage transition (the -drc pipeline mode does the
-// latter after every stage).
+// what was NOT checked. Run sweeps the rules Options selects (all by
+// default); the -drc pipeline mode runs every rule once over the
+// finished artifacts, and each violation names its rule's stage.
 package drc
 
 import (
@@ -124,9 +124,6 @@ type Location struct {
 
 // NoLoc is the empty location (whole-artifact violations).
 var NoLoc = Location{Module: -1, Net: -1, Item: -1, Rail: -1, Defect: -1}
-
-// LocModule locates a PD-graph module.
-func LocModule(id int) Location { l := NoLoc; l.Module = id; return l }
 
 // LocNet locates a dual net or merged component.
 func LocNet(id int) Location { l := NoLoc; l.Net = id; return l }
@@ -282,11 +279,6 @@ func (r *Reporter) Errorf(loc Location, format string, args ...any) {
 	r.emit(Error, loc, format, args...)
 }
 
-// Warnf reports a warn-severity violation.
-func (r *Reporter) Warnf(loc Location, format string, args ...any) {
-	r.emit(Warn, loc, format, args...)
-}
-
 // Infof reports an info-severity violation.
 func (r *Reporter) Infof(loc Location, format string, args ...any) {
 	r.emit(Info, loc, format, args...)
@@ -382,10 +374,4 @@ func Run(a *Artifacts, opt Options) *Report {
 		rep.Violations = append(rep.Violations, rr.violations...)
 	}
 	return rep
-}
-
-// RunStage runs all rules guarding one stage (the per-transition check of
-// the pipeline's -drc mode).
-func RunStage(a *Artifacts, st Stage) *Report {
-	return Run(a, Options{Stages: []Stage{st}})
 }

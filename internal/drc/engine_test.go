@@ -4,8 +4,11 @@ package drc
 // accounting, and the string renderings tools grep for.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"tqec/internal/route"
 )
 
 func mustPanic(t *testing.T, what string, f func()) {
@@ -80,6 +83,35 @@ func TestOptionsFiltering(t *testing.T) {
 	rep = Run(a, Options{Rules: []string{"route-capacity"}})
 	if len(rep.Ran)+len(rep.Skipped) != 1 || rep.Skipped[0] != "route-capacity" {
 		t.Fatalf("name filter: ran=%v skipped=%v", rep.Ran, rep.Skipped)
+	}
+}
+
+func TestRouteRulesReportInNetOrder(t *testing.T) {
+	// Twelve nets, each squeezing through a blocked cell, and pairs of
+	// nets sharing a column beyond capacity 1: both rules report many
+	// violations, and the report must not depend on Routes' map order.
+	g, err := route.NewGrid(6, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &Artifacts{RouteGrid: g, RouteCapacity: 1, Routing: &route.Result{Routes: map[int][]route.Cell{}}}
+	for id := 0; id < 12; id++ {
+		x := id % 6
+		g.Block(route.Cell{X: x, Y: 1, Z: 1})
+		cells := []route.Cell{{X: x, Y: 0, Z: 1}, {X: x, Y: 1, Z: 1}, {X: x, Y: 2, Z: 1}}
+		a.Routing.Routes[id] = cells
+		a.Routing.Squeezed++
+		a.RouteNets = append(a.RouteNets, route.Net{ID: id, Pins: []route.Cell{cells[0], cells[2]}})
+	}
+	opt := Options{Rules: []string{"route-capacity", "route-squeeze"}}
+	first := Run(a, opt)
+	if len(first.ByRule("route-squeeze")) != 12 || len(first.ByRule("route-capacity")) == 0 {
+		t.Fatalf("fixture does not trip both rules:\n%s", first)
+	}
+	for run := 0; run < 20; run++ {
+		if again := Run(a, opt); !reflect.DeepEqual(again.Violations, first.Violations) {
+			t.Fatalf("run %d reordered the violations:\n%s\nvs\n%s", run, first, again)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package drc_test
 
 // Golden-report tests: every embedded sample circuit must compile clean
-// through the full pipeline with the staged checker on, the truncated
+// through the full pipeline with the checker on, the truncated
 // pipeline must record exactly the unreachable rules as skipped, and the
 // JSON serialization must round-trip the structured report.
 

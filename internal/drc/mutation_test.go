@@ -39,21 +39,6 @@ func goodArtifacts(t *testing.T, sample string) *drc.Artifacts {
 	return res.DRCArtifacts
 }
 
-// measurementItem maps a rail to the placement item holding its
-// measurement module (mirrors the rule's own resolution).
-func measurementItem(a *drc.Artifacts, rail int) int {
-	row := a.Graph.Rows[rail]
-	grp := a.Simplified.GroupOf(row[len(row)-1])
-	for _, it := range a.Placement.Input.Items {
-		for _, rep := range it.Chain {
-			if rep == grp {
-				return it.ID
-			}
-		}
-	}
-	return -1
-}
-
 func firstPrimalDefect(t *testing.T, a *drc.Artifacts) int {
 	t.Helper()
 	for i := range a.Geometry.Defects {
@@ -203,11 +188,11 @@ func TestMutationsTripTheirRule(t *testing.T) {
 			mutate: func(t *testing.T, a *drc.Artifacts) {
 				// Inject an ordering edge the placement inverts.
 				pl := a.Placement.Placed
-				items := a.Placement.Input.Items
-				for i := range items {
-					for j := range items {
+				in := a.Placement.Input
+				for i := range in.Items {
+					for j := range in.Items {
 						if pl[i].X < pl[j].X {
-							items[i].OrderAfter = append(items[i].OrderAfter, j)
+							in.OrderEdges = append(in.OrderEdges, place.OrderEdge{Before: j, After: i})
 							return
 						}
 					}
@@ -223,11 +208,11 @@ func TestMutationsTripTheirRule(t *testing.T) {
 			mutate: func(t *testing.T, a *drc.Artifacts) {
 				// Add a happens-before constraint the placement inverts:
 				// before-rail measured strictly right of after-rail.
-				nr := len(a.ICM.Rails)
-				for rb := 0; rb < nr; rb++ {
-					for ra := 0; ra < nr; ra++ {
-						ib, ia := measurementItem(a, rb), measurementItem(a, ra)
-						if ib < 0 || ia < 0 || ib == ia {
+				railItem := a.Placement.Input.RailItem
+				for rb := range railItem {
+					for ra := range railItem {
+						ib, ia := railItem[rb], railItem[ra]
+						if ib == ia {
 							continue
 						}
 						if a.Placement.Placed[ib].X > a.Placement.Placed[ia].X {

@@ -20,8 +20,8 @@ type Report struct {
 	Skipped []string `json:"skipped,omitempty"`
 }
 
-// Merge appends another report's outcome (used by the staged pipeline
-// mode, which checks after every stage transition and accumulates).
+// Merge appends another report's outcome: a rule that ran in either
+// report is not skipped in the merged one.
 func (r *Report) Merge(o *Report) {
 	if o == nil {
 		return

@@ -121,20 +121,12 @@ func registerPlaceRules() {
 		Applies: func(a *Artifacts) bool { return a.Placement != nil },
 		Check: func(a *Artifacts, r *Reporter) {
 			pl := a.Placement.Placed
-			for i := 0; i < len(pl); i++ {
-				for j := i + 1; j < len(pl); j++ {
-					x, y := pl[i], pl[j]
-					if x.Item == nil || y.Item == nil {
-						continue
-					}
-					if x.X < y.X+y.W && y.X < x.X+x.W &&
-						x.Y < y.Y+y.H && y.Y < x.Y+x.H &&
-						x.Z < y.Z+y.D && y.Z < x.Z+x.D {
-						r.Violationf(LocItem(i).At("unit", max(x.X, y.X), max(x.Y, y.Y), max(x.Z, y.Z)),
-							"items %d and %d overlap: %d×%d×%d@(%d,%d,%d) vs %d×%d×%d@(%d,%d,%d)",
-							i, j, x.W, x.H, x.D, x.X, x.Y, x.Z, y.W, y.H, y.D, y.X, y.Y, y.Z)
-					}
-				}
+			for _, pair := range a.Placement.Overlaps() {
+				i, j := pair[0], pair[1]
+				x, y := pl[i], pl[j]
+				r.Violationf(LocItem(i).At("unit", max(x.X, y.X), max(x.Y, y.Y), max(x.Z, y.Z)),
+					"items %d and %d overlap: %d×%d×%d@(%d,%d,%d) vs %d×%d×%d@(%d,%d,%d)",
+					i, j, x.W, x.H, x.D, x.X, x.Y, x.Z, y.W, y.H, y.D, y.X, y.Y, y.Z)
 			}
 		},
 	})
@@ -148,15 +140,11 @@ func registerPlaceRules() {
 		Applies: func(a *Artifacts) bool { return a.Placement != nil && a.Placement.Input != nil },
 		Check: func(a *Artifacts, r *Reporter) {
 			pos := a.Placement.Placed
-			for _, it := range a.Placement.Input.Items {
-				for _, before := range it.OrderAfter {
-					b, cur := pos[before], pos[it.ID]
-					if b.X > cur.X || b.X+b.W > cur.X+cur.W {
-						r.Violationf(LocItem(it.ID).At("unit", cur.X, cur.Y, cur.Z),
-							"item %d must follow item %d on x but spans [%d,%d) vs [%d,%d)",
-							it.ID, before, cur.X, cur.X+cur.W, b.X, b.X+b.W)
-					}
-				}
+			for _, e := range a.Placement.OrderViolations() {
+				b, cur := pos[e.Before], pos[e.After]
+				r.Violationf(LocItem(e.After).At("unit", cur.X, cur.Y, cur.Z),
+					"item %d must follow item %d on x but spans [%d,%d) vs [%d,%d)",
+					e.After, e.Before, cur.X, cur.X+cur.W, b.X, b.X+b.W)
 			}
 		},
 	})
@@ -167,48 +155,15 @@ func registerPlaceRules() {
 		Doc: "ICM measurement-ordering constraints (intra/inter-T) hold " +
 			"when each rail's measurement time is read off the placement: " +
 			"cross-item happens-before pairs must not be inverted on x.",
-		Applies: func(a *Artifacts) bool {
-			return a.ICM != nil && a.Graph != nil && a.Simplified != nil &&
-				a.Placement != nil && a.Placement.Input != nil
-		},
+		Applies: func(a *Artifacts) bool { return a.Placement != nil && a.Placement.Input != nil },
 		Check: func(a *Artifacts, r *Reporter) {
-			itemOf, xOf := measurementItems(a)
-			for _, c := range a.ICM.Constraints {
-				bi, ai := itemOf[c.Before], itemOf[c.After]
-				if bi < 0 || ai < 0 || bi == ai {
-					continue
-				}
-				if xOf[c.Before] > xOf[c.After] {
-					r.Violationf(LocRail(c.After).WithItem(ai),
-						"%s constraint inverted: rail %d (item %d, x=%d) measures before rail %d (item %d, x=%d)",
-						c.Kind, c.Before, bi, xOf[c.Before], c.After, ai, xOf[c.After])
-				}
+			for _, inv := range a.Placement.AuditSchedule().Inverted {
+				r.Violationf(LocRail(inv.After).WithItem(inv.AfterItem),
+					"%s constraint inverted: rail %d (item %d, x=%d) measures before rail %d (item %d, x=%d)",
+					inv.Kind, inv.Before, inv.BeforeItem, inv.BeforeX, inv.After, inv.AfterItem, inv.AfterX)
 			}
 		},
 	})
-}
-
-// measurementItems maps every rail to the placement item holding its
-// measurement module and that item's x position (−1 when unresolved).
-func measurementItems(a *Artifacts) (itemOf, xOf []int) {
-	itemOf = make([]int, len(a.ICM.Rails))
-	xOf = make([]int, len(a.ICM.Rails))
-	for _, rail := range a.ICM.Rails {
-		row := a.Graph.Rows[rail.ID]
-		grp := a.Simplified.GroupOf(row[len(row)-1])
-		itemOf[rail.ID] = -1
-		for _, it := range a.Placement.Input.Items {
-			for _, rep := range it.Chain {
-				if rep == grp {
-					itemOf[rail.ID] = it.ID
-				}
-			}
-		}
-		if id := itemOf[rail.ID]; id >= 0 {
-			xOf[rail.ID] = a.Placement.Placed[id].X
-		}
-	}
-	return itemOf, xOf
 }
 
 func registerRouteRules() {
@@ -268,8 +223,8 @@ func registerRouteRules() {
 			}
 			users := map[route.Cell]int{}
 			owner := map[route.Cell]int{}
-			for id, cells := range a.Routing.Routes {
-				for _, c := range cells {
+			for _, id := range a.Routing.NetIDs() {
+				for _, c := range a.Routing.Routes[id] {
 					users[c]++
 					if users[c] > capacity {
 						r.Violationf(LocNet(id).At("cell", c.X, c.Y, c.Z),
@@ -291,8 +246,8 @@ func registerRouteRules() {
 		Applies: hasRouting,
 		Check: func(a *Artifacts, r *Reporter) {
 			squeezed := 0
-			for id, cells := range a.Routing.Routes {
-				for _, c := range cells {
+			for _, id := range a.Routing.NetIDs() {
+				for _, c := range a.Routing.Routes[id] {
 					if a.RouteGrid.Blocked(c) {
 						squeezed++
 						r.Violationf(LocNet(id).At("cell", c.X, c.Y, c.Z),

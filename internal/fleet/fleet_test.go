@@ -624,10 +624,13 @@ func TestFleetDeadlineIsTheWorkers(t *testing.T) {
 func TestFleetCloseLeavesWorkerJobRunning(t *testing.T) {
 	f := newTestFleet(t, Config{}, []string{"w-a"}, map[string]service.CompileFunc{"w-a": blockingCompile()})
 	st := f.submit(t, threecnotBody)
+	var d service.Dispatch
 	waitCondition(t, 10*time.Second, "job to run on the worker", func() bool {
-		return f.getStatus(t, st.ID).State == service.StateRunning && f.workers["w-a"].svc.Stats().Running == 1
+		// The worker can start the job before the coordinator records
+		// the dispatch, so wait for the record too.
+		d, _, _ = f.coord.JobDispatch(st.ID)
+		return d.URL != "" && f.getStatus(t, st.ID).State == service.StateRunning && f.workers["w-a"].svc.Stats().Running == 1
 	})
-	d, _, _ := f.coord.JobDispatch(st.ID)
 	f.coord.Close()
 	var remote service.JobStatus
 	if code := getJSON(t, d.URL+"/v1/jobs/"+d.RemoteID, &remote); code != http.StatusOK {

@@ -3,8 +3,8 @@ package geom
 import "testing"
 
 // FuzzValidate feeds arbitrary segment soups through the description
-// validators: whatever a broken exporter emits, Validate, CheckSeparation,
-// and the topology queries must reject it with an error, never a panic.
+// validators: whatever a broken exporter emits, Validate and
+// CheckSeparation must reject it with an error, never a panic.
 //
 // The corpus bytes decode as 7-byte records (kind, ax, ay, az, bx, by, bz)
 // appended round-robin to a handful of defects.
@@ -46,8 +46,6 @@ func FuzzValidate(f *testing.F) {
 		}
 		for i := range g.Defects {
 			d := &g.Defects[i]
-			d.Connected()
-			d.Components()
 			d.Bounds()
 			if verr := d.Validate(); verr == nil {
 				// A per-defect valid structure must survive a translate

@@ -14,9 +14,19 @@ import "sort"
 // boxes in 3-D), which is sound: compaction runs after annealing and
 // before routing.
 func Compact(r *Result) int {
+	// after[i] lists the items item i is time-ordered after, over the
+	// non-mutual order edges.
+	after := make([][]int, len(r.Placed))
+	if r.Input != nil {
+		for _, e := range r.Input.OrderEdges {
+			if !e.Mutual {
+				after[e.After] = append(after[e.After], e.Before)
+			}
+		}
+	}
 	moved := 0
 	for pass := 0; pass < 8; pass++ {
-		m := compactAxis(r, axisX) + compactAxis(r, axisY) + compactAxis(r, axisZ)
+		m := compactAxis(r, axisX, after) + compactAxis(r, axisY, nil) + compactAxis(r, axisZ, nil)
 		moved += m
 		if m == 0 {
 			break
@@ -78,8 +88,9 @@ func overlapOffAxis(p, q *Placed, a axis) bool {
 // compactAxis pulls every item to the smallest legal coordinate along a,
 // processing items in coordinate order so supports settle first. Only the
 // items before the current one in that order can support it: the rest
-// have not moved yet and sit at or above it.
-func compactAxis(r *Result, a axis) int {
+// have not moved yet and sit at or above it. On x, no item starts before
+// an item it is ordered after (after is indexed by item).
+func compactAxis(r *Result, a axis, after [][]int) int {
 	order := make([]int, 0, len(r.Placed))
 	for i := range r.Placed {
 		if r.Placed[i].Item != nil {
@@ -106,10 +117,10 @@ func compactAxis(r *Result, a axis) int {
 				floor = qp + qe
 			}
 		}
-		if a == axisX && p.Item != nil {
+		if a == axisX {
 			// Time ordering: never slide left past an item this one must
 			// follow.
-			for _, before := range p.Item.OrderAfter {
+			for _, before := range after[i] {
 				b := &r.Placed[before]
 				if b.Item != nil && b.X > floor {
 					floor = b.X

@@ -42,12 +42,10 @@ func TestCompactNeverGrowsAndStaysLegal(t *testing.T) {
 
 func orderViolations(in *Input, r *Result) int {
 	n := 0
-	for _, it := range in.Items {
-		for _, before := range it.OrderAfter {
-			a, b := r.Placed[before], r.Placed[it.ID]
-			if a.Item != nil && b.Item != nil && a.X > b.X {
-				n++
-			}
+	for _, e := range in.OrderEdges {
+		a, b := r.Placed[e.Before], r.Placed[e.After]
+		if !e.Mutual && a.Item != nil && b.Item != nil && a.X > b.X {
+			n++
 		}
 	}
 	return n
@@ -91,10 +89,10 @@ func TestCompactPullsFloatingItem(t *testing.T) {
 func TestCompactRespectsTimeOrder(t *testing.T) {
 	items := []Item{
 		{ID: 0, Kind: KindBox, W: 4, H: 2, D: 2},
-		{ID: 1, Kind: KindChain, W: 2, H: 2, D: 2, Pad: 1, Chain: []int{0}, OrderAfter: []int{0}},
+		{ID: 1, Kind: KindChain, W: 2, H: 2, D: 2, Pad: 1, Chain: []int{0}},
 	}
 	r := &Result{
-		Input: &Input{Items: items},
+		Input: &Input{Items: items, OrderEdges: []OrderEdge{{Before: 0, After: 1}}},
 		Placed: []Placed{
 			{Item: &items[0], X: 3, Y: 0, Z: 0, W: 4, H: 2, D: 2},
 			{Item: &items[1], X: 9, Y: 5, Z: 0, W: 2, H: 2, D: 2},

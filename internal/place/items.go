@@ -58,15 +58,21 @@ type Item struct {
 	// Box payload (KindBox).
 	Box geom.BoxKind
 	// FeedsItem is, for a box, the chain item its injection feeds
-	// (−1 when unknown).
+	// (−1 when unknown). The consumer prefers to start no earlier than
+	// the box on the time axis.
 	FeedsItem int
-	// OrderAfter lists item IDs whose time extent must precede this
-	// item's (time-dependent super-module behaviour, from inter-T
-	// measurement ordering).
-	OrderAfter []int
-	// FeedAfter lists distillation-box item IDs whose output this item
-	// consumes; a soft preference to sit later on the time axis.
-	FeedAfter []int
+}
+
+// OrderEdge is one item-level measurement-ordering edge: After's time
+// extent must not precede Before's (time-dependent super-module
+// behaviour, lifted from the ICM's intra-/inter-T constraints).
+type OrderEdge struct {
+	Before, After int
+	// Mutual marks an edge whose reverse is also lifted: contraction put
+	// each item's measurement before one of the other's. Only equal x
+	// satisfies both, so the annealer's penalty, compaction and the
+	// place-order rule skip mutual edges; LegalizeOrder reads them all.
+	Mutual bool
 }
 
 // Pin is a dual-net attachment point on an item, in item-local paper
@@ -90,15 +96,14 @@ type Input struct {
 	Items []Item
 	// Nets lists, per dual component (by representative), its pins.
 	Nets map[int][]Pin
-	// OrderEdges lists every cross-item ordering edge {before, after}
-	// lifted from the rail-level measurement constraints, including the
-	// contradictory pairs that are pruned from Item.OrderAfter. The
-	// legalizer needs the complete relation: a contradictory pair is still
-	// satisfiable by placing both items at the same x (the audit's
-	// inequality is strict).
-	OrderEdges [][2]int
-	// itemOfGroup maps group representative -> item index.
-	itemOfGroup map[int]int
+	// RailItem maps each ICM rail to the item holding its measurement
+	// module: the one rail→item lift the order edges and the schedule
+	// audit read.
+	RailItem []int
+	// OrderEdges is the complete cross-item ordering relation lifted
+	// from the rail-level measurement constraints, sorted by (Before,
+	// After). LegalizeOrder's component walk visits edges in this order.
+	OrderEdges []OrderEdge
 }
 
 // BuildItems converts the bridging results into placement items and pins.
@@ -107,13 +112,13 @@ func BuildItems(g *pdgraph.Graph, s *simplify.Result, p *bridge.PrimalResult, d 
 		return nil, fmt.Errorf("place: nil stage input")
 	}
 	in := &Input{
-		Graph:       g,
-		Simpl:       s,
-		Primal:      p,
-		Dual:        d,
-		Nets:        map[int][]Pin{},
-		itemOfGroup: map[int]int{},
+		Graph:  g,
+		Simpl:  s,
+		Primal: p,
+		Dual:   d,
+		Nets:   map[int][]Pin{},
 	}
+	itemOfGroup := map[int]int{} // group representative -> item index
 
 	// Group widths: number of modules merged along x by the I-shape.
 	groupSize := map[int]int{}
@@ -152,7 +157,7 @@ func BuildItems(g *pdgraph.Graph, s *simplify.Result, p *bridge.PrimalResult, d 
 			FeedsItem: -1,
 		}
 		for _, rep := range chain {
-			in.itemOfGroup[rep] = item.ID
+			itemOfGroup[rep] = item.ID
 		}
 		in.Items = append(in.Items, item)
 	}
@@ -163,7 +168,7 @@ func BuildItems(g *pdgraph.Graph, s *simplify.Result, p *bridge.PrimalResult, d 
 			continue
 		}
 		nx, ny, nz := m.Inject.Dims()
-		feeds := in.itemOfGroup[s.GroupOf(m.ID)]
+		feeds := itemOfGroup[s.GroupOf(m.ID)]
 		box := Item{
 			ID:        len(in.Items),
 			Kind:      KindBox,
@@ -178,7 +183,6 @@ func BuildItems(g *pdgraph.Graph, s *simplify.Result, p *bridge.PrimalResult, d 
 		// axis (the paper fuses the pair into a distillation-injection
 		// super-module; we keep them separate with a soft attraction).
 		in.Items = append(in.Items, box)
-		in.Items[feeds].FeedAfter = append(in.Items[feeds].FeedAfter, box.ID)
 	}
 
 	// Time-dependent ordering between items, derived from the rail-level
@@ -187,39 +191,36 @@ func BuildItems(g *pdgraph.Graph, s *simplify.Result, p *bridge.PrimalResult, d 
 	// an x-ordering between the items holding those modules. Pairs that
 	// contract to the same item are ordered internally by the structure's
 	// x offsets; pairs that lift to contradictory item edges (possible
-	// under contraction) are dropped — the placement cannot satisfy both,
-	// and the geometry resolves them intra-module.
-	railItem := make([]int, len(g.Source.Rails))
+	// under contraction) are kept and marked Mutual.
+	in.RailItem = make([]int, len(g.Source.Rails))
 	for _, rail := range g.Source.Rails {
 		row := g.Rows[rail.ID]
 		last := row[len(row)-1]
-		railItem[rail.ID] = in.itemOfGroup[s.GroupOf(last)]
+		id, ok := itemOfGroup[s.GroupOf(last)]
+		if !ok {
+			return nil, fmt.Errorf("place: rail %d measures in group %d, which no item holds", rail.ID, s.GroupOf(last))
+		}
+		in.RailItem[rail.ID] = id
 	}
 	type edge struct{ before, after int }
 	edges := map[edge]bool{}
 	for _, cst := range g.Source.Constraints {
-		a, b := railItem[cst.Before], railItem[cst.After]
-		if a < 0 || b < 0 || a == b {
+		a, b := in.RailItem[cst.Before], in.RailItem[cst.After]
+		if a == b {
 			continue
 		}
 		edges[edge{a, b}] = true
 	}
 	for e := range edges {
-		in.OrderEdges = append(in.OrderEdges, [2]int{e.before, e.after})
-		if edges[edge{e.after, e.before}] {
-			continue // contradictory under contraction
-		}
-		in.Items[e.after].OrderAfter = append(in.Items[e.after].OrderAfter, e.before)
+		in.OrderEdges = append(in.OrderEdges, OrderEdge{Before: e.before, After: e.after, Mutual: edges[edge{e.after, e.before}]})
 	}
 	sort.Slice(in.OrderEdges, func(i, j int) bool {
-		if in.OrderEdges[i][0] != in.OrderEdges[j][0] {
-			return in.OrderEdges[i][0] < in.OrderEdges[j][0]
+		a, b := in.OrderEdges[i], in.OrderEdges[j]
+		if a.Before != b.Before {
+			return a.Before < b.Before
 		}
-		return in.OrderEdges[i][1] < in.OrderEdges[j][1]
+		return a.After < b.After
 	})
-	for i := range in.Items {
-		sort.Ints(in.Items[i].OrderAfter)
-	}
 
 	// Pins with flip planning. For every dual component, each part the
 	// component passes contributes one pin on the part's item; the pin's
@@ -232,7 +233,7 @@ func BuildItems(g *pdgraph.Graph, s *simplify.Result, p *bridge.PrimalResult, d 
 		for _, part := range d.ComponentParts(rep) {
 			for _, m := range s.PartModules(part) {
 				grp := s.GroupOf(m)
-				itemID, ok := in.itemOfGroup[grp]
+				itemID, ok := itemOfGroup[grp]
 				if !ok {
 					return nil, fmt.Errorf("place: group %d has no item", grp)
 				}
@@ -265,10 +266,6 @@ func BuildItems(g *pdgraph.Graph, s *simplify.Result, p *bridge.PrimalResult, d 
 // f_current = 1 − f_source.
 func FlipBit(indexInChain int) bool { return indexInChain%2 == 1 }
 
-// NumItems returns the number of placement items (B*-tree nodes plus
-// boxes).
-func (in *Input) NumItems() int { return len(in.Items) }
-
 // Validate checks the item construction invariants.
 func (in *Input) Validate() error {
 	for _, it := range in.Items {
@@ -281,10 +278,10 @@ func (in *Input) Validate() error {
 		if it.Kind == KindBox && it.FeedsItem < 0 {
 			return fmt.Errorf("place: box item %d feeds nothing", it.ID)
 		}
-		for _, o := range append(append([]int(nil), it.OrderAfter...), it.FeedAfter...) {
-			if o < 0 || o >= len(in.Items) {
-				return fmt.Errorf("place: item %d ordered after unknown item %d", it.ID, o)
-			}
+	}
+	for _, e := range in.OrderEdges {
+		if e.Before < 0 || e.Before >= len(in.Items) || e.After < 0 || e.After >= len(in.Items) {
+			return fmt.Errorf("place: order edge %d -> %d names an unknown item", e.Before, e.After)
 		}
 	}
 	for rep, pins := range in.Nets {

@@ -8,18 +8,17 @@ import "sort"
 // placement can still schedule a measurement before one it depends on.
 //
 // The pass condenses the complete lifted ordering relation
-// (Input.OrderEdges, including the contradictory pairs pruned from
-// Item.OrderAfter) into its strongly-connected components and walks the
-// condensation in topological order. A singleton component is pushed
-// right along x until it starts no earlier than everything it must
-// follow. A larger component is a set of mutually ordered items: the
-// schedule relation is violated only by a *strictly* earlier start, so
-// the component is satisfiable exactly when all members share one x —
-// the pass moves the whole component to the smallest common x at or
-// above its predecessors' floor where no member collides with an outside
-// item. When members of a cycle overlap off the time axis no common x
-// exists; they are left at their floors and the residual violations
-// surface in the schedule audit and DRC report.
+// (Input.OrderEdges, Mutual edges included) into its strongly-connected
+// components and walks the condensation in topological order. A
+// singleton component is pushed right along x until it starts no earlier
+// than everything it must follow. A larger component is a set of
+// mutually ordered items: the schedule relation is violated only by a
+// *strictly* earlier start, so the component is satisfiable exactly when
+// all members share one x — the pass moves the whole component to the
+// smallest common x at or above its predecessors' floor where no member
+// collides with an outside item. When members of a cycle overlap off the
+// time axis no common x exists; they are left at their floors and the
+// residual violations surface in the schedule audit and DRC report.
 //
 // Returns the number of items moved.
 func LegalizeOrder(r *Result) int {
@@ -30,7 +29,7 @@ func LegalizeOrder(r *Result) int {
 	succ := make([][]int, n) // edge before -> after
 	pred := make([][]int, n) // reversed
 	for _, e := range r.Input.OrderEdges {
-		b, a := e[0], e[1]
+		b, a := e.Before, e.After
 		if b < 0 || a < 0 || b >= n || a >= n || b == a {
 			continue
 		}
@@ -84,15 +83,14 @@ func LegalizeOrder(r *Result) int {
 			for {
 				bumped := false
 				for _, v := range ms {
-					pv := &r.Placed[v]
+					at := r.Placed[v]
 					for j := range r.Placed {
 						q := &r.Placed[j]
 						if q.Item == nil || inComp[j] {
 							continue
 						}
-						if x < q.X+q.W && q.X < x+pv.W &&
-							pv.Y < q.Y+q.H && q.Y < pv.Y+pv.H &&
-							pv.Z < q.Z+q.D && q.Z < pv.Z+pv.D {
+						at.X = x
+						if overlaps(&at, q) {
 							x = q.X + q.W
 							bumped = true
 						}
@@ -185,6 +183,8 @@ func packMembers(r *Result, ms []int, x int) (map[int][2]int, bool) {
 // outside item and no already-packed member.
 func packFits(r *Result, v, x, y, z int, member map[int]bool, assign map[int][2]int) bool {
 	pv := &r.Placed[v]
+	at := *pv
+	at.X, at.Y, at.Z = x, y, z
 	for j := range r.Placed {
 		if j == v {
 			continue
@@ -205,9 +205,7 @@ func packFits(r *Result, v, x, y, z int, member map[int]bool, assign map[int][2]
 			}
 			continue
 		}
-		if x < q.X+q.W && q.X < x+pv.W &&
-			y < q.Y+q.H && q.Y < y+pv.H &&
-			z < q.Z+q.D && q.Z < z+pv.D {
+		if overlaps(&at, q) {
 			return false
 		}
 	}
@@ -233,8 +231,8 @@ func disjointOffAxis(r *Result, ms []int) bool {
 // other item. Pushing only ever moves right past blockers, so the scan
 // terminates.
 func slideRight(r *Result, v, floor int) int {
-	pv := &r.Placed[v]
-	x := floor
+	at := r.Placed[v]
+	at.X = floor
 	for {
 		bumped := false
 		for j := range r.Placed {
@@ -242,18 +240,13 @@ func slideRight(r *Result, v, floor int) int {
 				continue
 			}
 			q := &r.Placed[j]
-			if q.Item == nil {
-				continue
-			}
-			if x < q.X+q.W && q.X < x+pv.W &&
-				pv.Y < q.Y+q.H && q.Y < pv.Y+pv.H &&
-				pv.Z < q.Z+q.D && q.Z < pv.Z+pv.D {
-				x = q.X + q.W
+			if q.Item != nil && overlaps(&at, q) {
+				at.X = q.X + q.W
 				bumped = true
 			}
 		}
 		if !bumped {
-			return x
+			return at.X
 		}
 	}
 }

@@ -3,9 +3,12 @@ package place
 import "testing"
 
 // legalizeFixture builds a Result with the given item boxes at their
-// positions and the given ordering edges.
+// positions and the given ordering edges {before, after}.
 func legalizeFixture(boxes [][6]int, edges [][2]int) *Result {
-	in := &Input{OrderEdges: edges}
+	in := &Input{}
+	for _, e := range edges {
+		in.OrderEdges = append(in.OrderEdges, OrderEdge{Before: e[0], After: e[1]})
+	}
 	r := &Result{Input: in}
 	for i, b := range boxes {
 		in.Items = append(in.Items, Item{ID: i, W: b[3], H: b[4], D: b[5]})
@@ -27,7 +30,7 @@ func legalizeFixture(boxes [][6]int, edges [][2]int) *Result {
 func violations(r *Result) int {
 	n := 0
 	for _, e := range r.Input.OrderEdges {
-		b, a := &r.Placed[e[0]], &r.Placed[e[1]]
+		b, a := &r.Placed[e.Before], &r.Placed[e.After]
 		if b.X > a.X || b.X+b.W > a.X+a.W {
 			n++
 		}

@@ -13,31 +13,23 @@ import (
 
 // Options tunes the 2.5-D placement.
 type Options struct {
-	Seed         int64
-	MaxMoves     int     // SA move budget; 0 selects a size-scaled default
-	MovesPerTemp int     // 0 selects the anneal default
-	LambdaWire   float64 // HPWL weight; 0 selects 0.05
-	OrderWeight  float64 // time-ordering penalty weight; 0 selects 4.0
-	MaxLayers    int     // 0 selects ~cbrt(#items)
+	Seed     int64
+	MaxMoves int // SA move budget; 0 selects a size-scaled default
 }
+
+// SA cost weights: volume + lambdaWire·HPWL + orderWeight·order +
+// feedWeight·feed.
+const (
+	lambdaWire  = 0.05
+	orderWeight = 100.0
+	feedWeight  = 2
+)
 
 func (o Options) withDefaults(n int) Options {
 	if o.MaxMoves <= 0 {
 		o.MaxMoves = 2000 + 60*n
 		if o.MaxMoves > 60000 {
 			o.MaxMoves = 60000
-		}
-	}
-	if o.LambdaWire <= 0 {
-		o.LambdaWire = 0.05
-	}
-	if o.OrderWeight <= 0 {
-		o.OrderWeight = 100.0
-	}
-	if o.MaxLayers <= 0 {
-		o.MaxLayers = int(math.Cbrt(float64(n))) + 1
-		if o.MaxLayers < 2 {
-			o.MaxLayers = 2
 		}
 	}
 	return o
@@ -120,7 +112,6 @@ func (l *layerState) pack() {
 // problem implements anneal.Problem over the 2.5-D state.
 type problem struct {
 	in     *Input
-	opt    Options
 	layers []*layerState
 	// netList is in.Nets flattened for allocation-free cost evaluation;
 	// posBuf is the reusable position scratch buffer.
@@ -128,8 +119,8 @@ type problem struct {
 	posBuf  []Placed
 }
 
-func newProblem(in *Input, opt Options) *problem {
-	p := &problem{in: in, opt: opt}
+func newProblem(in *Input) *problem {
+	p := &problem{in: in}
 	n := len(in.Items)
 	if n == 0 {
 		return p
@@ -158,10 +149,8 @@ func newProblem(in *Input, opt Options) *problem {
 		}
 		return order[a] < order[b]
 	})
-	nl := opt.MaxLayers
-	if nl > n {
-		nl = n
-	}
+	// ~cbrt(n) slabs, at least two, at most one per item.
+	nl := min(max(int(math.Cbrt(float64(n)))+1, 2), n)
 	per := (n + nl - 1) / nl
 	for start := 0; start < n; start += per {
 		end := start + per
@@ -232,7 +221,8 @@ func (p *problem) hpwl(pos []Placed) int {
 		total += (maxX - minX) + (maxY - minY) + (maxZ - minZ)
 	}
 	// Injection connections: box attach to consumer chain.
-	for _, it := range p.in.Items {
+	for i := range p.in.Items {
+		it := &p.in.Items[i]
 		if it.Kind != KindBox || it.FeedsItem < 0 {
 			continue
 		}
@@ -242,17 +232,20 @@ func (p *problem) hpwl(pos []Placed) int {
 	return total
 }
 
+// orderPenalty sums how far each non-mutual order edge's After item
+// starts and finishes before its Before item.
 func (p *problem) orderPenalty(pos []Placed) float64 {
 	v := 0.0
-	for _, it := range p.in.Items {
-		for _, before := range it.OrderAfter {
-			a, b := pos[before], pos[it.ID]
-			if d := (a.X) - (b.X); d > 0 {
-				v += float64(d)
-			}
-			if d := (a.X + a.W) - (b.X + b.W); d > 0 {
-				v += float64(d)
-			}
+	for _, e := range p.in.OrderEdges {
+		if e.Mutual {
+			continue
+		}
+		a, b := pos[e.Before], pos[e.After]
+		if d := (a.X) - (b.X); d > 0 {
+			v += float64(d)
+		}
+		if d := (a.X + a.W) - (b.X + b.W); d > 0 {
+			v += float64(d)
 		}
 	}
 	return v
@@ -262,12 +255,13 @@ func (p *problem) orderPenalty(pos []Placed) float64 {
 // its distillation boxes.
 func (p *problem) feedPenalty(pos []Placed) float64 {
 	v := 0.0
-	for _, it := range p.in.Items {
-		for _, before := range it.FeedAfter {
-			a, b := pos[before], pos[it.ID]
-			if d := a.X - b.X; d > 0 {
-				v += float64(d)
-			}
+	for i := range p.in.Items {
+		it := &p.in.Items[i]
+		if it.Kind != KindBox || it.FeedsItem < 0 {
+			continue
+		}
+		if d := pos[it.ID].X - pos[it.FeedsItem].X; d > 0 {
+			v += float64(d)
 		}
 	}
 	return v
@@ -278,9 +272,9 @@ func (p *problem) Cost() float64 {
 	nx, ny, nz := p.dims()
 	pos := p.itemPositions()
 	return float64(nx*ny*nz) +
-		p.opt.LambdaWire*float64(p.hpwl(pos)) +
-		p.opt.OrderWeight*p.orderPenalty(pos) +
-		2*p.feedPenalty(pos)
+		lambdaWire*float64(p.hpwl(pos)) +
+		orderWeight*p.orderPenalty(pos) +
+		feedWeight*p.feedPenalty(pos)
 }
 
 // Perturb applies one move: intra-layer B*-tree perturbation, or an item
@@ -397,15 +391,11 @@ func RunContext(ctx context.Context, in *Input, opt Options) (*Result, error) {
 		return nil, err
 	}
 	opt = opt.withDefaults(len(in.Items))
-	p := newProblem(in, opt)
+	p := newProblem(in)
 	var sa anneal.Result
 	if len(in.Items) > 1 {
 		var err error
-		sa, err = anneal.RunContext(ctx, p, anneal.Options{
-			Seed:         opt.Seed,
-			MaxMoves:     opt.MaxMoves,
-			MovesPerTemp: opt.MovesPerTemp,
-		})
+		sa, err = anneal.RunContext(ctx, p, anneal.Options{Seed: opt.Seed, MaxMoves: opt.MaxMoves})
 		if err != nil {
 			return nil, fmt.Errorf("place: %w", err)
 		}
@@ -426,20 +416,32 @@ func RunContext(ctx context.Context, in *Input, opt Options) (*Result, error) {
 
 // CheckLegal verifies that no two items overlap in 3-D.
 func (r *Result) CheckLegal() error {
-	for i := 0; i < len(r.Placed); i++ {
+	if pairs := r.Overlaps(); len(pairs) > 0 {
+		return fmt.Errorf("place: items %d and %d overlap", pairs[0][0], pairs[0][1])
+	}
+	return nil
+}
+
+// Overlaps lists every pair {i, j}, i < j, of placed items that intersect
+// in 3-D.
+func (r *Result) Overlaps() [][2]int {
+	var pairs [][2]int
+	for i := range r.Placed {
 		for j := i + 1; j < len(r.Placed); j++ {
-			a, b := r.Placed[i], r.Placed[j]
-			if a.Item == nil || b.Item == nil {
-				continue
-			}
-			if a.X < b.X+b.W && b.X < a.X+a.W &&
-				a.Y < b.Y+b.H && b.Y < a.Y+a.H &&
-				a.Z < b.Z+b.D && b.Z < a.Z+a.D {
-				return fmt.Errorf("place: items %d and %d overlap", i, j)
+			a, b := &r.Placed[i], &r.Placed[j]
+			if a.Item != nil && b.Item != nil && overlaps(a, b) {
+				pairs = append(pairs, [2]int{i, j})
 			}
 		}
 	}
-	return nil
+	return pairs
+}
+
+// overlaps reports whether two placed boxes intersect in 3-D.
+func overlaps(a, b *Placed) bool {
+	return a.X < b.X+b.W && b.X < a.X+a.W &&
+		a.Y < b.Y+b.H && b.Y < a.Y+a.H &&
+		a.Z < b.Z+b.D && b.Z < a.Z+a.D
 }
 
 func abs(v int) int {

@@ -2,7 +2,10 @@ package place
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"tqec/internal/bridge"
@@ -128,15 +131,6 @@ func TestBoxesBuiltWithOrdering(t *testing.T) {
 		if it.FeedsItem < 0 || in.Items[it.FeedsItem].Kind != KindChain {
 			t.Fatalf("box %d feeds %d", it.ID, it.FeedsItem)
 		}
-		found := false
-		for _, o := range in.Items[it.FeedsItem].FeedAfter {
-			if o == it.ID {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("box %d not feed-ordered before its consumer", it.ID)
-		}
 		switch it.Box {
 		case geom.BoxY:
 			if it.W == 3 && it.H == 3 && it.D == 2 && it.Pad == 0 {
@@ -162,13 +156,9 @@ func TestInterTOrderingBetweenItems(t *testing.T) {
 	c.AppendNew(circuit.T, 0)
 	in := buildInput(t, c, true) // singletons force distinct anchor items
 	found := false
-	for _, it := range in.Items {
-		if it.Kind == KindChain && len(it.OrderAfter) > 0 {
-			for _, o := range it.OrderAfter {
-				if in.Items[o].Kind == KindChain {
-					found = true
-				}
-			}
+	for _, e := range in.OrderEdges {
+		if !e.Mutual && in.Items[e.Before].Kind == KindChain && in.Items[e.After].Kind == KindChain {
+			found = true
 		}
 	}
 	if !found {
@@ -275,7 +265,7 @@ func TestValidateCatchesBadItems(t *testing.T) {
 		t.Fatal("empty extent accepted")
 	}
 	in = threeCNOT(t, false)
-	in.Items[0].OrderAfter = []int{99}
+	in.OrderEdges = append(in.OrderEdges, OrderEdge{Before: 99, After: 0})
 	if err := in.Validate(); err == nil {
 		t.Fatal("dangling order edge accepted")
 	}
@@ -318,24 +308,117 @@ func TestPinPosRotation(t *testing.T) {
 
 func TestOrderEdgesDerivedFromConstraints(t *testing.T) {
 	// Two chained T gadgets: the intra- and inter-T rail constraints must
-	// lift to at least one cross-item OrderAfter edge under singletons.
+	// lift to at least one cross-item OrderEdge under singletons.
 	c := circuit.New("edges", 1)
 	c.AppendNew(circuit.T, 0)
 	c.AppendNew(circuit.T, 0)
 	in := buildInput(t, c, true)
-	edges := 0
-	for _, it := range in.Items {
-		edges += len(it.OrderAfter)
-	}
-	if edges == 0 {
+	checkOrderEdges(t, in)
+	if len(in.OrderEdges) == 0 {
 		t.Fatal("no order edges derived")
 	}
-	// Edges must be sorted and unique per item.
-	for _, it := range in.Items {
-		for i := 1; i < len(it.OrderAfter); i++ {
-			if it.OrderAfter[i] <= it.OrderAfter[i-1] {
-				t.Fatalf("item %d edges not sorted/unique: %v", it.ID, it.OrderAfter)
+	// toffoli3's primal chains contract rails measured in both orders
+	// into one item pair, so some of its edges are mutual.
+	tof, err := revlib.ParseString(revlib.Samples["toffoli3"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, err := decompose.ToCliffordT(tof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checkOrderEdges(t, buildInput(t, low.Circuit, false)) == 0 {
+		t.Fatal("toffoli3 lifted no mutual edge")
+	}
+}
+
+// checkOrderEdges asserts that in.RailItem holds each rail's measurement
+// group and in.OrderEdges is exactly the set of cross-item lifts of the
+// ICM constraints, sorted by (Before, After) without duplicates, with
+// Mutual set exactly when the reverse edge is lifted too. It returns the
+// number of mutual edges.
+func checkOrderEdges(t *testing.T, in *Input) (mutual int) {
+	t.Helper()
+	for rail, id := range in.RailItem {
+		row := in.Graph.Rows[rail]
+		if grp := in.Simpl.GroupOf(row[len(row)-1]); !slices.Contains(in.Items[id].Chain, grp) {
+			t.Fatalf("rail %d lifted to item %d, which does not hold its measurement group %d", rail, id, grp)
+		}
+	}
+	lifted := map[[2]int]bool{}
+	for _, cst := range in.Graph.Source.Constraints {
+		if a, b := in.RailItem[cst.Before], in.RailItem[cst.After]; a != b {
+			lifted[[2]int{a, b}] = true
+		}
+	}
+	if len(in.OrderEdges) != len(lifted) {
+		t.Fatalf("%d edges for %d lifted pairs", len(in.OrderEdges), len(lifted))
+	}
+	for i, e := range in.OrderEdges {
+		if !lifted[[2]int{e.Before, e.After}] {
+			t.Fatalf("edge %+v lifts no constraint", e)
+		}
+		if rev := lifted[[2]int{e.After, e.Before}]; e.Mutual != rev {
+			t.Fatalf("edge %+v: Mutual = %v, reverse lifted = %v", e, e.Mutual, rev)
+		}
+		if e.Mutual {
+			mutual++
+		}
+		if i > 0 {
+			p := in.OrderEdges[i-1]
+			if p.Before > e.Before || (p.Before == e.Before && p.After >= e.After) {
+				t.Fatalf("edges not sorted/unique at %d: %+v then %+v", i, p, e)
 			}
 		}
+	}
+	return mutual
+}
+
+func TestBuildItemsNamesUnliftableRail(t *testing.T) {
+	// Drop the chain holding the last rail's measurement group: that
+	// rail's measurement then lies on no item, and the lift must say so
+	// instead of ordering it as item 0.
+	c, err := revlib.ParseString(revlib.Samples["threecnot"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := icm.FromCliffordT(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := pdgraph.New(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := simplify.Run(g, simplify.Options{Disabled: true})
+	p := bridge.Singletons(s)
+	d := bridge.DualContext(context.Background(), s)
+
+	measured := func(rail int) int {
+		row := g.Rows[rail]
+		return s.GroupOf(row[len(row)-1])
+	}
+	last := len(rep.Rails) - 1
+	drop, _, ok := p.ChainOf(measured(last))
+	if !ok {
+		t.Fatalf("rail %d's measurement group is in no chain", last)
+	}
+	// The lift walks rails in ID order, so it stops at the first rail
+	// measured in the dropped chain.
+	want := last
+	for rail := range rep.Rails {
+		if ch, _, _ := p.ChainOf(measured(rail)); ch == drop {
+			want = rail
+			break
+		}
+	}
+	cut := *p
+	cut.Chains = append(append([]bridge.Chain(nil), p.Chains[:drop]...), p.Chains[drop+1:]...)
+	_, err = BuildItems(g, s, &cut, d)
+	if err == nil {
+		t.Fatal("rail measured on no item was lifted")
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("rail %d ", want)) {
+		t.Fatalf("error %q does not name rail %d", err, want)
 	}
 }

@@ -89,13 +89,6 @@ func (g *Grid) BlockBox(min, max Cell) {
 	}
 }
 
-// Unblock frees a cell (used for pins inside module footprints).
-func (g *Grid) Unblock(c Cell) {
-	if g.In(c) {
-		g.blocked[g.idx(c)] = false
-	}
-}
-
 // Blocked reports whether a cell is a static obstacle.
 func (g *Grid) Blocked(c Cell) bool { return !g.In(c) || g.blocked[g.idx(c)] }
 
@@ -109,47 +102,39 @@ type Net struct {
 type Options struct {
 	// MaxIters bounds the PathFinder negotiation rounds (default 8).
 	MaxIters int
-	// RegionInflate is the initial restricted-region margin around the
-	// pin bounding box, in cells (default 4); it grows on retry.
-	RegionInflate int
-	// PresentFactor scales the present-sharing penalty per extra user
-	// (default 4); HistoryFactor scales accumulated history (default 1).
-	PresentFactor float64
-	HistoryFactor float64
 	// CellCapacity is the number of distinct nets a cell may carry
 	// without overflowing (default 1). The doubled lattice admits two
 	// dual strands per paper-unit cell at half-unit offsets while keeping
 	// the one-unit dual–dual separation, so callers modeling that
 	// geometry pass 2.
 	CellCapacity int
-	// BlockPenalty is the cost of entering a blocked cell (default 500):
-	// obstacles are soft walls so a pin walled in by tightly packed
-	// distillation boxes can still be reached; such squeezes are counted
-	// in Result.Squeezed and should stay near zero.
-	BlockPenalty float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxIters <= 0 {
 		o.MaxIters = 8
 	}
-	if o.RegionInflate <= 0 {
-		o.RegionInflate = 4
-	}
-	if o.PresentFactor <= 0 {
-		o.PresentFactor = 4
-	}
-	if o.HistoryFactor <= 0 {
-		o.HistoryFactor = 1
-	}
 	if o.CellCapacity <= 0 {
 		o.CellCapacity = 1
 	}
-	if o.BlockPenalty <= 0 {
-		o.BlockPenalty = 500
-	}
 	return o
 }
+
+// Search costs and the restricted region.
+const (
+	// regionInflate is the initial restricted-region margin around the
+	// pin bounding box, in cells; it doubles on retry.
+	regionInflate = 4
+	// presentFactor scales the present-sharing penalty per extra user;
+	// historyFactor scales accumulated history.
+	presentFactor = 4
+	historyFactor = 1
+	// blockPenalty is the cost of entering a blocked cell: obstacles are
+	// soft walls so a pin walled in by tightly packed distillation boxes
+	// can still be reached; such squeezes are counted in Result.Squeezed
+	// and should stay near zero.
+	blockPenalty = 500
+)
 
 // Result is the routing outcome.
 type Result struct {
@@ -445,7 +430,7 @@ func (s *search) connect(src Cell) bool {
 	// Region: bbox of src and the tree.
 	lo := Cell{min(src.X, s.treeLo.X), min(src.Y, s.treeLo.Y), min(src.Z, s.treeLo.Z)}
 	hi := Cell{max(src.X, s.treeHi.X), max(src.Y, s.treeHi.Y), max(src.Z, s.treeHi.Z)}
-	for inflate := s.opt.RegionInflate; ; inflate *= 2 {
+	for inflate := regionInflate; ; inflate *= 2 {
 		rlo := Cell{max(0, lo.X-inflate), max(0, lo.Y-inflate), max(0, lo.Z-inflate)}
 		rhi := Cell{min(g.NX-1, hi.X+inflate), min(g.NY-1, hi.Y+inflate), min(g.NZ-1, hi.Z+inflate)}
 		if hit := s.astar(src, sample, rlo, rhi); hit >= 0 {
@@ -504,13 +489,13 @@ func (s *search) astar(src Cell, sample []Cell, rlo, rhi Cell) int {
 			ni := ci + s.stride[k]
 			// Below capacity the cell is free of sharing cost; at or above
 			// it the present penalty grows with the would-be excess.
-			cost := 1.0 + opt.HistoryFactor*g.history[ni]
+			cost := 1.0 + historyFactor*g.history[ni]
 			if u := int(g.usage[ni]); u+1 > opt.CellCapacity {
-				cost += opt.PresentFactor * float64(u+1-opt.CellCapacity)
+				cost += presentFactor * float64(u+1-opt.CellCapacity)
 			}
 			ng := cur.gScore + cost
 			if g.blocked[ni] {
-				ng += opt.BlockPenalty
+				ng += blockPenalty
 			}
 			next := &s.cells[ni]
 			if next.seen == s.epoch && ng >= next.gScore {
@@ -652,6 +637,17 @@ func connected(set map[Cell]bool, pins []Cell) bool {
 		}
 	}
 	return true
+}
+
+// NetIDs returns the routed net IDs in ascending order: consumers whose
+// output lists nets iterate Routes in this order, never in map order.
+func (r *Result) NetIDs() []int {
+	ids := make([]int, 0, len(r.Routes))
+	for id := range r.Routes {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
 }
 
 // Bounds returns the bounding cells of all routes (lo, hi); ok is false

@@ -58,10 +58,6 @@ func TestBlocking(t *testing.T) {
 	if !g.Blocked(Cell{3, 2, 3}) {
 		t.Fatal("BlockBox broken")
 	}
-	g.Unblock(Cell{2, 2, 2})
-	if g.Blocked(Cell{2, 2, 2}) {
-		t.Fatal("Unblock broken")
-	}
 }
 
 func TestSingleStraightRoute(t *testing.T) {
