@@ -18,7 +18,9 @@ type Problem interface {
 	// Cost evaluates the current state (lower is better).
 	Cost() float64
 	// Perturb applies a random move in place and returns an undo function.
-	// Returning a nil undo means the move was a no-op.
+	// Returning a nil undo means the move was a no-op. An undo may read
+	// state the problem keeps for its last move, so it is valid only until
+	// the next Perturb.
 	Perturb(rng *rand.Rand) (undo func())
 	// Snapshot captures the current state for later Restore.
 	Snapshot() any

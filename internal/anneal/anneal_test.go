@@ -114,7 +114,7 @@ func TestAnnealBTreeArea(t *testing.T) {
 	if res.BestCost > initial {
 		t.Fatalf("area regressed: %f -> %f", initial, res.BestCost)
 	}
-	pl, _, _ := tr.Pack()
+	pl, _, _ := tr.Pack(nil)
 	if err := btree.CheckNoOverlap(pl); err != nil {
 		t.Fatalf("final floorplan overlaps: %v", err)
 	}
@@ -129,9 +129,14 @@ func TestAnnealBTreeArea(t *testing.T) {
 type treeProblem struct{ tree *btree.Tree }
 
 func (p *treeProblem) Cost() float64 {
-	_, w, h := p.tree.Pack()
+	_, w, h := p.tree.Pack(nil)
 	return float64(w * h)
 }
-func (p *treeProblem) Perturb(rng *rand.Rand) func() { return p.tree.Perturb(rng) }
-func (p *treeProblem) Snapshot() any                 { return p.tree.Snapshot() }
-func (p *treeProblem) Restore(s any)                 { p.tree.Restore(s.(btree.Snapshot)) }
+func (p *treeProblem) Perturb(rng *rand.Rand) func() {
+	if !p.tree.Perturb(rng) {
+		return nil
+	}
+	return p.tree.Undo
+}
+func (p *treeProblem) Snapshot() any { return p.tree.Snapshot() }
+func (p *treeProblem) Restore(s any) { p.tree.Restore(s.(btree.Snapshot)) }

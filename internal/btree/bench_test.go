@@ -17,9 +17,11 @@ func randomBlocks(n int, seed int64) []Block {
 // BenchmarkPack measures the contour packing of a mid-size floorplan.
 func BenchmarkPack(b *testing.B) {
 	tr := NewGrid(randomBlocks(200, 1))
+	var pl []Placement
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, w, _ := tr.Pack(); w <= 0 {
+		var w int
+		if pl, w, _ = tr.Pack(pl); w <= 0 {
 			b.Fatal("empty pack")
 		}
 	}
@@ -30,11 +32,12 @@ func BenchmarkPack(b *testing.B) {
 func BenchmarkPerturbPack(b *testing.B) {
 	tr := NewGrid(randomBlocks(200, 1))
 	rng := rand.New(rand.NewSource(2))
+	var pl []Placement
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if undo := tr.Perturb(rng); undo != nil {
-			tr.Pack()
-			undo()
+		if tr.Perturb(rng) {
+			pl, _, _ = tr.Pack(pl)
+			tr.Undo()
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"math/rand"
 )
 
-// Block is one rectangle to place.
+// Block is one rectangle to place. W and H are positive.
 type Block struct {
 	ID        int // caller's identifier, opaque to the tree
 	W, H      int
@@ -30,30 +30,47 @@ type node struct {
 	rotated             bool
 }
 
-// Tree is a B*-tree over a fixed block set.
+// Tree is a B*-tree over a fixed block set. The zero Tree is empty. Pack,
+// Perturb and Undo reuse scratch the tree owns, so a tree must not be used
+// from two goroutines at once.
 type Tree struct {
 	Blocks []Block
 	nodes  []node
 	root   int
+
+	// steps and stack are Pack's contour and preorder scratch.
+	steps []step
+	stack []frame
+	// last is the move Undo reverts. Before a structural move, undoNodes
+	// and undoRoot keep the structure it changes.
+	last      lastMove
+	undoNodes []node
+	undoRoot  int
 }
 
 // New builds an initial chain tree (every node the left child of its
 // predecessor: a single row), a good starting floorplan for annealing.
 func New(blocks []Block) *Tree {
-	t := &Tree{Blocks: append([]Block(nil), blocks...)}
-	t.nodes = make([]node, len(blocks))
-	for i := range t.nodes {
-		t.nodes[i] = node{parent: i - 1, left: -1, right: -1}
+	t := &Tree{}
+	t.chain(blocks)
+	return t
+}
+
+// chain rebuilds t in place as the chain New builds.
+func (t *Tree) chain(blocks []Block) {
+	t.Blocks = append(t.Blocks[:0], blocks...)
+	t.nodes = t.nodes[:0]
+	for i := range blocks {
+		t.nodes = append(t.nodes, node{parent: i - 1, left: -1, right: -1})
 		if i > 0 {
 			t.nodes[i-1].left = i
 		}
 	}
+	t.root = -1
 	if len(blocks) > 0 {
 		t.root = 0
-	} else {
-		t.root = -1
 	}
-	return t
+	t.last = lastMove{}
 }
 
 // NewGrid builds an initial tree arranged as rows of roughly equal total
@@ -61,10 +78,18 @@ func New(blocks []Block) *Tree {
 // row members as left-child chains), which packs to a near-square
 // floorplan — a far better annealing start than a single row.
 func NewGrid(blocks []Block) *Tree {
-	t := New(blocks)
+	t := &Tree{}
+	t.Reset(blocks)
+	return t
+}
+
+// Reset rebuilds t in place over a new block set, arranged exactly as
+// NewGrid arranges it, reusing t's storage.
+func (t *Tree) Reset(blocks []Block) {
+	t.chain(blocks)
 	n := len(blocks)
 	if n < 3 {
-		return t
+		return
 	}
 	totalW, maxW := 0, 0
 	for _, b := range blocks {
@@ -99,7 +124,6 @@ func NewGrid(blocks []Block) *Tree {
 		prev = i
 		width += blocks[i].W
 	}
-	return t
 }
 
 func avgH(blocks []Block) int {
@@ -143,68 +167,76 @@ func (t *Tree) dims(i int) (w, h int) {
 	return b.W, b.H
 }
 
-// Pack computes the placement of every block using the contour algorithm
-// and returns the placements plus the bounding width and height.
-func (t *Tree) Pack() (pl []Placement, width, height int) {
+// step is one segment of Pack's contour: the top y over [x0, x1), and
+// the index of the next segment in x order (−1 at the end). Index 0 is
+// the list head.
+type step struct {
+	x0, x1, y int
+	next      int
+}
+
+// frame is one pending block of Pack's preorder walk: the node, its x,
+// and the contour step its scan starts after.
+type frame struct{ idx, x, prev int }
+
+// Pack computes the placement of every block with Chang et al.'s contour
+// and returns the placements plus the bounding width and height. The
+// placements are written into dst when it has room for all of them, so a
+// caller that packs repeatedly can reuse one slice; a nil dst gets a fresh
+// one.
+//
+// The contour is a list of steps in x order covering [0, width). A block
+// rests on the highest step it overlaps; its own step replaces the steps
+// it covers entirely and trims the one it covers in part. In preorder a
+// left child starts where its parent's step ends and a right child where
+// that step starts, and nothing placed between a parent and either child
+// covers the parent's step: the parent's left subtree lies to its right.
+// So each scan starts at a known step, and every step it passes but the
+// last is unlinked for good, which makes one pack amortised O(n).
+func (t *Tree) Pack(dst []Placement) (pl []Placement, width, height int) {
 	n := len(t.Blocks)
-	pl = make([]Placement, n)
-	if t.root < 0 {
+	pl = dst[:0]
+	if cap(pl) < n {
+		pl = make([]Placement, n)
+	}
+	pl = pl[:n]
+	if n == 0 {
 		return pl, 0, 0
 	}
-	// Contour: list of (xStart, xEnd, y) steps, disjoint in x but kept in
-	// insertion order, not sorted: a new block's steps are appended and a
-	// lookup scans them all. An insert cuts at most one step in two and
-	// adds one, so the contour never holds more than 2n steps; two buffers
-	// of capacity 2n+1, swapped on each insert, hold it without growing.
-	type step struct{ x0, x1, y int }
-	contour := make([]step, 0, 2*n+1)
-	spare := make([]step, 0, 2*n+1)
-	// DFS preorder placement; every node is pushed once.
-	type frame struct{ idx, x int }
-	stack := make([]frame, 1, n)
-	stack[0] = frame{t.root, 0}
+	steps := append(t.steps[:0], step{next: -1})
+	stack := append(t.stack[:0], frame{t.root, 0, 0})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		w, h := t.dims(f.idx)
 		x0, x1 := f.x, f.x+w
 		y := 0
-		for _, s := range contour {
-			if s.x1 > x0 && s.x0 < x1 && s.y > y {
-				y = s.y
-			}
-		}
-		pl[f.idx] = Placement{X: x0, Y: y, W: w, H: h, Rotated: t.nodes[f.idx].rotated}
-		// Raise the contour over [x0, x1) to the block's top.
-		next := spare[:0]
-		for _, s := range contour {
-			if s.x1 <= x0 || s.x0 >= x1 {
-				next = append(next, s)
-				continue
-			}
-			if s.x0 < x0 {
-				next = append(next, step{s.x0, x0, s.y})
-			}
+		next := steps[f.prev].next
+		for next >= 0 && steps[next].x0 < x1 {
+			s := &steps[next]
+			y = max(y, s.y)
 			if s.x1 > x1 {
-				next = append(next, step{x1, s.x1, s.y})
+				s.x0 = x1 // covered in part: keep the rest
+				break
 			}
+			next = s.next // covered entirely: unlinked below
 		}
-		contour, spare = append(next, step{x0, x1, y + h}), contour
-		if x1 > width {
-			width = x1
-		}
-		if y+h > height {
-			height = y + h
-		}
+		own := len(steps)
+		steps = append(steps, step{x0, x1, y + h, next})
+		steps[f.prev].next = own
+		pl[f.idx] = Placement{X: x0, Y: y, W: w, H: h, Rotated: t.nodes[f.idx].rotated}
+		width = max(width, x1)
+		height = max(height, y+h)
 		// Right child above (same x) is processed after the left chain;
 		// push right first so left pops first (preorder: node, left, right).
 		if r := t.nodes[f.idx].right; r >= 0 {
-			stack = append(stack, frame{r, x0})
+			stack = append(stack, frame{r, x0, f.prev})
 		}
 		if l := t.nodes[f.idx].left; l >= 0 {
-			stack = append(stack, frame{l, x1})
+			stack = append(stack, frame{l, x1, own})
 		}
 	}
+	t.steps, t.stack = steps, stack
 	return pl, width, height
 }
 
@@ -320,34 +352,68 @@ func (t *Tree) detach(i int) {
 	}
 }
 
-// Perturb applies one random structural move and returns an undo closure,
-// implementing the classic B*-tree move set (rotate / swap / move).
-func (t *Tree) Perturb(rng *rand.Rand) (undo func()) {
+// lastMove records the move Perturb applied, for Undo.
+type lastMove struct {
+	kind moveKind
+	i, j int
+}
+
+type moveKind int
+
+const (
+	moveNone moveKind = iota
+	moveRotate
+	moveSwap
+	moveStructure
+)
+
+// Perturb applies one random move from the classic B*-tree move set
+// (rotate / swap / move) and reports whether it changed the tree. The
+// state Undo needs stays in the tree, so a move costs no allocation.
+func (t *Tree) Perturb(rng *rand.Rand) bool {
+	t.last = lastMove{}
 	if t.Len() < 2 {
-		return nil
+		return false
 	}
 	switch rng.Intn(3) {
 	case 0: // rotate
 		i := rng.Intn(t.Len())
 		if !t.Rotate(i) {
-			return nil
+			return false
 		}
-		return func() { t.Rotate(i) }
+		t.last = lastMove{kind: moveRotate, i: i}
 	case 1: // swap
 		i, j := rng.Intn(t.Len()), rng.Intn(t.Len())
 		if i == j {
-			return nil
+			return false
 		}
 		t.Swap(i, j)
-		return func() { t.Swap(i, j) }
-	default: // move: structural, undone via snapshot
-		snap := t.Snapshot()
+		t.last = lastMove{kind: moveSwap, i: i, j: j}
+	default: // move: structural, undone from a copy of the nodes
+		t.undoNodes = append(t.undoNodes[:0], t.nodes...)
+		t.undoRoot = t.root
 		i, p := rng.Intn(t.Len()), rng.Intn(t.Len())
 		if !t.Move(i, p, rng.Intn(2)) {
-			return nil
+			return false
 		}
-		return func() { t.Restore(snap) }
+		t.last = lastMove{kind: moveStructure}
 	}
+	return true
+}
+
+// Undo reverts the move the last Perturb applied. It is valid only until
+// the next Perturb, and reverts a move at most once.
+func (t *Tree) Undo() {
+	switch t.last.kind {
+	case moveRotate:
+		t.Rotate(t.last.i)
+	case moveSwap:
+		t.Swap(t.last.i, t.last.j)
+	case moveStructure:
+		copy(t.nodes, t.undoNodes)
+		t.root = t.undoRoot
+	}
+	t.last = lastMove{}
 }
 
 // Snapshot captures the full tree structure.
@@ -364,6 +430,7 @@ func (t *Tree) Restore(s Snapshot) {
 	t.Blocks = append(t.Blocks[:0:0], s.blocks...)
 	t.nodes = append(t.nodes[:0:0], s.nodes...)
 	t.root = s.root
+	t.last = lastMove{}
 }
 
 // FromSnapshot builds a tree directly from a snapshot.

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,21 +17,21 @@ func blocks(dims ...[2]int) []Block {
 
 func TestEmptyTree(t *testing.T) {
 	tr := New(nil)
-	pl, w, h := tr.Pack()
+	pl, w, h := tr.Pack(nil)
 	if len(pl) != 0 || w != 0 || h != 0 {
 		t.Fatal("empty tree must pack to nothing")
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Perturb(rand.New(rand.NewSource(1))) != nil {
+	if tr.Perturb(rand.New(rand.NewSource(1))) {
 		t.Fatal("perturbing a tiny tree must be a no-op")
 	}
 }
 
 func TestChainPacksToRow(t *testing.T) {
 	tr := New(blocks([2]int{2, 3}, [2]int{4, 1}, [2]int{1, 5}))
-	pl, w, h := tr.Pack()
+	pl, w, h := tr.Pack(nil)
 	if w != 7 || h != 5 {
 		t.Fatalf("row dims = %d×%d, want 7×5", w, h)
 	}
@@ -56,7 +57,7 @@ func TestRightChildStacks(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	pl, w, h := tr.Pack()
+	pl, w, h := tr.Pack(nil)
 	if pl[1].X != 0 || pl[1].Y != 2 {
 		t.Fatalf("stacked block at %+v", pl[1])
 	}
@@ -72,7 +73,7 @@ func TestContourRises(t *testing.T) {
 	if !tr.Move(2, 0, 1) {
 		t.Fatal("move failed")
 	}
-	pl, _, _ := tr.Pack()
+	pl, _, _ := tr.Pack(nil)
 	// Block 2 at x=0 width 4 overlaps columns of block 0 (h=4) and block 1
 	// (h=1): contour forces y=4.
 	if pl[2].Y != 4 {
@@ -88,7 +89,7 @@ func TestRotate(t *testing.T) {
 	if !tr.Rotate(0) {
 		t.Fatal("rotatable block refused")
 	}
-	pl, w, h := tr.Pack()
+	pl, w, h := tr.Pack(nil)
 	if w != 1 || h != 5 || !pl[0].Rotated {
 		t.Fatalf("rotation not applied: %d×%d %+v", w, h, pl[0])
 	}
@@ -101,7 +102,7 @@ func TestRotate(t *testing.T) {
 func TestSwap(t *testing.T) {
 	tr := New(blocks([2]int{2, 2}, [2]int{6, 1}))
 	tr.Swap(0, 1)
-	pl, _, _ := tr.Pack()
+	pl, _, _ := tr.Pack(nil)
 	// Position 0 (tree slot) now holds block ID 1.
 	if tr.Blocks[0].ID != 1 || pl[0].W != 6 {
 		t.Fatalf("swap broken: %+v %+v", tr.Blocks, pl)
@@ -128,13 +129,16 @@ func TestMoveRejectsCycles(t *testing.T) {
 func TestSnapshotRestore(t *testing.T) {
 	tr := New(blocks([2]int{2, 3}, [2]int{4, 1}, [2]int{1, 5}, [2]int{2, 2}))
 	snap := tr.Snapshot()
-	before, _, _ := tr.Pack()
+	// Both packs share one buffer: the first is copied out, or the
+	// comparison would read the second pack twice.
+	buf, _, _ := tr.Pack(nil)
+	before := slices.Clone(buf)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 50; i++ {
 		tr.Perturb(rng)
 	}
 	tr.Restore(snap)
-	after, _, _ := tr.Pack()
+	after, _, _ := tr.Pack(buf)
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("restore mismatch at %d: %+v vs %+v", i, before[i], after[i])
@@ -145,20 +149,21 @@ func TestSnapshotRestore(t *testing.T) {
 func TestPerturbUndo(t *testing.T) {
 	tr := New(blocks([2]int{2, 3}, [2]int{4, 1}, [2]int{1, 5}, [2]int{2, 2}, [2]int{3, 3}))
 	rng := rand.New(rand.NewSource(11))
+	var buf, before []Placement
 	for i := 0; i < 300; i++ {
-		before, _, _ := tr.Pack()
-		undo := tr.Perturb(rng)
-		if undo == nil {
+		buf, _, _ = tr.Pack(buf)
+		before = append(before[:0], buf...)
+		if !tr.Perturb(rng) {
 			continue
 		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("iter %d: invalid after perturb: %v", i, err)
 		}
-		undo()
+		tr.Undo()
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("iter %d: invalid after undo: %v", i, err)
 		}
-		after, _, _ := tr.Pack()
+		after, _, _ := tr.Pack(buf)
 		for j := range before {
 			if before[j] != after[j] {
 				t.Fatalf("iter %d: undo did not restore packing", i)
@@ -182,7 +187,7 @@ func TestQuickPackNeverOverlaps(t *testing.T) {
 		if tr.Validate() != nil {
 			return false
 		}
-		pl, w, h := tr.Pack()
+		pl, w, h := tr.Pack(nil)
 		if CheckNoOverlap(pl) != nil {
 			return false
 		}
@@ -227,7 +232,7 @@ func TestNewGridShapes(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	pl, w, h := tr.Pack()
+	pl, w, h := tr.Pack(nil)
 	if err := CheckNoOverlap(pl); err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +263,9 @@ func TestFromSnapshot(t *testing.T) {
 	if err := clone.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p1, w1, h1 := tr.Pack()
-	p2, w2, h2 := clone.Pack()
+	buf, w1, h1 := tr.Pack(nil)
+	p1 := slices.Clone(buf)
+	p2, w2, h2 := clone.Pack(buf)
 	if w1 != w2 || h1 != h2 {
 		t.Fatalf("clone dims differ: %dx%d vs %dx%d", w1, h1, w2, h2)
 	}
@@ -270,7 +276,7 @@ func TestFromSnapshot(t *testing.T) {
 	}
 	// Clone is independent.
 	clone.Swap(0, 1)
-	p1b, _, _ := tr.Pack()
+	p1b, _, _ := tr.Pack(nil)
 	if p1b[0] != p1[0] {
 		t.Fatal("clone aliases original")
 	}
@@ -310,7 +316,7 @@ func TestMoveAllSidesAndDetachShapes(t *testing.T) {
 	if tr2.Move(tr2.root, 1, 0) {
 		t.Fatal("root moved under descendant")
 	}
-	pl, _, _ := tr.Pack()
+	pl, _, _ := tr.Pack(nil)
 	if err := CheckNoOverlap(pl); err != nil {
 		t.Fatal(err)
 	}
@@ -326,14 +332,14 @@ func TestQuickGridTreesSurvivePerturbStorm(t *testing.T) {
 		}
 		tr := NewGrid(bl)
 		for i := 0; i < 80; i++ {
-			if undo := tr.Perturb(rng); undo != nil && rng.Intn(3) == 0 {
-				undo()
+			if tr.Perturb(rng) && rng.Intn(3) == 0 {
+				tr.Undo()
 			}
 		}
 		if tr.Validate() != nil {
 			return false
 		}
-		pl, _, _ := tr.Pack()
+		pl, _, _ := tr.Pack(nil)
 		return CheckNoOverlap(pl) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -341,9 +347,9 @@ func TestQuickGridTreesSurvivePerturbStorm(t *testing.T) {
 	}
 }
 
-// TestPackAllocations guards Pack's fixed-capacity contour: packing a
-// perturbed tree allocates the placements and a few buffers sized up
-// front, however many blocks there are.
+// TestPackAllocations guards Pack's reused scratch: once the tree's
+// contour and the caller's placement slice have grown, packing a
+// perturbed tree allocates nothing, however many blocks there are.
 func TestPackAllocations(t *testing.T) {
 	for _, n := range []int{100, 1000} {
 		tr := NewGrid(randomBlocks(n, 1))
@@ -354,10 +360,10 @@ func TestPackAllocations(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(10, func() { tr.Pack() })
-		t.Logf("%d blocks: %.0f allocations", n, allocs)
-		if allocs > 8 {
-			t.Fatalf("%d blocks: Pack made %.0f allocations, want <= 8", n, allocs)
+		pl, _, _ := tr.Pack(nil)
+		allocs := testing.AllocsPerRun(10, func() { pl, _, _ = tr.Pack(pl) })
+		if allocs != 0 {
+			t.Fatalf("%d blocks: Pack into a reused slice made %.0f allocations, want 0", n, allocs)
 		}
 	}
 }

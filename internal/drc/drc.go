@@ -323,25 +323,11 @@ func RuleByName(name string) (*Rule, bool) {
 
 // Options selects which rules to run.
 type Options struct {
-	// Stages restricts the run to rules of the listed stages (nil = all).
-	Stages []Stage
 	// Rules restricts the run to the named rules (nil = all).
 	Rules []string
 }
 
 func (o Options) wants(r *Rule) bool {
-	if len(o.Stages) > 0 {
-		ok := false
-		for _, s := range o.Stages {
-			if s == r.Stage {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
 	if len(o.Rules) > 0 {
 		ok := false
 		for _, n := range o.Rules {

@@ -20,49 +20,6 @@ type Report struct {
 	Skipped []string `json:"skipped,omitempty"`
 }
 
-// Merge appends another report's outcome: a rule that ran in either
-// report is not skipped in the merged one.
-func (r *Report) Merge(o *Report) {
-	if o == nil {
-		return
-	}
-	r.Violations = append(r.Violations, o.Violations...)
-	r.Ran = mergeNames(r.Ran, o.Ran)
-	r.Skipped = mergeNames(r.Skipped, o.Ran, o.Skipped...)
-	// A rule that ran in any pass is not skipped.
-	r.Skipped = subtract(r.Skipped, r.Ran)
-}
-
-// mergeNames unions base with ran, keeping first-seen order; extra values
-// are appended the same way.
-func mergeNames(base, ran []string, extra ...string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, lists := range [][]string{base, ran, extra} {
-		for _, n := range lists {
-			if !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
-	}
-	return out
-}
-
-func subtract(from, drop []string) []string {
-	del := map[string]bool{}
-	for _, n := range drop {
-		del[n] = true
-	}
-	var out []string
-	for _, n := range from {
-		if !del[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Count returns the number of violations at the given severity.
 func (r *Report) Count(sev Severity) int {
 	n := 0

@@ -1,6 +1,9 @@
 package place
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Compact applies force-directed-style axis compaction to a finished
 // placement (after Paetznick & Fowler's compaction-by-pulling, the paper's
@@ -24,11 +27,12 @@ func Compact(r *Result) int {
 			}
 		}
 	}
+	m := newHeightMap(r)
 	moved := 0
 	for pass := 0; pass < 8; pass++ {
-		m := compactAxis(r, axisX, after) + compactAxis(r, axisY, nil) + compactAxis(r, axisZ, nil)
-		moved += m
-		if m == 0 {
+		n := m.compactAxis(r, axisX, after) + m.compactAxis(r, axisY, nil) + m.compactAxis(r, axisZ, nil)
+		moved += n
+		if n == 0 {
 			break
 		}
 	}
@@ -67,56 +71,128 @@ func set(p *Placed, a axis, v int) {
 	}
 }
 
-// overlapOffAxis reports whether two items overlap on both axes other
-// than a.
-func overlapOffAxis(p, q *Placed, a axis) bool {
-	check := func(b axis) bool {
-		pp, pe := get(p, b)
-		qp, qe := get(q, b)
-		return pp < qp+qe && qp < pp+pe
-	}
+// crossAxes returns the two axes other than a.
+func crossAxes(a axis) (u, v axis) {
 	switch a {
 	case axisX:
-		return check(axisY) && check(axisZ)
+		return axisY, axisZ
 	case axisY:
-		return check(axisX) && check(axisZ)
+		return axisX, axisZ
 	default:
-		return check(axisX) && check(axisY)
+		return axisX, axisY
+	}
+}
+
+// heightMap is compactAxis's scratch, allocated once per Compact: the
+// placed items in index order, and for each unit cell of the plane across
+// the compacted axis, the highest top among the items settled on it so
+// far. Items have positive extents (Input.Validate), so two items share a
+// cell exactly when their intervals overlap on both cross axes.
+type heightMap struct {
+	order []int
+	top   []int
+	// lo is each axis's lowest coordinate, at most 0, and span the cells
+	// from there to the highest item end. Compaction moves items only
+	// down and never below 0, so both bound the items throughout.
+	lo, span [3]int
+}
+
+func newHeightMap(r *Result) *heightMap {
+	m := &heightMap{}
+	var hi [3]int
+	for i := range r.Placed {
+		p := &r.Placed[i]
+		if p.Item == nil {
+			continue
+		}
+		m.order = append(m.order, i)
+		for a := axisX; a <= axisZ; a++ {
+			pos, ext := get(p, a)
+			m.lo[a] = min(m.lo[a], pos)
+			hi[a] = max(hi[a], pos+ext)
+		}
+	}
+	cells := 0
+	for a := axisX; a <= axisZ; a++ {
+		m.span[a] = hi[a] - m.lo[a]
+	}
+	for a := axisX; a <= axisZ; a++ {
+		u, v := crossAxes(a)
+		cells = max(cells, m.span[u]*m.span[v])
+	}
+	m.top = make([]int, cells)
+	return m
+}
+
+// floor returns the highest top under p's footprint across axis a.
+func (m *heightMap) floor(p *Placed, a axis) int {
+	u, v := crossAxes(a)
+	up, ue := get(p, u)
+	vp, ve := get(p, v)
+	up, vp = up-m.lo[u], vp-m.lo[v]
+	f := 0
+	for cu := up; cu < up+ue; cu++ {
+		row := m.top[cu*m.span[v]:]
+		for _, t := range row[vp : vp+ve] {
+			f = max(f, t)
+		}
+	}
+	return f
+}
+
+// settle raises the cells under p's footprint across axis a to p's top.
+func (m *heightMap) settle(p *Placed, a axis) {
+	u, v := crossAxes(a)
+	up, ue := get(p, u)
+	vp, ve := get(p, v)
+	up, vp = up-m.lo[u], vp-m.lo[v]
+	pos, ext := get(p, a)
+	for cu := up; cu < up+ue; cu++ {
+		row := m.top[cu*m.span[v]:]
+		for cv := vp; cv < vp+ve; cv++ {
+			row[cv] = max(row[cv], pos+ext)
+		}
 	}
 }
 
 // compactAxis pulls every item to the smallest legal coordinate along a,
-// processing items in coordinate order so supports settle first. Only the
-// items before the current one in that order can support it: the rest
-// have not moved yet and sit at or above it. On x, no item starts before
-// an item it is ordered after (after is indexed by item).
-func compactAxis(r *Result, a axis, after [][]int) int {
-	order := make([]int, 0, len(r.Placed))
+// processing items in coordinate order so supports settle first. An item
+// rests on the highest top among the items processed before it that sit
+// strictly below it and overlap it across a. That excludes the unmoved
+// members of its own tie group, which still sit at the group's
+// coordinate: they settle into the height map when the group ends, and an
+// item that moved settles at once. On x, no item starts before an item it
+// is ordered after (after is indexed by item).
+func (m *heightMap) compactAxis(r *Result, a axis, after [][]int) int {
+	// Refill index order: the stable sort keeps it among ties.
+	order := m.order[:0]
 	for i := range r.Placed {
 		if r.Placed[i].Item != nil {
 			order = append(order, i)
 		}
 	}
-	sort.SliceStable(order, func(x, y int) bool {
-		px, _ := get(&r.Placed[order[x]], a)
-		py, _ := get(&r.Placed[order[y]], a)
-		return px < py
+	slices.SortStableFunc(order, func(i, j int) int {
+		pi, _ := get(&r.Placed[i], a)
+		pj, _ := get(&r.Placed[j], a)
+		return cmp.Compare(pi, pj)
 	})
+	u, v := crossAxes(a)
+	clear(m.top[:m.span[u]*m.span[v]])
 	moved := 0
+	group, groupAt := 0, 0 // the tie group's first index in order, and its coordinate
 	for k, i := range order {
 		p := &r.Placed[i]
 		pp, _ := get(p, a)
-		floor := 0
-		for _, j := range order[:k] {
-			q := &r.Placed[j]
-			qp, qe := get(q, a)
-			if qp >= pp {
-				continue // only items below can support
+		if k == 0 || pp != groupAt {
+			for _, j := range order[group:k] {
+				q := &r.Placed[j]
+				if qp, _ := get(q, a); qp == groupAt {
+					m.settle(q, a)
+				}
 			}
-			if overlapOffAxis(p, q, a) && qp+qe > floor {
-				floor = qp + qe
-			}
+			group, groupAt = k, pp
 		}
+		floor := m.floor(p, a)
 		if a == axisX {
 			// Time ordering: never slide left past an item this one must
 			// follow.
@@ -130,6 +206,7 @@ func compactAxis(r *Result, a axis, after [][]int) int {
 		if floor < pp {
 			set(p, a, floor)
 			moved++
+			m.settle(p, a)
 		}
 	}
 	return moved

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"tqec/internal/anneal"
@@ -61,11 +62,11 @@ type Result struct {
 // accounting for item rotation (a rotated chain runs its module sequence
 // along y instead of x).
 func (r *Result) PinPosition(p Pin) (x, y, z int) {
-	return pinPos(r.Placed, p)
+	return pinPos(r.Placed, &p)
 }
 
-func pinPos(pos []Placed, p Pin) (x, y, z int) {
-	pl := pos[p.Item]
+func pinPos(pos []Placed, p *Pin) (x, y, z int) {
+	pl := &pos[p.Item]
 	z = pl.Z + p.DZ
 	if p.Flip {
 		// The flipped dual segment leaves on the far z side (eq. 5).
@@ -82,31 +83,68 @@ func pinPos(pos []Placed, p Pin) (x, y, z int) {
 	return x, y, z
 }
 
-// layerState is one z-slab with its own B*-tree floorplan.
+// layerState is one z-slab with its own B*-tree floorplan. The prev
+// fields keep the slab as it was before the last move that touched it, in
+// storage the slab owns, so undoing a move neither repacks nor allocates.
 type layerState struct {
 	items []int // item IDs resident in this slab
 	tree  *btree.Tree
 	w, h  int
 	depth int
 	pl    []btree.Placement
+
+	prevItems               []int
+	prevTree                *btree.Tree
+	prevPl                  []btree.Placement
+	prevW, prevH, prevDepth int
+	blocks                  []btree.Block // rebuild's scratch
 }
 
+// rebuild lays the slab's items out afresh in a grid tree.
 func (l *layerState) rebuild(items []Item) {
-	blocks := make([]btree.Block, len(l.items))
+	l.blocks = l.blocks[:0]
 	l.depth = 0
-	for i, id := range l.items {
-		it := items[id]
-		blocks[i] = btree.Block{ID: id, W: it.W, H: it.H, Rotatable: it.Kind == KindChain}
+	for _, id := range l.items {
+		it := &items[id]
+		l.blocks = append(l.blocks, btree.Block{ID: id, W: it.W, H: it.H, Rotatable: it.Kind == KindChain})
 		if it.D > l.depth {
 			l.depth = it.D
 		}
 	}
-	l.tree = btree.NewGrid(blocks)
+	l.tree.Reset(l.blocks)
 	l.pack()
 }
 
 func (l *layerState) pack() {
-	l.pl, l.w, l.h = l.tree.Pack()
+	l.pl, l.w, l.h = l.tree.Pack(l.pl)
+}
+
+// keepPacking sets the current packing aside for restorePacking; the
+// next pack writes into the other buffer.
+func (l *layerState) keepPacking() {
+	l.pl, l.prevPl = l.prevPl, l.pl
+	l.prevW, l.prevH = l.w, l.h
+}
+
+func (l *layerState) restorePacking() {
+	l.pl, l.prevPl = l.prevPl, l.pl
+	l.w, l.h = l.prevW, l.prevH
+}
+
+// capture sets the whole slab aside before a migration edits its items
+// and rebuilds its tree; restore puts it back.
+func (l *layerState) capture() {
+	l.keepPacking()
+	l.prevItems = append(l.prevItems[:0], l.items...)
+	l.tree, l.prevTree = l.prevTree, l.tree
+	l.prevDepth = l.depth
+}
+
+func (l *layerState) restore() {
+	l.restorePacking()
+	l.items = append(l.items[:0], l.prevItems...)
+	l.tree, l.prevTree = l.prevTree, l.tree
+	l.depth = l.prevDepth
 }
 
 // problem implements anneal.Problem over the 2.5-D state.
@@ -114,7 +152,8 @@ type problem struct {
 	in     *Input
 	layers []*layerState
 	// netList is in.Nets flattened for allocation-free cost evaluation;
-	// posBuf is the reusable position scratch buffer.
+	// posBuf is the reusable position scratch buffer, its Item and D set
+	// once.
 	netList [][]Pin
 	posBuf  []Placed
 }
@@ -136,6 +175,10 @@ func newProblem(in *Input) *problem {
 		}
 	}
 	p.posBuf = make([]Placed, n)
+	for i := range p.posBuf {
+		p.posBuf[i].Item = &in.Items[i]
+		p.posBuf[i].D = in.Items[i].D
+	}
 	// Initial assignment: chunk items by depth so each slab holds items
 	// of similar z extent.
 	order := make([]int, n)
@@ -157,7 +200,7 @@ func newProblem(in *Input) *problem {
 		if end > n {
 			end = n
 		}
-		l := &layerState{items: append([]int(nil), order[start:end]...)}
+		l := &layerState{items: append([]int(nil), order[start:end]...), tree: new(btree.Tree), prevTree: new(btree.Tree)}
 		l.rebuild(in.Items)
 		p.layers = append(p.layers, l)
 	}
@@ -165,26 +208,21 @@ func newProblem(in *Input) *problem {
 }
 
 // itemPositions computes the absolute placement of every item into the
-// shared scratch buffer (copy it before keeping a reference).
+// shared scratch buffer (copy it before keeping a reference). Only the
+// fields a move can change are written.
 func (p *problem) itemPositions() []Placed {
-	if p.posBuf == nil {
-		p.posBuf = make([]Placed, len(p.in.Items))
-	}
 	out := p.posBuf
 	z := 0
 	for li, l := range p.layers {
 		if len(l.items) == 0 {
 			continue
 		}
-		for slot, bpl := range l.pl {
-			id := l.tree.Blocks[slot].ID
-			out[id] = Placed{
-				Item: &p.in.Items[id],
-				X:    bpl.X, Y: bpl.Y, Z: z,
-				W: bpl.W, H: bpl.H, D: p.in.Items[id].D,
-				Rotated: bpl.Rotated,
-				Layer:   li,
-			}
+		for slot := range l.pl {
+			bpl := &l.pl[slot]
+			q := &out[l.tree.Blocks[slot].ID]
+			q.X, q.Y, q.Z = bpl.X, bpl.Y, z
+			q.W, q.H = bpl.W, bpl.H
+			q.Rotated, q.Layer = bpl.Rotated, li
 		}
 		z += l.depth
 	}
@@ -212,8 +250,8 @@ func (p *problem) hpwl(pos []Placed) int {
 	for _, pins := range p.netList {
 		minX, minY, minZ := math.MaxInt32, math.MaxInt32, math.MaxInt32
 		maxX, maxY, maxZ := math.MinInt32, math.MinInt32, math.MinInt32
-		for _, pin := range pins {
-			x, y, z := pinPos(pos, pin)
+		for i := range pins {
+			x, y, z := pinPos(pos, &pins[i])
 			minX, maxX = min(minX, x), max(maxX, x)
 			minY, maxY = min(minY, y), max(maxY, y)
 			minZ, maxZ = min(minZ, z), max(maxZ, z)
@@ -226,7 +264,7 @@ func (p *problem) hpwl(pos []Placed) int {
 		if it.Kind != KindBox || it.FeedsItem < 0 {
 			continue
 		}
-		a, b := pos[it.ID], pos[it.FeedsItem]
+		a, b := &pos[it.ID], &pos[it.FeedsItem]
 		total += abs(a.X+a.W-b.X) + abs(a.Y-b.Y) + abs(a.Z-b.Z)
 	}
 	return total
@@ -236,11 +274,12 @@ func (p *problem) hpwl(pos []Placed) int {
 // starts and finishes before its Before item.
 func (p *problem) orderPenalty(pos []Placed) float64 {
 	v := 0.0
-	for _, e := range p.in.OrderEdges {
+	for i := range p.in.OrderEdges {
+		e := &p.in.OrderEdges[i]
 		if e.Mutual {
 			continue
 		}
-		a, b := pos[e.Before], pos[e.After]
+		a, b := &pos[e.Before], &pos[e.After]
 		if d := (a.X) - (b.X); d > 0 {
 			v += float64(d)
 		}
@@ -278,7 +317,8 @@ func (p *problem) Cost() float64 {
 }
 
 // Perturb applies one move: intra-layer B*-tree perturbation, or an item
-// migration between layers.
+// migration between layers. The undo it returns reads state the layers
+// keep for the last move, so it is valid only until the next Perturb.
 func (p *problem) Perturb(rng *rand.Rand) func() {
 	if len(p.layers) == 0 {
 		return nil
@@ -286,17 +326,14 @@ func (p *problem) Perturb(rng *rand.Rand) func() {
 	if rng.Float64() < 0.7 {
 		// Intra-layer structural move.
 		l := p.layers[rng.Intn(len(p.layers))]
-		if len(l.items) < 2 {
+		if len(l.items) < 2 || !l.tree.Perturb(rng) {
 			return nil
 		}
-		undo := l.tree.Perturb(rng)
-		if undo == nil {
-			return nil
-		}
+		l.keepPacking()
 		l.pack()
 		return func() {
-			undo()
-			l.pack()
+			l.tree.Undo()
+			l.restorePacking()
 		}
 	}
 	// Cross-layer migration.
@@ -310,44 +347,16 @@ func (p *problem) Perturb(rng *rand.Rand) func() {
 	}
 	idx := rng.Intn(len(from.items))
 	id := from.items[idx]
-	fromSnap := from.capture()
-	toSnap := to.capture()
-	from.items = append(append([]int(nil), from.items[:idx]...), from.items[idx+1:]...)
-	to.items = append(append([]int(nil), to.items...), id)
+	from.capture()
+	to.capture()
+	from.items = slices.Delete(from.items, idx, idx+1)
+	to.items = append(to.items, id)
 	from.rebuild(p.in.Items)
 	to.rebuild(p.in.Items)
 	return func() {
-		from.restore(fromSnap)
-		to.restore(toSnap)
+		from.restore()
+		to.restore()
 	}
-}
-
-// layerSnapshot is an exact copy of a layer, including the annealed tree
-// structure, so a rejected migration restores it without information loss.
-type layerSnapshot struct {
-	items []int
-	tree  btree.Snapshot
-	w, h  int
-	depth int
-	pl    []btree.Placement
-}
-
-func (l *layerState) capture() layerSnapshot {
-	return layerSnapshot{
-		items: append([]int(nil), l.items...),
-		tree:  l.tree.Snapshot(),
-		w:     l.w, h: l.h,
-		depth: l.depth,
-		pl:    append([]btree.Placement(nil), l.pl...),
-	}
-}
-
-func (l *layerState) restore(s layerSnapshot) {
-	l.items = s.items
-	l.tree = btree.FromSnapshot(s.tree)
-	l.w, l.h = s.w, s.h
-	l.depth = s.depth
-	l.pl = s.pl
 }
 
 type placeSnapshot struct {
@@ -371,15 +380,10 @@ func (p *problem) Snapshot() any {
 func (p *problem) Restore(snap any) {
 	s := snap.(placeSnapshot)
 	for i, l := range p.layers {
-		l.items = append([]int(nil), s.items[i]...)
-		// Tree block sets may differ; rebuild then restore structure when
-		// the block count matches.
-		l.rebuild(p.in.Items)
-		if l.tree.Len() == len(s.items[i]) {
-			l.tree.Restore(s.trees[i])
-			l.pack()
-		}
+		l.items = append(l.items[:0], s.items[i]...)
+		l.tree.Restore(s.trees[i])
 		l.depth = s.depths[i]
+		l.pack()
 	}
 }
 

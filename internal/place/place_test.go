@@ -287,20 +287,20 @@ func TestPinPosRotation(t *testing.T) {
 	pos := []Placed{{Item: &item, X: 10, Y: 20, Z: 5, W: 4, H: 2, D: 2}}
 	pin := Pin{Item: 0, DX: 2, DY: 1, Flip: false}
 
-	x, y, z := pinPos(pos, pin)
+	x, y, z := pinPos(pos, &pin)
 	if x != 12 || y != 21 || z != 5 {
 		t.Fatalf("unrotated pin at %d,%d,%d", x, y, z)
 	}
 	// Flip exits on the far z side (D − Pad).
 	pin.Flip = true
-	if _, _, z = pinPos(pos, pin); z != 5+2-1 {
+	if _, _, z = pinPos(pos, &pin); z != 5+2-1 {
 		t.Fatalf("flipped z = %d", z)
 	}
 	// Rotation swaps the in-plane offsets.
 	pos[0].Rotated = true
 	pos[0].W, pos[0].H = 2, 4
 	pin.Flip = false
-	x, y, z = pinPos(pos, pin)
+	x, y, z = pinPos(pos, &pin)
 	if x != 10+1 || y != 20+2 || z != 5 {
 		t.Fatalf("rotated pin at %d,%d,%d", x, y, z)
 	}

@@ -39,7 +39,7 @@ var neighbors6 = []Cell{
 type Grid struct {
 	NX, NY, NZ int
 	blocked    []bool
-	history    []float64
+	history    []int32 // overflow accumulated over the rounds
 	usage      []int16
 }
 
@@ -52,7 +52,7 @@ func NewGrid(nx, ny, nz int) (*Grid, error) {
 	return &Grid{
 		NX: nx, NY: ny, NZ: nz,
 		blocked: make([]bool, n),
-		history: make([]float64, n),
+		history: make([]int32, n),
 		usage:   make([]int16, n),
 	}, nil
 }
@@ -250,7 +250,7 @@ func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Resul
 		for i, u := range g.usage {
 			if u > cap16 {
 				overflow++
-				g.history[i] += float64(u - cap16)
+				g.history[i] += int32(u - cap16)
 			}
 		}
 		res.Overflow = overflow
@@ -316,17 +316,20 @@ func (g *Grid) release(cells []Cell) {
 }
 
 // search is the scratch one RouteContext call routes every net with. Its
-// per-cell state lives in one dense array indexed by Grid.idx, and epoch
+// per-cell state lives in dense arrays indexed by Grid.idx, and epoch
 // stamps say which entries belong to the current A* search or the current
-// net's tree, so nothing is cleared between searches and a search
-// allocates nothing once the heap and the tree list have grown.
+// net's tree, so nothing is cleared between searches (only when a stamp
+// wraps) and a search allocates nothing once the heap and the tree list
+// have grown.
 type search struct {
 	g     *Grid
 	opt   Options
 	cells []searchCell
+	// inTree[i] == tree when cell i is on the current net's tree.
+	inTree []uint16
 	// epoch stamps searchCell.seen and .closed for the running A* search;
-	// tree stamps searchCell.inTree for the net being routed.
-	epoch, tree uint32
+	// tree stamps inTree for the net being routed.
+	epoch, tree uint16
 	open        openHeap
 	// treeOrder lists the tree's cells in insertion order, for the
 	// heuristic sample; treeLo and treeHi bound them.
@@ -339,17 +342,17 @@ type search struct {
 	searches, expansions int
 }
 
-// searchCell is one grid cell's A* and tree state.
+// searchCell is one grid cell's A* state.
 type searchCell struct {
 	gScore float64 // cheapest known cost from the source (valid when seen)
 	parent int32   // predecessor on that path, −1 at the source
-	seen   uint32  // == search.epoch when gScore and parent are set
-	closed uint32  // == search.epoch once popped
-	inTree uint32  // == search.tree when on the current net's tree
+	seen   uint16  // == search.epoch when gScore and parent are set
+	closed uint16  // == search.epoch once popped
 }
 
 func newSearch(g *Grid, opt Options) *search {
-	s := &search{g: g, opt: opt, cells: make([]searchCell, g.NX*g.NY*g.NZ)}
+	n := g.NX * g.NY * g.NZ
+	s := &search{g: g, opt: opt, cells: make([]searchCell, n), inTree: make([]uint16, n)}
 	for k, d := range neighbors6 {
 		s.stride[k] = (d.Z*g.NY+d.Y)*g.NX + d.X
 	}
@@ -367,7 +370,7 @@ func (s *search) endRound(sp *obs.Span) {
 
 // addToTree puts cell c (index i) on the current net's tree.
 func (s *search) addToTree(c Cell, i int) {
-	s.cells[i].inTree = s.tree
+	s.inTree[i] = s.tree
 	s.treeOrder = append(s.treeOrder, c)
 	s.treeLo = Cell{min(s.treeLo.X, c.X), min(s.treeLo.Y, c.Y), min(s.treeLo.Z, c.Z)}
 	s.treeHi = Cell{max(s.treeHi.X, c.X), max(s.treeHi.Y, c.Y), max(s.treeHi.Z, c.Z)}
@@ -383,9 +386,7 @@ func (s *search) routeNet(n Net) []Cell {
 	}
 	s.tree++
 	if s.tree == 0 { // wrapped: a stale stamp could alias the new tree
-		for i := range s.cells {
-			s.cells[i].inTree = 0
-		}
+		clear(s.inTree)
 		s.tree = 1
 	}
 	g := s.g
@@ -393,7 +394,7 @@ func (s *search) routeNet(n Net) []Cell {
 	s.treeLo, s.treeHi = n.Pins[0], n.Pins[0]
 	s.addToTree(n.Pins[0], g.idx(n.Pins[0]))
 	for _, pin := range n.Pins[1:] {
-		if s.cells[g.idx(pin)].inTree == s.tree {
+		if s.inTree[g.idx(pin)] == s.tree {
 			continue
 		}
 		if !s.connect(pin) {
@@ -436,7 +437,7 @@ func (s *search) connect(src Cell) bool {
 		if hit := s.astar(src, sample, rlo, rhi); hit >= 0 {
 			// Walk the path back from the tree cell it reached to src.
 			for i := hit; i >= 0; i = int(s.cells[i].parent) {
-				if s.cells[i].inTree != s.tree {
+				if s.inTree[i] != s.tree {
 					s.addToTree(g.cell(i), i)
 				}
 			}
@@ -465,7 +466,7 @@ func (s *search) astar(src Cell, sample []Cell, rlo, rhi Cell) int {
 		s.epoch = 1
 	}
 	si := g.idx(src)
-	s.cells[si] = searchCell{parent: -1, seen: s.epoch, inTree: s.cells[si].inTree}
+	s.cells[si] = searchCell{parent: -1, seen: s.epoch}
 	s.open = s.open[:0]
 	s.open.push(openItem{f: nearest(src, sample), idx: si})
 	for len(s.open) > 0 {
@@ -475,7 +476,7 @@ func (s *search) astar(src Cell, sample []Cell, rlo, rhi Cell) int {
 			continue
 		}
 		cur.closed = s.epoch
-		if cur.inTree == s.tree {
+		if s.inTree[ci] == s.tree {
 			return ci
 		}
 		s.expansions++
@@ -489,7 +490,7 @@ func (s *search) astar(src Cell, sample []Cell, rlo, rhi Cell) int {
 			ni := ci + s.stride[k]
 			// Below capacity the cell is free of sharing cost; at or above
 			// it the present penalty grows with the would-be excess.
-			cost := 1.0 + historyFactor*g.history[ni]
+			cost := 1.0 + historyFactor*float64(g.history[ni])
 			if u := int(g.usage[ni]); u+1 > opt.CellCapacity {
 				cost += presentFactor * float64(u+1-opt.CellCapacity)
 			}

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -303,5 +305,28 @@ func TestNegotiatedRoutingAllocations(t *testing.T) {
 	t.Logf("%.0f allocations per net over %d rounds", perNet, rounds)
 	if perNet >= 100 {
 		t.Fatalf("%.0f allocations per net over %d rounds, want < 100", perNet, rounds)
+	}
+}
+
+// TestStampWrapKeepsRoutes routes a net across another net's earlier
+// route with a search whose 16-bit epoch and tree stamps wrap on that
+// very net: the wrap must clear the stamps the earlier route left, or the
+// crossing net would take the stale cells for its own tree and stop at
+// them.
+func TestStampWrapKeepsRoutes(t *testing.T) {
+	g := mustGrid(t, 21, 11, 1)
+	opt := Options{}.withDefaults()
+	across := Net{ID: 1, Pins: []Cell{{0, 5, 0}, {20, 5, 0}}}
+	down := Net{ID: 2, Pins: []Cell{{10, 0, 0}, {10, 10, 0}}}
+	want := newSearch(g, opt).routeNet(down)
+	s := newSearch(g, opt)
+	s.routeNet(across) // stamps its cells with tree 1 and low epochs
+	s.epoch, s.tree = math.MaxUint16, math.MaxUint16
+	got := s.routeNet(down)
+	if s.epoch != 1 || s.tree != 1 {
+		t.Fatalf("stamps did not wrap: epoch %d, tree %d", s.epoch, s.tree)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("after the stamps wrapped the net took %v, fresh %v", got, want)
 	}
 }
