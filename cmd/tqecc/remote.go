@@ -37,11 +37,9 @@ type remoteFlags struct {
 // coordinator) at -server instead of compiling in-process, waits for the
 // job, and prints the result report. Local-artifact flags (-viz,
 // -explain*) don't apply: the daemon keeps those on its side of the
-// wire. -trace does: the submission carries a fresh trace context in its
-// traceparent header, the daemon records the job's span tree under it,
-// and the trace — stitched across coordinator and worker when -server is
-// a fleet coordinator — is fetched and written locally once the job is
-// terminal.
+// wire. -trace does: the daemon traces the job, and the trace — stitched
+// across coordinator and worker when -server is a fleet coordinator — is
+// fetched and written locally once the job is terminal.
 func runRemote(f remoteFlags) int {
 	req := service.SubmitRequest{
 		Options: service.OptionSpec{
@@ -53,6 +51,7 @@ func runRemote(f remoteFlags) int {
 			DRC:                   f.runDRC,
 		},
 		NoCache: f.noCache,
+		Trace:   f.traceOut != "",
 	}
 	if f.timeout > 0 {
 		req.TimeoutMS = f.timeout.Milliseconds()
@@ -89,12 +88,6 @@ func runRemote(f remoteFlags) int {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, f.timeout+30*time.Second)
 		defer cancel()
-	}
-	if f.traceOut != "" {
-		// This process is the distributed root: the daemon's trace (and,
-		// through a coordinator, the worker's) joins the ID minted here.
-		req.Trace = true
-		ctx = obs.WithTraceparent(ctx, obs.NewTraceContext())
 	}
 	cl := service.NewClient(f.server)
 	st, err := cl.Submit(ctx, req)

@@ -25,7 +25,6 @@ var registryMethods = map[string]struct{ counter, gauge, duration bool }{
 	"CounterFunc":   {counter: true},
 	"Gauge":         {gauge: true},
 	"GaugeFunc":     {gauge: true},
-	"GaugeVec":      {gauge: true},
 	"Histogram":     {duration: true},
 	"HistogramVec":  {duration: true},
 	"HistogramFunc": {duration: true},

@@ -26,16 +26,14 @@ func Register(r *obs.Registry) {
 	name := dynamicName()
 	r.Counter(name, "computed") // want "string literal"
 	r.GaugeFunc("tqecd_uptime_seconds", "ok", func() float64 { return 0 })
-	r.GaugeVec("tqecd_fleet_worker_clock_offset_us", "ok: labelled gauge family", "worker")
-	r.GaugeVec("tqecd_slo_burn_rate_fast", "ok: slo mirror family", "slo")
-	r.GaugeVec("worker_clock_offset_us", "missing prefix", "worker") // want "does not match"
+	r.Gauge("tqecd_fleet_workers_alive", "ok: fleet liveness gauge")
+	r.Gauge("workers_alive", "missing prefix") // want "does not match"
 	r.Counter("tqecd_journal_dropped_events_total", "ok: journal health family")
 	r.Counter("tqecd_slo_transitions", "missing suffix") // want "must end in _total"
 	r.CounterFunc("tqecd_store_hits_total", "ok: scrape-time counter", func() float64 { return 0 })
 	r.CounterFunc("tqecd_store_hits", "missing suffix", func() float64 { return 0 })           // want "must end in _total"
 	r.GaugeFunc("tqecd_store_misses_total", "a count as a gauge", func() float64 { return 0 }) // want "ends in _total"
 	r.Gauge("tqecd_writes_total", "a count as a gauge")                                        // want "ends in _total"
-	r.GaugeVec("tqecd_evictions_total", "a count as a gauge", "worker")                        // want "ends in _total"
 }
 
 func dynamicName() string { return "tqecd_dynamic_total" }

@@ -155,9 +155,6 @@ func (a *Agent) heartbeat(ctx context.Context) error {
 		ID:      a.cfg.WorkerID,
 		Running: running,
 		Queued:  queued,
-		// The send stamp lets the coordinator estimate this worker's
-		// clock offset for trace-timestamp alignment.
-		SentUnixUS: time.Now().UnixMicro(),
 	}, nil)
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -42,12 +43,6 @@ type HeartbeatRequest struct {
 	ID      string `json:"id"`
 	Running int    `json:"running"`
 	Queued  int    `json:"queued"`
-	// SentUnixUS is the worker's clock at send time (Unix microseconds).
-	// The coordinator subtracts it from its own receive time to estimate
-	// the worker's clock offset, which aligns worker span timestamps when
-	// stitching cross-process traces. Zero (an old agent) disables the
-	// estimate for this worker.
-	SentUnixUS int64 `json:"sent_unix_us,omitempty"`
 }
 
 // WorkersResponse is the GET /fleet/v1/workers body.
@@ -80,10 +75,30 @@ func (c *Coordinator) routes() *http.ServeMux {
 	return mux
 }
 
+// maxMembershipBodyBytes bounds a register or heartbeat body; either is
+// a few short fields.
+const maxMembershipBodyBytes = 64 << 10
+
+// decodeMembership decodes a register or heartbeat body into v. On
+// failure it has answered 400, or 413 for an oversized body, and
+// returns false.
+func decodeMembership(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMembershipBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, errorResponse{Error: "bad request: " + err.Error()})
+	return false
+}
+
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+	if !decodeMembership(w, r, &req) {
 		return
 	}
 	if req.ID == "" {
@@ -102,11 +117,10 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+	if !decodeMembership(w, r, &req) {
 		return
 	}
-	if !c.reg.heartbeat(req.ID, req.Running, req.Queued, req.SentUnixUS) {
+	if !c.reg.heartbeat(req.ID, req.Running, req.Queued) {
 		// Unknown worker: the coordinator restarted (or never saw this
 		// worker). The 404 is the re-register signal the agent acts on.
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown worker %q, re-register", req.ID)})

@@ -23,12 +23,6 @@ func (c *Coordinator) Run(ctx context.Context, j *service.Job) (service.Outcome,
 	// them, and the job's journal turns a route decision into
 	// worker-assigned and a retry or failover into dispatch-retried. Every
 	// span call is a no-op for a job nobody observes.
-	tr := obs.FromContext(ctx).Tracer()
-	tr.SetProcess("coordinator")
-	if tr != nil && tr.TraceID() == "" {
-		// The coordinator is the distributed root.
-		tr.SetTraceID(obs.NewTraceContext().TraceID)
-	}
 	var d service.Dispatch
 	exclude := "" // the worker the previous attempt failed on
 	for attempt := 0; ; attempt++ {
@@ -56,13 +50,7 @@ func (c *Coordinator) Run(ctx context.Context, j *service.Job) (service.Outcome,
 		// under the last one, the attempt whose worker actually finished.
 		ds, _ := obs.StartSpan(ctx, "dispatch")
 		ds.SetAttr("worker", w.ID)
-		dctx := ctx
-		if tr != nil {
-			// Hand the worker our trace identity so its tracer joins the
-			// same distributed trace.
-			dctx = obs.WithTraceparent(ctx, obs.TraceContext{TraceID: tr.TraceID(), SpanID: obs.NewSpanID()})
-		}
-		out, err := c.attempt(dctx, j, &d, w, affinity)
+		out, err := c.attempt(ctx, j, &d, w, affinity)
 		if err != nil {
 			ds.SetAttr("error", err.Error())
 		}

@@ -509,6 +509,57 @@ func TestAgentReRegistersAfterCoordinatorRestart(t *testing.T) {
 	})
 }
 
+// post sends a JSON body to url and returns the status code and
+// response body.
+func post(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, raw
+}
+
+// TestMembershipBodyTooLarge: register and heartbeat bodies are a few
+// short fields, so the coordinator answers 413 to a large one instead of
+// decoding it.
+func TestMembershipBodyTooLarge(t *testing.T) {
+	f := newTestFleet(t, Config{}, nil, nil)
+	prefix := `{"id":"w-big","url":"http://127.0.0.1:1/`
+	suffix := `"}`
+	body := prefix + strings.Repeat("a", maxMembershipBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	for _, path := range []string{"/fleet/v1/register", "/fleet/v1/heartbeat"} {
+		if code, raw := post(t, f.ts.URL+path, body); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: http %d (%s), want 413", path, len(body), code, raw)
+		}
+	}
+	if n := len(f.coord.reg.snapshot()); n != 0 {
+		t.Fatalf("oversized register added %d workers", n)
+	}
+}
+
+// TestRollingUpgradeLegacyHeartbeat: a heartbeat from an agent that
+// still stamps sent_unix_us is accepted, not rejected, and keeps its
+// worker alive. (TestSubmitTraceparentLink in internal/service pins the
+// same for a submit that still carries a traceparent header.)
+func TestRollingUpgradeLegacyHeartbeat(t *testing.T) {
+	f := newTestFleet(t, Config{}, nil, nil)
+	if code, raw := post(t, f.ts.URL+"/fleet/v1/register", `{"id":"w-old","url":"http://127.0.0.1:1"}`); code != http.StatusOK {
+		t.Fatalf("register: http %d (%s)", code, raw)
+	}
+	f.coord.reg.markSuspect("w-old")
+	beat := fmt.Sprintf(`{"id":"w-old","running":2,"queued":5,"sent_unix_us":%d}`, time.Now().UnixMicro())
+	if code, raw := post(t, f.ts.URL+"/fleet/v1/heartbeat", beat); code != http.StatusOK {
+		t.Fatalf("heartbeat with sent_unix_us: http %d (%s), want 200", code, raw)
+	}
+	snap := f.coord.reg.snapshot()
+	if len(snap) != 1 || snap[0].State != WorkerAlive || snap[0].Running != 2 || snap[0].Queued != 5 {
+		t.Fatalf("workers after a legacy heartbeat = %+v, want w-old alive with running=2 queued=5", snap)
+	}
+}
+
 // TestFleetDispatchNotCappedAtGOMAXPROCS checks that the coordinator's
 // dispatch slots are not its CPU count: more blocking jobs than
 // GOMAXPROCS all run on the workers at once.

@@ -12,11 +12,6 @@ type fleetMetrics struct {
 	workersDead    *obs.Counter
 	registrations  *obs.Counter
 	heartbeats     *obs.Counter
-	// clockOffset is the per-worker heartbeat-derived clock-skew estimate
-	// (coordinator receive time minus worker send time, microseconds) —
-	// the same number trace stitching aligns span timestamps with,
-	// exported so skew is watchable before it corrupts a stitched trace.
-	clockOffset *obs.GaugeVec
 
 	dispatches      *obs.Counter
 	dispatchRetries *obs.Counter
@@ -36,7 +31,6 @@ func newFleetMetrics(reg *obs.Registry) *fleetMetrics {
 		workersDead:    reg.Counter("tqecd_fleet_workers_dead_total", "Workers declared dead after missing heartbeats."),
 		registrations:  reg.Counter("tqecd_fleet_registrations_total", "Worker registrations accepted (including re-registrations)."),
 		heartbeats:     reg.Counter("tqecd_fleet_heartbeats_total", "Worker heartbeats accepted."),
-		clockOffset:    reg.GaugeVec("tqecd_fleet_worker_clock_offset_us", "Estimated worker clock offset (coordinator receive minus worker send of the last heartbeat), microseconds.", "worker"),
 
 		dispatches:      reg.Counter("tqecd_fleet_dispatches_total", "Job submissions forwarded to a worker."),
 		dispatchRetries: reg.Counter("tqecd_fleet_dispatch_retries_total", "Dispatch attempts retried after a worker was unavailable or unreachable."),

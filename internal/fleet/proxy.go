@@ -64,12 +64,12 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace serves the stitched fleet-wide trace of a traced job once
 // it is terminal: the coordinator's own span tree (routing, dispatch,
-// retries, failovers) with the owning worker's pipeline span tree
-// fetched on demand and grafted under the final dispatch span. Worker
-// timestamps are aligned with the heartbeat-derived clock-offset
-// estimate, clamped so the graft never precedes its dispatch parent.
-// When the worker is unreachable the coordinator-only view is served
-// with a worker_trace_error attribute rather than an error status.
+// retries, failovers) with the owning worker's pipeline span tree —
+// found by the job's dispatch record — fetched on demand and grafted
+// under the final dispatch span, its root placed the worker's queue
+// wait (queued_us) after the dispatch started. When the worker is
+// unreachable the coordinator-only view is served with a
+// worker_trace_error attribute rather than an error status.
 // ?format=chrome selects the Chrome trace_event form, with coordinator
 // and worker spans in separate process lanes.
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -80,14 +80,16 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 		c.Server.ServeHTTP(w, r)
 		return
 	}
+	tree.Process = "coordinator"
 	if d, _, _ := c.JobDispatch(id); d.RemoteID != "" {
 		tctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 		guest, err := c.workerClient(d.URL).Trace(tctx, d.RemoteID)
 		cancel()
 		if err == nil {
 			guest.Process = d.Worker
-			if !obs.Graft(tree, "dispatch", guest, c.reg.clockOffset(d.Worker)) {
-				err = errors.New("stitch failed: no dispatch span or missing epoch anchors")
+			queued, _ := guest.Attrs["queued_us"].(float64)
+			if !obs.Graft(tree, "dispatch", guest, time.Duration(queued)*time.Microsecond) {
+				err = errors.New("stitch failed: no dispatch span")
 			}
 		}
 		if err != nil {

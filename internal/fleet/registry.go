@@ -35,24 +35,17 @@ type WorkerInfo struct {
 	Queued  int `json:"queued"`
 	// HeartbeatAgeMS is how stale the last heartbeat is.
 	HeartbeatAgeMS float64 `json:"heartbeat_age_ms"`
-	// ClockOffsetMS is the estimated worker-to-coordinator clock skew
-	// (coordinator receive time minus worker send time of the last
-	// heartbeat) used to align cross-process trace timestamps. The
-	// estimate includes one-way network latency, so it is an upper
-	// bound; trace stitching clamps with causality regardless.
-	ClockOffsetMS float64 `json:"clock_offset_ms"`
 }
 
 // workerEntry is the registry's mutable record for one worker.
 type workerEntry struct {
-	id          string
-	url         string
-	state       WorkerState
-	inflight    int
-	running     int
-	queued      int
-	lastBeat    time.Time
-	clockOffset time.Duration // coordinator clock − worker clock, per last heartbeat
+	id       string
+	url      string
+	state    WorkerState
+	inflight int
+	running  int
+	queued   int
+	lastBeat time.Time
 }
 
 // registry tracks registered workers and their liveness. Liveness is
@@ -103,12 +96,8 @@ func (r *registry) register(id, url string) {
 
 // heartbeat records one worker heartbeat. It returns false for an
 // unknown worker — the signal that tells an agent the coordinator has
-// restarted and it must re-register. sentUnixUS is the worker's own
-// send timestamp (0 when the worker predates the field): the receive
-// minus send delta is the clock-offset estimate trace stitching aligns
-// worker span timestamps with.
-func (r *registry) heartbeat(id string, running, queued int, sentUnixUS int64) bool {
-	now := time.Now()
+// restarted and it must re-register.
+func (r *registry) heartbeat(id string, running, queued int) bool {
 	r.mu.Lock()
 	w, ok := r.workers[id]
 	if ok {
@@ -116,13 +105,9 @@ func (r *registry) heartbeat(id string, running, queued int, sentUnixUS int64) b
 			r.logger.Info("worker revived by heartbeat", "worker", id, "previous_state", string(w.state))
 		}
 		w.state = WorkerAlive
-		w.lastBeat = now
+		w.lastBeat = time.Now()
 		w.running = running
 		w.queued = queued
-		if sentUnixUS != 0 {
-			w.clockOffset = time.Duration(now.UnixMicro()-sentUnixUS) * time.Microsecond
-			r.metrics.clockOffset.With(id).Set(float64(w.clockOffset.Microseconds()))
-		}
 		r.updateGaugesLocked()
 	}
 	r.mu.Unlock()
@@ -204,17 +189,6 @@ func (r *registry) addInflight(id string, delta int) {
 	r.mu.Unlock()
 }
 
-// clockOffset returns the latest heartbeat-derived clock-skew estimate
-// for a worker (0 when unknown).
-func (r *registry) clockOffset(id string) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w, ok := r.workers[id]; ok {
-		return w.clockOffset
-	}
-	return 0
-}
-
 // state returns the worker's current liveness ("" when unknown).
 func (r *registry) state(id string) WorkerState {
 	r.mu.Lock()
@@ -253,7 +227,6 @@ func (r *registry) snapshotIf(keep func(*workerEntry) bool) []WorkerInfo {
 			Running:        w.running,
 			Queued:         w.queued,
 			HeartbeatAgeMS: float64(now.Sub(w.lastBeat)) / float64(time.Millisecond),
-			ClockOffsetMS:  float64(w.clockOffset) / float64(time.Millisecond),
 		})
 	}
 	return out

@@ -53,7 +53,7 @@ func TestRegistryLivenessTransitions(t *testing.T) {
 
 func TestRegistryHeartbeatRevivesAndUnknownSignalsReregister(t *testing.T) {
 	r, _ := newTestRegistry(t)
-	if r.heartbeat("ghost", 0, 0, 0) {
+	if r.heartbeat("ghost", 0, 0) {
 		t.Fatal("heartbeat from unknown worker accepted; want false (re-register signal)")
 	}
 	r.register("w-1", "http://w1")
@@ -61,7 +61,7 @@ func TestRegistryHeartbeatRevivesAndUnknownSignalsReregister(t *testing.T) {
 	if r.state("w-1") != WorkerDead {
 		t.Fatalf("state after markDead = %s", r.state("w-1"))
 	}
-	if !r.heartbeat("w-1", 2, 5, time.Now().UnixMicro()) {
+	if !r.heartbeat("w-1", 2, 5) {
 		t.Fatal("heartbeat from known worker rejected")
 	}
 	if r.state("w-1") != WorkerAlive {

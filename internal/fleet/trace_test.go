@@ -87,9 +87,6 @@ func TestFleetTraceStitchedAfterFailover(t *testing.T) {
 	if tree.Name != "job:"+st.ID {
 		t.Fatalf("root span = %q, want job:%s", tree.Name, st.ID)
 	}
-	if tree.TraceID == "" {
-		t.Fatal("stitched trace has no distributed trace ID")
-	}
 	if tree.Process != "coordinator" {
 		t.Fatalf("root process = %q, want coordinator", tree.Process)
 	}
@@ -108,8 +105,8 @@ func TestFleetTraceStitchedAfterFailover(t *testing.T) {
 	}
 
 	// The worker's pipeline tree is grafted under the LAST dispatch span
-	// (the attempt that actually produced the result), rebased onto the
-	// coordinator clock and stamped with the stitch math.
+	// (the attempt that actually produced the result), placed by the
+	// worker's queue wait and stamped with the stitch base.
 	last := dispatches[len(dispatches)-1]
 	if len(last.Children) != 1 {
 		t.Fatalf("last dispatch has %d children, want 1 grafted worker tree", len(last.Children))
@@ -126,11 +123,12 @@ func TestFleetTraceStitchedAfterFailover(t *testing.T) {
 	if _, ok := guest.Attrs["stitch_base_us"]; !ok {
 		t.Fatalf("guest missing stitch_base_us attr: %v", guest.Attrs)
 	}
-	if _, ok := guest.Attrs["clock_offset_us"]; !ok {
-		t.Fatalf("guest missing clock_offset_us attr: %v", guest.Attrs)
+	if _, ok := guest.Attrs["queued_us"]; !ok {
+		t.Fatalf("guest missing queued_us attr: %v", guest.Attrs)
 	}
-	if guest.EpochUnixUS != 0 {
-		t.Fatal("grafted guest kept its epoch anchor; times are not host-relative")
+	if guest.StartUS < last.StartUS || guest.StartUS+guest.DurUS > last.StartUS+last.DurUS {
+		t.Fatalf("worker tree [%d, %d]µs does not lie within its dispatch [%d, %d]µs",
+			guest.StartUS, guest.StartUS+guest.DurUS, last.StartUS, last.StartUS+last.DurUS)
 	}
 	anneals := findTreeSpans(guest, "anneal")
 	if len(anneals) != 1 {

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
@@ -48,4 +51,37 @@ func NewLogger(cfg LogConfig) (*slog.Logger, error) {
 // NopLogger returns a logger that discards everything (tests, tools).
 func NopLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
+}
+
+// RequestIDHeader is the log-correlation header name.
+const RequestIDHeader = "X-Request-ID"
+
+type requestIDKey struct{}
+
+// NewRequestID draws a fresh 8-byte request ID for X-Request-ID log
+// correlation.
+func NewRequestID() string {
+	b := make([]byte, 8)
+	if _, err := rand.Read(b); err != nil {
+		// crypto/rand never fails on supported platforms; a fixed ID
+		// keeps the request going rather than panicking in a logging
+		// path.
+		return "ffffffffffffffff"
+	}
+	return hex.EncodeToString(b)
+}
+
+// WithRequestID returns ctx carrying a request ID for outbound HTTP
+// serialization and log correlation. Empty IDs return ctx unchanged.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	if id == "" {
+		return ctx
+	}
+	return context.WithValue(ctx, requestIDKey{}, id)
+}
+
+// RequestIDFrom returns the request ID carried by ctx, or "".
+func RequestIDFrom(ctx context.Context) string {
+	id, _ := ctx.Value(requestIDKey{}).(string)
+	return id
 }

@@ -95,48 +95,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 }
 
-// FloatGauge is a float64-valued gauge, used for values that are not
-// naturally integral (clock offsets). Set/Value are atomic.
-type FloatGauge struct{ bits atomic.Uint64 }
-
-// Set replaces the value.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// GaugeVec is a family of float gauges keyed by one label value (e.g.
-// per-worker clock offset).
-type GaugeVec struct {
-	mu     sync.Mutex
-	label  string
-	series map[string]*FloatGauge // guarded by mu
-}
-
-// With returns (creating on first use) the child gauge for a label
-// value.
-func (v *GaugeVec) With(value string) *FloatGauge {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.series[value]
-	if !ok {
-		g = &FloatGauge{}
-		v.series[value] = g
-	}
-	return g
-}
-
-// Snapshot copies every child's value keyed by label value.
-func (v *GaugeVec) Snapshot() map[string]float64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make(map[string]float64, len(v.series))
-	for value, g := range v.series {
-		out[value] = g.Value()
-	}
-	return out
-}
-
 // HistogramVec is a family of histograms keyed by one label value
 // (e.g. per-pipeline-stage latency).
 type HistogramVec struct {
@@ -186,7 +144,6 @@ const (
 	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
-	kindGaugeVec
 	kindHistogram
 	kindHistogramVec
 	kindHistogramFunc
@@ -196,7 +153,7 @@ func (k metricKind) String() string {
 	switch k {
 	case kindCounter, kindCounterFunc:
 		return "counter"
-	case kindGauge, kindGaugeFunc, kindGaugeVec:
+	case kindGauge, kindGaugeFunc:
 		return "gauge"
 	default:
 		return "histogram"
@@ -210,7 +167,6 @@ type family struct {
 	counter    *Counter
 	gauge      *Gauge
 	valueFn    func() float64 // CounterFunc, GaugeFunc
-	gaugeVec   *GaugeVec
 	hist       *Histogram
 	histFn     func() HistSnapshot
 	vec        *HistogramVec
@@ -265,13 +221,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.add(&family{name: name, help: help, kind: kindGaugeFunc, valueFn: fn})
-}
-
-// GaugeVec registers and returns a one-label float-gauge family.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	v := &GaugeVec{label: label, series: map[string]*FloatGauge{}}
-	r.add(&family{name: name, help: help, kind: kindGaugeVec, gaugeVec: v})
-	return v
 }
 
 // Histogram registers and returns a histogram (nil bounds selects
@@ -392,13 +341,6 @@ func (f *family) samples() []sample {
 		return []sample{{Name: f.name, Value: float64(f.gauge.Value())}}
 	case kindCounterFunc, kindGaugeFunc:
 		return []sample{{Name: f.name, Value: f.valueFn()}}
-	case kindGaugeVec:
-		snaps := f.gaugeVec.Snapshot()
-		var s []sample
-		for _, v := range sortedKeys(snaps) {
-			s = append(s, sample{Name: f.name, Labels: []label{{Name: f.gaugeVec.label, Value: v}}, Value: snaps[v]})
-		}
-		return s
 	case kindHistogram:
 		return appendHistSamples(nil, f.name, nil, f.hist.Snapshot())
 	case kindHistogramFunc:

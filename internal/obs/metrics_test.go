@@ -54,7 +54,7 @@ func TestPrometheusExposition(t *testing.T) {
 	r.HistogramFunc("test_pauses_seconds", "Pauses.", func() HistSnapshot {
 		return HistSnapshot{Bounds: []float64{1e-6, 0.5}, Counts: []int64{3, 0, 1}, Sum: 0.75, Count: 4}
 	})
-	r.GaugeVec("test_offset_us", "Offset\\with\nhelp.", "worker").With("a\\b \"quoted\"\nline").Set(0.125)
+	r.HistogramVec("test_offset_ms", "Offset\\with\nhelp.", "worker", []float64{1}).With("a\\b \"quoted\"\nline").Observe(0.125)
 
 	c.Add(3)
 	g.Set(1)
@@ -100,8 +100,8 @@ func TestPrometheusExposition(t *testing.T) {
 		"test_pauses_seconds_sum 0.75\n",
 		// Help text escapes backslash and newline; a label value escapes
 		// backslash, quote and newline.
-		`# HELP test_offset_us Offset\\with\nhelp.` + "\n",
-		`test_offset_us{worker="a\\b \"quoted\"\nline"} 0.125` + "\n",
+		`# HELP test_offset_ms Offset\\with\nhelp.` + "\n",
+		`test_offset_ms_sum{worker="a\\b \"quoted\"\nline"} 0.125` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n--- got ---\n%s", want, out)
@@ -160,43 +160,18 @@ func TestLabelValueEscaping(t *testing.T) {
 		}
 	}
 
-	// End to end: a GaugeVec keyed by a quote-bearing worker ID renders a
-	// line a conforming scraper can parse back to the original value.
+	// End to end: a HistogramVec keyed by a quote-bearing worker ID
+	// renders a line a conforming scraper can parse back to the original
+	// value.
 	r := NewRegistry()
-	r.GaugeVec("test_clock_offset_us", "Offset.", "worker").With(`w"quote\id`).Set(42)
+	r.HistogramVec("test_wait_ms", "Wait.", "worker", []float64{1}).With(`w"quote\id`).Observe(42)
 	var buf strings.Builder
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `test_clock_offset_us{worker="w\"quote\\id"} 42` + "\n"
+	want := `test_wait_ms_sum{worker="w\"quote\\id"} 42` + "\n"
 	if !strings.Contains(buf.String(), want) {
 		t.Fatalf("exposition missing %q\n--- got ---\n%s", want, buf.String())
-	}
-}
-
-func TestGaugeVec(t *testing.T) {
-	r := NewRegistry()
-	v := r.GaugeVec("test_offset_us", "Offset.", "worker")
-	v.With("w1").Set(1.5)
-	v.With("w2").Set(-3)
-	v.With("w1").Set(2.5) // same child, updated
-	snap := v.Snapshot()
-	if len(snap) != 2 || snap["w1"] != 2.5 || snap["w2"] != -3 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	var buf strings.Builder
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE test_offset_us gauge\n",
-		`test_offset_us{worker="w1"} 2.5` + "\n",
-		`test_offset_us{worker="w2"} -3` + "\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q\n--- got ---\n%s", want, out)
-		}
 	}
 }
 

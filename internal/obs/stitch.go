@@ -10,44 +10,29 @@ import (
 // start_us relative to its own root — into host's tree as a child of
 // the last span named underName (depth-first order; "last" because
 // retried hops append attempts sequentially and the final attempt is
-// the one the guest answered). offset is the estimated difference
-// between the two wall clocks, host_clock − guest_clock, typically
-// derived from heartbeat receive/send timestamps.
+// the one the guest answered). The guest root is placed offset after
+// that span's start: for a fleet job, the worker's measured queue wait
+// (its root's queued_us), so no two clocks are ever compared. A
+// negative offset clamps to the span's start — the hop that created
+// the guest tree happened inside underName. The applied base is
+// recorded on the grafted root as the stitch_base_us attribute.
 //
-// Guest times are rebased into the host timeline via the absolute
-// EpochUnixUS anchors both roots carry:
-//
-//	base_us = (guest.EpochUnixUS + offset_us) − host.EpochUnixUS
-//
-// then clamped so the guest root never starts before the span it hangs
-// under — clock-offset estimates are noisy, but causality is not: the
-// hop that created the guest span tree happened inside underName. The
-// applied base and raw offset are recorded on the grafted root as
-// stitch_base_us / clock_offset_us attributes.
-//
-// Returns false (host unchanged) when either tree is nil, an epoch
-// anchor is missing, or no span named underName exists.
+// Returns false (host unchanged) when either tree is nil or no span
+// named underName exists.
 func Graft(host *SpanJSON, underName string, guest *SpanJSON, offset time.Duration) bool {
-	if host == nil || guest == nil || host.EpochUnixUS == 0 || guest.EpochUnixUS == 0 {
+	if host == nil || guest == nil {
 		return false
 	}
 	under := findLast(host, underName)
 	if under == nil {
 		return false
 	}
-	base := guest.EpochUnixUS + offset.Microseconds() - host.EpochUnixUS
-	if base < under.StartUS {
-		base = under.StartUS
-	}
+	base := under.StartUS + max(offset.Microseconds(), 0)
 	rebase(guest, base)
 	if guest.Attrs == nil {
 		guest.Attrs = map[string]any{}
 	}
-	guest.Attrs["clock_offset_us"] = offset.Microseconds()
 	guest.Attrs["stitch_base_us"] = base
-	// Times are host-relative now; the guest epoch anchor no longer
-	// describes them.
-	guest.EpochUnixUS = 0
 	under.Children = append(under.Children, guest)
 	return true
 }

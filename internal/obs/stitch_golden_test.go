@@ -3,23 +3,16 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
-
-// stitchEpochUS anchors the hand-built host tree; the guest's anchor is
-// offset so the rebase math is visible in the golden numbers.
-const stitchEpochUS = 1_767_225_600_000_000 // 2026-01-01T00:00:00Z
 
 // stitchHost is a coordinator-shaped tree: a fleet root with a routing
 // decision and one dispatch attempt.
 func stitchHost() *SpanJSON {
 	return &SpanJSON{
 		Name: "fleet:f000001", StartUS: 0, DurUS: 1000,
-		TraceID:     strings.Repeat("ab", 16),
-		EpochUnixUS: stitchEpochUS,
-		Process:     "coordinator",
+		Process: "coordinator",
 		Children: []*SpanJSON{
 			{Name: "route-decision", StartUS: 0, DurUS: 50},
 			{Name: "dispatch", StartUS: 50, DurUS: 900, Attrs: map[string]any{"worker": "w1"}},
@@ -27,15 +20,13 @@ func stitchHost() *SpanJSON {
 	}
 }
 
-// stitchGuest is a worker-shaped tree whose clock reads 100µs ahead of
-// the host anchor, with one overlapping seed pair to exercise per-process
-// lane allocation.
+// stitchGuest is a worker-shaped tree, start_us relative to its own
+// root, with one overlapping seed pair to exercise per-process lane
+// allocation.
 func stitchGuest() *SpanJSON {
 	return &SpanJSON{
 		Name: "job:j000001", StartUS: 0, DurUS: 800,
-		TraceID:     strings.Repeat("ab", 16),
-		EpochUnixUS: stitchEpochUS + 100,
-		Process:     "w1",
+		Process: "w1",
 		Children: []*SpanJSON{
 			{Name: "compile", StartUS: 0, DurUS: 800, Children: []*SpanJSON{
 				{Name: "anneal", StartUS: 100, DurUS: 300},
@@ -45,36 +36,33 @@ func stitchGuest() *SpanJSON {
 	}
 }
 
-// TestGraftRebasesAndAnchors pins the stitching math: base_us =
-// guest.epoch + offset − host.epoch, every guest start shifted by it,
-// offset and base recorded as attributes, and the guest's epoch anchor
-// cleared (its times are host-relative afterwards).
+// TestGraftRebasesAndAnchors pins the stitching math: the guest root is
+// anchored offset after the dispatch span's start (base_us =
+// dispatch.start_us + offset), every guest start shifts by base_us, and
+// base_us is recorded on the grafted root.
 func TestGraftRebasesAndAnchors(t *testing.T) {
 	host, guest := stitchHost(), stitchGuest()
-	if !Graft(host, "dispatch", guest, 20*time.Microsecond) {
+	if !Graft(host, "dispatch", guest, 70*time.Microsecond) {
 		t.Fatal("Graft failed on well-formed trees")
 	}
 	dispatch := host.Children[1]
 	if len(dispatch.Children) != 1 || dispatch.Children[0] != guest {
 		t.Fatal("guest not grafted under dispatch")
 	}
-	if guest.StartUS != 120 { // (epoch+100) + 20 − epoch
+	if guest.StartUS != 120 { // 50 + 70
 		t.Fatalf("guest root start = %d, want 120", guest.StartUS)
 	}
 	if got := guest.Children[0].Children[0].StartUS; got != 220 {
 		t.Fatalf("nested guest span start = %d, want 220", got)
 	}
-	if guest.Attrs["clock_offset_us"] != int64(20) || guest.Attrs["stitch_base_us"] != int64(120) {
-		t.Fatalf("stitch attrs = %v", guest.Attrs)
-	}
-	if guest.EpochUnixUS != 0 {
-		t.Fatal("grafted guest kept its epoch anchor")
+	if len(guest.Attrs) != 1 || guest.Attrs["stitch_base_us"] != int64(120) {
+		t.Fatalf("stitch attrs = %v, want only stitch_base_us 120", guest.Attrs)
 	}
 }
 
-// TestGraftClampsToCausality: a wildly wrong (negative) clock-offset
-// estimate cannot push the guest before the dispatch hop that created
-// it — the base clamps to the dispatch span's start.
+// TestGraftClampsToCausality: a negative offset cannot push the guest
+// before the dispatch hop that created it — the base clamps to the
+// dispatch span's start.
 func TestGraftClampsToCausality(t *testing.T) {
 	host, guest := stitchHost(), stitchGuest()
 	if !Graft(host, "dispatch", guest, -time.Second) {
@@ -89,12 +77,14 @@ func TestGraftClampsToCausality(t *testing.T) {
 }
 
 // TestGraftUnderLastDispatch: with retried attempts the host holds
-// several dispatch spans; the guest belongs to the final one.
+// several dispatch spans; the guest belongs to the final one, placed
+// relative to that span's start.
 func TestGraftUnderLastDispatch(t *testing.T) {
 	host := stitchHost()
 	second := &SpanJSON{Name: "dispatch", StartUS: 960, DurUS: 30}
 	host.Children = append(host.Children, second)
-	if !Graft(host, "dispatch", stitchGuest(), 0) {
+	guest := stitchGuest()
+	if !Graft(host, "dispatch", guest, 0) {
 		t.Fatal("Graft failed")
 	}
 	if len(host.Children[1].Children) != 0 {
@@ -102,6 +92,9 @@ func TestGraftUnderLastDispatch(t *testing.T) {
 	}
 	if len(second.Children) != 1 {
 		t.Fatal("guest not grafted under the last dispatch attempt")
+	}
+	if guest.StartUS != 960 {
+		t.Fatalf("guest root start = %d, want 960 (the last dispatch's start)", guest.StartUS)
 	}
 }
 
@@ -115,26 +108,16 @@ func TestGraftRefusals(t *testing.T) {
 	if Graft(stitchHost(), "no-such-span", stitchGuest(), 0) {
 		t.Fatal("grafted under a missing span name")
 	}
-	host := stitchHost()
-	host.EpochUnixUS = 0
-	if Graft(host, "dispatch", stitchGuest(), 0) {
-		t.Fatal("grafted without a host epoch anchor")
-	}
-	guest := stitchGuest()
-	guest.EpochUnixUS = 0
-	if Graft(stitchHost(), "dispatch", guest, 0) {
-		t.Fatal("grafted without a guest epoch anchor")
-	}
 }
 
 // TestChromeTraceTreeGolden pins the exact multi-process Chrome export
 // of the stitched tree: one pid lane per process announced by a
 // process_name metadata event, per-pid tid allocation, and the stitch
-// attributes surfaced as args. Any format change must update this
+// base surfaced as an arg. Any format change must update this
 // deliberately.
 func TestChromeTraceTreeGolden(t *testing.T) {
 	host := stitchHost()
-	if !Graft(host, "dispatch", stitchGuest(), 20*time.Microsecond) {
+	if !Graft(host, "dispatch", stitchGuest(), 70*time.Microsecond) {
 		t.Fatal("Graft failed")
 	}
 	var buf bytes.Buffer
@@ -146,7 +129,7 @@ func TestChromeTraceTreeGolden(t *testing.T) {
 		`{"name":"route-decision","ph":"X","ts":0,"dur":50,"pid":0,"tid":0},` +
 		`{"name":"dispatch","ph":"X","ts":50,"dur":900,"pid":0,"tid":0,"args":{"worker":"w1"}},` +
 		`{"name":"process_name","ph":"M","ts":0,"dur":0,"pid":1,"tid":0,"args":{"name":"w1"}},` +
-		`{"name":"job:j000001","ph":"X","ts":120,"dur":800,"pid":1,"tid":0,"args":{"clock_offset_us":20,"stitch_base_us":120}},` +
+		`{"name":"job:j000001","ph":"X","ts":120,"dur":800,"pid":1,"tid":0,"args":{"stitch_base_us":120}},` +
 		`{"name":"compile","ph":"X","ts":120,"dur":800,"pid":1,"tid":0},` +
 		`{"name":"anneal","ph":"X","ts":220,"dur":300,"pid":1,"tid":0},` +
 		`{"name":"seed-1","ph":"X","ts":270,"dur":300,"pid":1,"tid":1}]` + "\n"

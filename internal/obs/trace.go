@@ -71,12 +71,6 @@ type Span struct {
 type Tracer struct {
 	mu   sync.Mutex
 	root *Span
-
-	// Distributed-trace identity, set via Link for traces that cross a
-	// process boundary. Zero for purely local traces.
-	traceID      string
-	parentSpanID string
-	process      string
 }
 
 // NewTracer starts a trace whose root span has the given name.
@@ -84,58 +78,6 @@ func NewTracer(name string) *Tracer {
 	t := &Tracer{}
 	t.root = &Span{Name: name, StartTime: time.Now(), tracer: t}
 	return t
-}
-
-// Link ties this tracer into the distributed trace identified by tc:
-// the tracer adopts tc.TraceID and records tc.SpanID as its remote
-// parent span. Invalid contexts are ignored (the trace stays a fresh
-// local root). No-op on nil.
-func (t *Tracer) Link(tc TraceContext) {
-	if t == nil {
-		return
-	}
-	if !tc.Valid() {
-		return
-	}
-	t.mu.Lock()
-	t.traceID = tc.TraceID
-	t.parentSpanID = tc.SpanID
-	t.mu.Unlock()
-}
-
-// SetTraceID stamps a trace ID without a remote parent — the tracer IS
-// the distributed root. Invalid IDs are ignored. No-op on nil.
-func (t *Tracer) SetTraceID(id string) {
-	if t == nil {
-		return
-	}
-	if !validHexID(id, 32) {
-		return
-	}
-	t.mu.Lock()
-	t.traceID = id
-	t.mu.Unlock()
-}
-
-// SetProcess names the process lane this tracer's spans belong to in
-// cross-process exports ("coordinator", a worker ID). No-op on nil.
-func (t *Tracer) SetProcess(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.process = name
-	t.mu.Unlock()
-}
-
-// TraceID returns the distributed trace ID, or "" for local traces.
-func (t *Tracer) TraceID() string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.traceID
 }
 
 // Root returns the root span (never nil for a non-nil tracer).
@@ -156,15 +98,6 @@ func (t *Tracer) Finish() {
 		t.root.EndTime = time.Now()
 	}
 	t.mu.Unlock()
-}
-
-// Tracer returns the tracer that owns s, or nil when s is nil or only a
-// sink observes it.
-func (s *Span) Tracer() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.tracer
 }
 
 // lock and unlock guard s's mutable fields with its tracer's lock. A span

@@ -15,17 +15,9 @@ type SpanJSON struct {
 	DurUS    int64          `json:"dur_us"`
 	Attrs    map[string]any `json:"attrs,omitempty"`
 	Children []*SpanJSON    `json:"children,omitempty"`
-
-	// Distributed-trace fields, set only on the root of a tree that
-	// participates in a cross-process trace (all omitted for purely
-	// local traces, keeping the historical document shape unchanged).
-	// EpochUnixUS anchors the relative start_us times to the producing
-	// process's wall clock so a consumer on another machine can rebase
-	// them; Process names the export lane.
-	TraceID      string `json:"trace_id,omitempty"`
-	ParentSpanID string `json:"parent_span_id,omitempty"`
-	EpochUnixUS  int64  `json:"epoch_unix_us,omitempty"`
-	Process      string `json:"process,omitempty"`
+	// Process names the process lane of a subtree in a stitched
+	// multi-process trace; only the stitcher sets it.
+	Process string `json:"process,omitempty"`
 }
 
 // Tree renders the trace as a nested SpanJSON document.
@@ -35,14 +27,7 @@ func (t *Tracer) Tree() *SpanJSON {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := spanJSON(t.root, t.root.StartTime)
-	if t.traceID != "" {
-		out.TraceID = t.traceID
-		out.ParentSpanID = t.parentSpanID
-		out.EpochUnixUS = t.root.StartTime.UnixMicro()
-		out.Process = t.process
-	}
-	return out
+	return spanJSON(t.root, t.root.StartTime)
 }
 
 func spanJSON(s *Span, epoch time.Time) *SpanJSON {

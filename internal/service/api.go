@@ -163,22 +163,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Correlation headers: a traceparent ties a traced job's spans into
-	// the caller's distributed trace (malformed headers degrade to a
-	// fresh local root rather than failing the submit), and the request
-	// ID threads through every log line this job emits.
-	var traceCtx obs.TraceContext
-	if req.Trace {
-		if h := r.Header.Get(obs.TraceparentHeader); h != "" {
-			if tc, err := obs.ParseTraceparent(h); err == nil {
-				traceCtx = tc
-			} else {
-				s.cfg.Logger.Warn("bad traceparent", "err", err)
-			}
-		}
-	}
 	j := &Job{Name: req.Name, Key: key, req: req, circ: c, opt: opt, seeds: seeds, timeout: timeout,
-		traceCtx: traceCtx, requestID: r.Header.Get(obs.RequestIDHeader)}
+		requestID: r.Header.Get(obs.RequestIDHeader)}
 	s.register(j)
 	s.metrics.jobsSubmitted.Inc()
 	// Durable before runnable: the submitted record reaches the WAL

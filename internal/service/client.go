@@ -65,10 +65,7 @@ func (c *Client) httpClient() *http.Client {
 // every outbound call carries: a tqecd/<version> User-Agent, an
 // X-Request-ID (propagated from the context when the caller is itself
 // serving a correlated request, freshly drawn otherwise) so one job's
-// log lines grep together across tqecc, coordinator, and worker, and —
-// when the context carries a distributed trace context — a W3C
-// traceparent header tying the receiver's spans into the caller's
-// trace.
+// log lines grep together across tqecc, coordinator, and worker.
 func (c *Client) newRequest(ctx context.Context, method, path string, rd io.Reader) (*http.Request, error) {
 	req, err := http.NewRequestWithContext(ctx, method, strings.TrimRight(c.BaseURL, "/")+path, rd)
 	if err != nil {
@@ -80,9 +77,6 @@ func (c *Client) newRequest(ctx context.Context, method, path string, rd io.Read
 		rid = obs.NewRequestID()
 	}
 	req.Header.Set(obs.RequestIDHeader, rid)
-	if tc, ok := obs.TraceparentFrom(ctx); ok {
-		req.Header.Set(obs.TraceparentHeader, tc.Traceparent())
-	}
 	return req, nil
 }
 

@@ -171,12 +171,8 @@ type Job struct {
 	opt     compress.Options
 	seeds   []int64
 	timeout time.Duration
-	// traceCtx is the inbound distributed trace context (from a
-	// traceparent header) the job's tracer links under; zero when the
-	// submission is the trace root. requestID is the X-Request-ID the
-	// submission carried (or ""), stamped on every log line. Both are
-	// immutable after newJob.
-	traceCtx  obs.TraceContext
+	// requestID is the X-Request-ID the submission carried (or ""),
+	// stamped on every log line; immutable after submission.
 	requestID string
 
 	state           State
@@ -386,6 +382,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	j.state = StateRunning
 	j.started = time.Now()
+	queueDur := j.started.Sub(j.submitted)
 	// The job's deadline is the Runner's to enforce (see Runner.Run).
 	ctx, cancel := context.WithCancelCause(s.rootCtx)
 	j.cancel = cancel
@@ -397,14 +394,10 @@ func (s *Server) runJob(j *Job) {
 	// interleave spans; untraced jobs keep the nil fast path.
 	if j.req.Trace {
 		j.tracer = obs.NewTracer("job:" + j.ID)
-		if j.traceCtx.Valid() {
-			// The submission arrived with a traceparent header: this
-			// job's span tree is a subtree of the caller's distributed
-			// trace (the fleet coordinator stitches it back under its
-			// dispatch span). A malformed or absent header leaves the
-			// tracer a fresh local root.
-			j.tracer.Link(j.traceCtx)
-		}
+		// The root starts when the job leaves the queue. Its queue wait
+		// is what a fleet coordinator adds to its dispatch span's start
+		// to place this tree inside it.
+		j.tracer.Root().SetAttr("queued_us", queueDur.Microseconds())
 		ctx = obs.WithTracer(ctx, j.tracer)
 	}
 	if j.recorder != nil {
@@ -417,7 +410,6 @@ func (s *Server) runJob(j *Job) {
 
 	s.metrics.jobsRunning.Add(1)
 	defer s.metrics.jobsRunning.Add(-1)
-	queueDur := j.started.Sub(j.submitted)
 	s.metrics.queueWait.ObserveDuration(queueDur)
 	s.metrics.jobQueueSeconds.Observe(queueDur.Seconds())
 	s.log(j, "start", "seeds", len(j.seeds), "effort", int(j.opt.Effort),

@@ -120,10 +120,11 @@ func TestSlowProfileNotCrossed(t *testing.T) {
 	}
 }
 
-// TestSubmitTraceparentLink: a traced submission carrying a valid
-// traceparent header produces a span tree linked into the caller's
-// distributed trace; a malformed header degrades to a fresh local root
-// without failing the job.
+// TestSubmitTraceparentLink: a traced submission's X-Request-ID lands on
+// every log line of the job as req_id, and its queue wait on the trace
+// root as queued_us. A traceparent header, which clients built before
+// trace IDs were dropped still send, is ignored: the job is traced as a
+// local root.
 func TestSubmitTraceparentLink(t *testing.T) {
 	var logBuf bytes.Buffer
 	_, ts := newTestServer(t, Config{
@@ -132,12 +133,11 @@ func TestSubmitTraceparentLink(t *testing.T) {
 		Logger:  slog.New(slog.NewTextHandler(&logBuf, nil)),
 	})
 
-	tc := obs.NewTraceContext()
 	st, code := postJobWithHeaders(t, ts.URL,
 		`{"source":{"sample":"threecnot"},"trace":true}`,
 		map[string]string{
-			obs.TraceparentHeader: tc.Traceparent(),
-			obs.RequestIDHeader:   "req-linktest",
+			"traceparent":       "00-" + strings.Repeat("ab", 16) + "-" + strings.Repeat("cd", 8) + "-01",
+			obs.RequestIDHeader: "req-linktest",
 		})
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("submit: http %d", code)
@@ -147,40 +147,20 @@ func TestSubmitTraceparentLink(t *testing.T) {
 		t.Fatalf("job state = %s (err %q)", st.State, st.Error)
 	}
 
-	var tree obs.SpanJSON
+	var tree map[string]any
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/trace", &tree); code != http.StatusOK {
 		t.Fatalf("trace: http %d", code)
 	}
-	if tree.TraceID != tc.TraceID || tree.ParentSpanID != tc.SpanID {
-		t.Fatalf("trace identity = %q/%q, want %q/%q",
-			tree.TraceID, tree.ParentSpanID, tc.TraceID, tc.SpanID)
+	attrs, _ := tree["attrs"].(map[string]any)
+	if q, ok := attrs["queued_us"].(float64); !ok || q < 0 {
+		t.Fatalf("trace root attrs = %v, want a non-negative queued_us", attrs)
 	}
-	if tree.EpochUnixUS == 0 {
-		t.Fatal("linked trace has no epoch anchor for stitching")
+	for _, k := range []string{"trace_id", "parent_span_id", "epoch_unix_us"} {
+		if v, ok := tree[k]; ok {
+			t.Fatalf("trace root carries %s = %v; the traceparent header should be ignored", k, v)
+		}
 	}
 	if !strings.Contains(logBuf.String(), "req_id=req-linktest") {
 		t.Error("job log lines not correlated with the X-Request-ID")
-	}
-
-	// Malformed header: warn + fresh local root, job still runs.
-	st2, code := postJobWithHeaders(t, ts.URL,
-		`{"source":{"sample":"threecnot"},"trace":true}`,
-		map[string]string{obs.TraceparentHeader: "00-garbage-01"})
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("submit with bad traceparent: http %d", code)
-	}
-	st2 = waitState(t, ts, st2.ID, 10*time.Second)
-	if st2.State != StateDone {
-		t.Fatalf("job with bad traceparent = %s (err %q)", st2.State, st2.Error)
-	}
-	var tree2 obs.SpanJSON
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st2.ID+"/trace", &tree2); code != http.StatusOK {
-		t.Fatalf("trace: http %d", code)
-	}
-	if tree2.TraceID != "" || tree2.ParentSpanID != "" {
-		t.Fatalf("malformed header leaked identity %q/%q into the trace", tree2.TraceID, tree2.ParentSpanID)
-	}
-	if !strings.Contains(logBuf.String(), "bad traceparent") {
-		t.Error("malformed traceparent not logged")
 	}
 }
