@@ -1,7 +1,7 @@
 // Package anneal provides the seeded simulated-annealing engine used by
 // the 2.5-D module placement stage (paper §3.5). It is deliberately
 // generic: problems expose a cost, an in-place perturbation with undo, and
-// snapshot/restore for best-solution tracking.
+// one saved best state that the problem owns.
 package anneal
 
 import (
@@ -22,10 +22,12 @@ type Problem interface {
 	// state the problem keeps for its last move, so it is valid only until
 	// the next Perturb.
 	Perturb(rng *rand.Rand) (undo func())
-	// Snapshot captures the current state for later Restore.
-	Snapshot() any
-	// Restore reinstates a snapshot taken from the same problem.
-	Restore(snapshot any)
+	// SaveBest records the current state as the best so far, replacing
+	// the state it saved before: the annealer never needs more than one.
+	SaveBest()
+	// RestoreBest reinstates the state SaveBest saved last. It ends the
+	// current move, so the last undo is no longer valid.
+	RestoreBest()
 }
 
 // Options tunes the annealing run. Zero values select defaults.
@@ -96,7 +98,7 @@ func RunContext(ctx context.Context, p Problem, opt Options) (Result, error) {
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	res := Result{InitialCost: cur, BestCost: cur}
-	best := p.Snapshot()
+	p.SaveBest()
 
 	var err error
 	epoch := 0
@@ -132,7 +134,7 @@ func RunContext(ctx context.Context, p Problem, opt Options) (Result, error) {
 			cur = next
 			if cur < res.BestCost {
 				res.BestCost = cur
-				best = p.Snapshot()
+				p.SaveBest()
 			}
 		}
 		if sp != nil {
@@ -146,6 +148,6 @@ func RunContext(ctx context.Context, p Problem, opt Options) (Result, error) {
 			break
 		}
 	}
-	p.Restore(best)
+	p.RestoreBest()
 	return res, err
 }

@@ -10,7 +10,7 @@ import (
 
 // quadratic is a toy problem: minimize Σ (x_i − target_i)².
 type quadratic struct {
-	x, target []float64
+	x, target, best []float64
 }
 
 func (q *quadratic) Cost() float64 {
@@ -29,9 +29,9 @@ func (q *quadratic) Perturb(rng *rand.Rand) func() {
 	return func() { q.x[i] = old }
 }
 
-func (q *quadratic) Snapshot() any { return append([]float64(nil), q.x...) }
+func (q *quadratic) SaveBest() { q.best = append(q.best[:0], q.x...) }
 
-func (q *quadratic) Restore(s any) { copy(q.x, s.([]float64)) }
+func (q *quadratic) RestoreBest() { copy(q.x, q.best) }
 
 func TestAnnealImprovesQuadratic(t *testing.T) {
 	q := &quadratic{x: []float64{10, -8, 5}, target: []float64{0, 0, 0}}
@@ -46,7 +46,7 @@ func TestAnnealImprovesQuadratic(t *testing.T) {
 	if res.BestCost > 1.0 {
 		t.Fatalf("best cost %f too far from optimum", res.BestCost)
 	}
-	// Final state equals the best snapshot.
+	// Final state equals the saved best state.
 	if math.Abs(q.Cost()-res.BestCost) > 1e-9 {
 		t.Fatalf("state cost %f != best %f", q.Cost(), res.BestCost)
 	}
@@ -89,8 +89,8 @@ type nilMover struct{}
 
 func (nilMover) Cost() float64             { return 1 }
 func (nilMover) Perturb(*rand.Rand) func() { return nil }
-func (nilMover) Snapshot() any             { return nil }
-func (nilMover) Restore(any)               {}
+func (nilMover) SaveBest()                 {}
+func (nilMover) RestoreBest()              {}
 
 func TestAllNoOpMovesTerminates(t *testing.T) {
 	res := Run(nilMover{}, Options{Seed: 1, MaxMoves: 100})
@@ -126,7 +126,10 @@ func TestAnnealBTreeArea(t *testing.T) {
 
 // treeProblem anneals a real B*-tree on area: an integration check
 // between the two packages.
-type treeProblem struct{ tree *btree.Tree }
+type treeProblem struct {
+	tree *btree.Tree
+	best btree.Snapshot
+}
 
 func (p *treeProblem) Cost() float64 {
 	_, w, h := p.tree.Pack(nil)
@@ -138,5 +141,5 @@ func (p *treeProblem) Perturb(rng *rand.Rand) func() {
 	}
 	return p.tree.Undo
 }
-func (p *treeProblem) Snapshot() any { return p.tree.Snapshot() }
-func (p *treeProblem) Restore(s any) { p.tree.Restore(s.(btree.Snapshot)) }
+func (p *treeProblem) SaveBest()    { p.tree.Snapshot(&p.best) }
+func (p *treeProblem) RestoreBest() { p.tree.Restore(&p.best) }

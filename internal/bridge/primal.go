@@ -48,67 +48,70 @@ func Primal(r *simplify.Result, rng *rand.Rand) *PrimalResult {
 // count.
 func PrimalWithLimit(r *simplify.Result, rng *rand.Rand, maxLen int) *PrimalResult {
 	g := r.Graph
-	// Group adjacency via dual nets: rep -> nets, net -> reps.
-	groupNets := map[int][]int{}
+	n := len(g.Modules)
+	// Group adjacency via dual nets, indexed by module ID (a group's
+	// representative is one of its modules): rep -> nets, net -> reps.
+	// seen stamps the groups one scan has met; epoch names the scan.
+	groupNets := make([][]int, n)
 	netGroups := make([][]int, len(g.Nets))
-	reps := map[int]bool{}
-	for m := range g.Modules {
-		reps[r.GroupOf(m)] = true
-	}
-	for _, n := range g.Nets {
-		seen := map[int]bool{}
-		for _, m := range n.Modules() {
-			rep := r.GroupOf(m)
-			if !seen[rep] {
-				seen[rep] = true
-				netGroups[n.ID] = append(netGroups[n.ID], rep)
-				groupNets[rep] = append(groupNets[rep], n.ID)
+	seen := make([]int, n)
+	epoch := 0
+	for _, net := range g.Nets {
+		epoch++
+		for _, m := range net.Modules() {
+			if rep := r.GroupOf(m); seen[rep] != epoch {
+				seen[rep] = epoch
+				netGroups[net.ID] = append(netGroups[net.ID], rep)
+				groupNets[rep] = append(groupNets[rep], net.ID)
 			}
 		}
 	}
-	repList := make([]int, 0, len(reps))
-	for rep := range reps {
-		repList = append(repList, rep)
+	// The representatives in ascending order, and those with a dual net.
+	var reps, connected []int
+	for m := range g.Modules {
+		if r.GroupOf(m) == m {
+			reps = append(reps, m)
+			if len(groupNets[m]) > 0 {
+				connected = append(connected, m)
+			}
+		}
 	}
-	sort.Ints(repList)
 
-	visited := map[int]bool{}
+	visited := make([]bool, n)
 	res := &PrimalResult{
 		Simplified: r,
 		chainOf:    map[int]int{},
 		indexIn:    map[int]int{},
 	}
 
-	// neighbours returns the unvisited groups reachable from rep via one
-	// dual net.
-	neighbours := func(rep int) []int {
-		var out []int
-		seen := map[int]bool{}
+	// unvisited scans the groups rep's dual nets reach that no chain
+	// holds yet, each once, calling f on each.
+	unvisited := func(rep int, f func(other int)) {
+		epoch++
 		for _, nid := range groupNets[rep] {
 			for _, other := range netGroups[nid] {
-				if other != rep && !visited[other] && !seen[other] {
-					seen[other] = true
-					out = append(out, other)
+				if other != rep && !visited[other] && seen[other] != epoch {
+					seen[other] = epoch
+					f(other)
 				}
 			}
 		}
-		sort.Ints(out)
-		return out
+	}
+	// neighbours returns the unvisited groups reachable from rep via one
+	// dual net, ascending, in a buffer the next call reuses.
+	var cands []int
+	neighbours := func(rep int) []int {
+		cands = cands[:0]
+		unvisited(rep, func(other int) { cands = append(cands, other) })
+		sort.Ints(cands)
+		return cands
 	}
 	// phi is the greedy cost of eq. (3)–(4): the number of not-yet-
 	// traversed structures connected to the candidate through its dual
 	// nets (the candidate itself excluded).
 	phi := func(cand int) int {
 		score := 0
-		seen := map[int]bool{}
-		for _, nid := range groupNets[cand] {
-			for _, other := range netGroups[nid] {
-				if other != cand && !visited[other] && !seen[other] {
-					seen[other] = true
-					score++
-				}
-			}
-		}
+		unvisited(cand, func(int) { score++ })
 		return score
 	}
 	pickBest := func(cands []int) int {
@@ -124,33 +127,38 @@ func PrimalWithLimit(r *simplify.Result, rng *rand.Rand, maxLen int) *PrimalResu
 		return best
 	}
 
+	// Chains only ever visit groups, so a cursor into each ascending list
+	// moves forward past the visited ones and the deterministic start is
+	// found in linear time over the whole run.
+	nextConn, nextRep := 0, 0
+	var pool []int
 	for {
 		// Choose an unvisited starting group, preferring connected ones
 		// ("the starting point on an edge").
-		start := -1
-		var pool []int
-		for _, rep := range repList {
-			if !visited[rep] {
-				pool = append(pool, rep)
-			}
+		for nextConn < len(connected) && visited[connected[nextConn]] {
+			nextConn++
 		}
-		if len(pool) == 0 {
+		from := connected[nextConn:]
+		if len(from) == 0 {
+			for nextRep < len(reps) && visited[reps[nextRep]] {
+				nextRep++
+			}
+			from = reps[nextRep:]
+		}
+		if len(from) == 0 {
 			break
 		}
-		var connected []int
-		for _, rep := range pool {
-			if len(groupNets[rep]) > 0 {
-				connected = append(connected, rep)
-			}
-		}
-		pickFrom := connected
-		if len(pickFrom) == 0 {
-			pickFrom = pool
-		}
+		start := from[0]
 		if rng != nil {
-			start = pickFrom[rng.Intn(len(pickFrom))]
-		} else {
-			start = pickFrom[0]
+			// A seeded start draws from every unvisited candidate in
+			// ascending order.
+			pool = pool[:0]
+			for _, rep := range from {
+				if !visited[rep] {
+					pool = append(pool, rep)
+				}
+			}
+			start = pool[rng.Intn(len(pool))]
 		}
 
 		chain := Chain{start}

@@ -45,8 +45,11 @@ func BenchmarkPerturbPack(b *testing.B) {
 // BenchmarkSnapshotRestore measures best-solution bookkeeping.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	tr := NewGrid(randomBlocks(400, 3))
+	var s Snapshot
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Restore(tr.Snapshot())
+		tr.Snapshot(&s)
+		tr.Restore(&s)
 	}
 }

@@ -416,31 +416,25 @@ func (t *Tree) Undo() {
 	t.last = lastMove{}
 }
 
-// Snapshot captures the full tree structure.
-func (t *Tree) Snapshot() Snapshot {
-	return Snapshot{
-		blocks: append([]Block(nil), t.Blocks...),
-		nodes:  append([]node(nil), t.nodes...),
-		root:   t.root,
-	}
+// Snapshot copies the tree structure into s, reusing s's storage, so a
+// caller that keeps one snapshot and overwrites it stops allocating once
+// the snapshot has grown to the tree's size.
+func (t *Tree) Snapshot(s *Snapshot) {
+	s.blocks = append(s.blocks[:0], t.Blocks...)
+	s.nodes = append(s.nodes[:0], t.nodes...)
+	s.root = t.root
 }
 
-// Restore reinstates a snapshot.
-func (t *Tree) Restore(s Snapshot) {
-	t.Blocks = append(t.Blocks[:0:0], s.blocks...)
-	t.nodes = append(t.nodes[:0:0], s.nodes...)
+// Restore reinstates a snapshot, reusing t's storage.
+func (t *Tree) Restore(s *Snapshot) {
+	t.Blocks = append(t.Blocks[:0], s.blocks...)
+	t.nodes = append(t.nodes[:0], s.nodes...)
 	t.root = s.root
 	t.last = lastMove{}
 }
 
-// FromSnapshot builds a tree directly from a snapshot.
-func FromSnapshot(s Snapshot) *Tree {
-	t := &Tree{}
-	t.Restore(s)
-	return t
-}
-
-// Snapshot is an opaque copy of the tree structure for Snapshot/Restore.
+// Snapshot is a copy of the tree structure for Snapshot/Restore. The zero
+// Snapshot is empty and ready to fill.
 type Snapshot struct {
 	blocks []Block
 	nodes  []node

@@ -128,7 +128,8 @@ func TestMoveRejectsCycles(t *testing.T) {
 
 func TestSnapshotRestore(t *testing.T) {
 	tr := New(blocks([2]int{2, 3}, [2]int{4, 1}, [2]int{1, 5}, [2]int{2, 2}))
-	snap := tr.Snapshot()
+	var snap Snapshot
+	tr.Snapshot(&snap)
 	// Both packs share one buffer: the first is copied out, or the
 	// comparison would read the second pack twice.
 	buf, _, _ := tr.Pack(nil)
@@ -137,7 +138,7 @@ func TestSnapshotRestore(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tr.Perturb(rng)
 	}
-	tr.Restore(snap)
+	tr.Restore(&snap)
 	after, _, _ := tr.Pack(buf)
 	for i := range before {
 		if before[i] != after[i] {
@@ -252,33 +253,43 @@ func TestNewGridShapes(t *testing.T) {
 	}
 }
 
-func TestFromSnapshot(t *testing.T) {
-	tr := NewGrid(blocks([2]int{2, 3}, [2]int{4, 1}, [2]int{1, 5}))
+// TestSnapshotReuseClones overwrites one snapshot in place, round after
+// round, and restores each into a fresh tree: the clone packs exactly as
+// the tree did, and neither the tree's later moves nor the clone's edits
+// reach the snapshot through shared storage.
+func TestSnapshotReuseClones(t *testing.T) {
+	tr := NewGrid(blocks([2]int{2, 3}, [2]int{4, 1}, [2]int{1, 5}, [2]int{3, 2}))
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 20; i++ {
-		tr.Perturb(rng)
-	}
-	snap := tr.Snapshot()
-	clone := FromSnapshot(snap)
-	if err := clone.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	buf, w1, h1 := tr.Pack(nil)
-	p1 := slices.Clone(buf)
-	p2, w2, h2 := clone.Pack(buf)
-	if w1 != w2 || h1 != h2 {
-		t.Fatalf("clone dims differ: %dx%d vs %dx%d", w1, h1, w2, h2)
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("clone placement %d differs", i)
+	var snap Snapshot
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 20; i++ {
+			tr.Perturb(rng)
 		}
-	}
-	// Clone is independent.
-	clone.Swap(0, 1)
-	p1b, _, _ := tr.Pack(nil)
-	if p1b[0] != p1[0] {
-		t.Fatal("clone aliases original")
+		tr.Snapshot(&snap)
+		var clone Tree
+		clone.Restore(&snap)
+		if err := clone.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		buf, w1, h1 := tr.Pack(nil)
+		p1 := slices.Clone(buf)
+		p2, w2, h2 := clone.Pack(buf)
+		if w1 != w2 || h1 != h2 {
+			t.Fatalf("round %d: clone dims differ: %dx%d vs %dx%d", round, w1, h1, w2, h2)
+		}
+		if !slices.Equal(p1, p2) {
+			t.Fatalf("round %d: clone packs differently", round)
+		}
+		clone.Swap(0, 1)
+		clone.Rotate(0)
+		for i := 0; i < 20; i++ {
+			tr.Perturb(rng)
+		}
+		var again Tree
+		again.Restore(&snap)
+		if p3, _, _ := again.Pack(nil); !slices.Equal(p1, p3) {
+			t.Fatalf("round %d: snapshot aliases the tree or the clone", round)
+		}
 	}
 }
 

@@ -281,6 +281,11 @@ func TestTGateCircuitEndToEnd(t *testing.T) {
 	if res.Placement.Order != 0 {
 		t.Fatalf("residual ordering penalty %f", res.Placement.Order)
 	}
+	// The annealer's penalty is taken before compaction and legalization
+	// move items; the audit reads the final schedule.
+	if audit := res.Placement.AuditSchedule(); !audit.Satisfied() {
+		t.Fatalf("final schedule: %v", audit)
+	}
 }
 
 func TestDeformOnlyMode(t *testing.T) {

@@ -1,55 +1,81 @@
 package place_test
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
-	"tqec/internal/bench"
-	"tqec/internal/bridge"
-	"tqec/internal/pdgraph"
+	"tqec/internal/compress"
 	"tqec/internal/place"
-	"tqec/internal/simplify"
 )
 
 // TestSAMoveAllocations guards the annealer's inner loop on 4gt10: once
-// the layers' buffers have grown, one move (Perturb, Cost and the undo)
-// allocates at most its undo closure. Intra-layer moves repack into the
-// layer's own slices, and migrations set the layer aside in storage it
-// owns.
+// the buffers have grown, a move allocates at most its undo closure,
+// whether it is rejected, kept as the new best, or a migration. Intra-slab
+// moves repack into the slab's own slices, migrations set the slab aside
+// in storage it owns, the cost cache logs into reused slices, and
+// SaveBest overwrites the one saved copy in place.
 func TestSAMoveAllocations(t *testing.T) {
-	spec, ok := bench.ByName("4gt10-v1_81")
-	if !ok {
-		t.Fatal("no 4gt10-v1_81 spec")
-	}
-	rep, _, err := spec.GenerateICM(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := pdgraph.New(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := simplify.Run(g, simplify.Options{})
-	in, err := place.BuildItems(g, s, bridge.Primal(s, nil), bridge.DualContext(context.Background(), s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := place.NewProblem(in)
+	p := place.NewProblem(pipelineInput(t, "4gt10-v1_81", compress.Full))
 	rng := rand.New(rand.NewSource(1))
-	move := func() {
+	p.Cost()
+	p.SaveBest()
+	perturb := func() func() {
 		for {
 			if undo := p.Perturb(rng); undo != nil {
-				p.Cost()
-				undo()
-				return
+				return undo
 			}
 		}
 	}
-	for i := 0; i < 5000; i++ {
-		move()
+	moves := []struct {
+		name string
+		move func()
+	}{
+		{"rejected move", func() {
+			undo := perturb()
+			p.Cost()
+			undo()
+		}},
+		{"best-improving move", func() {
+			perturb()
+			p.Cost()
+			p.SaveBest()
+		}},
+		{"rejected migration", func() {
+			if undo := p.Migrate(rng); undo != nil {
+				p.Cost()
+				undo()
+			}
+		}},
 	}
-	if allocs := testing.AllocsPerRun(2000, move); allocs > 1 {
-		t.Fatalf("one SA move made %.0f allocations, want at most its undo closure", allocs)
+	for i := 0; i < 3000; i++ {
+		for _, m := range moves {
+			m.move()
+		}
+	}
+	for _, m := range moves {
+		if allocs := testing.AllocsPerRun(2000, m.move); allocs > 1 {
+			t.Errorf("one %s made %.0f allocations, want at most its undo closure", m.name, allocs)
+		}
+	}
+}
+
+// BenchmarkSAMove measures one annealing move on rd84's 1378 items: a
+// Perturb, the incremental Cost and, for two moves in three, the undo.
+// ns/op is ns per move.
+func BenchmarkSAMove(b *testing.B) {
+	p := place.NewProblem(pipelineInput(b, "rd84_142", compress.Full))
+	rng := rand.New(rand.NewSource(1))
+	p.Cost()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		undo := p.Perturb(rng)
+		for undo == nil {
+			undo = p.Perturb(rng)
+		}
+		p.Cost()
+		if i%3 != 0 {
+			undo()
+		}
 	}
 }

@@ -18,14 +18,6 @@ type Options struct {
 	MaxMoves int // SA move budget; 0 selects a size-scaled default
 }
 
-// SA cost weights: volume + lambdaWire·HPWL + orderWeight·order +
-// feedWeight·feed.
-const (
-	lambdaWire  = 0.05
-	orderWeight = 100.0
-	feedWeight  = 2
-)
-
 func (o Options) withDefaults(n int) Options {
 	if o.MaxMoves <= 0 {
 		o.MaxMoves = 2000 + 60*n
@@ -53,9 +45,13 @@ type Result struct {
 	Placed     []Placed
 	NX, NY, NZ int
 	Volume     int
-	HPWL       int
-	Order      float64 // residual ordering penalty (0 = fully legal)
-	SA         anneal.Result
+	// HPWL and Order are the annealed placement's wirelength and residual
+	// ordering penalty, taken when the annealer returns: Compact and
+	// LegalizeOrder move items afterwards and leave both as they were.
+	// AuditSchedule reads the final schedule.
+	HPWL  int
+	Order float64
+	SA    anneal.Result
 }
 
 // PinPosition returns the absolute position of a pin in paper units,
@@ -67,37 +63,52 @@ func (r *Result) PinPosition(p Pin) (x, y, z int) {
 
 func pinPos(pos []Placed, p *Pin) (x, y, z int) {
 	pl := &pos[p.Item]
-	z = pl.Z + p.DZ
+	return pl.offset(p.DX, p.DY, pinDZ(pl.Item, p))
+}
+
+// pinDZ is a pin's z offset in its item: a flipped dual segment leaves
+// on the far z side (eq. 5).
+func pinDZ(it *Item, p *Pin) int {
 	if p.Flip {
-		// The flipped dual segment leaves on the far z side (eq. 5).
-		z = pl.Z + pl.D - pl.Item.Pad
+		return it.D - it.Pad
 	}
+	return p.DZ
+}
+
+// offset is the absolute position of an item-local offset. An item the
+// floorplanner turned 90° in the x–y plane swaps the in-plane offsets.
+func (pl *Placed) offset(dx, dy, dz int) (x, y, z int) {
 	if pl.Rotated {
-		// The floorplanner turned the item 90° in the x–y plane.
-		x = pl.X + p.DY
-		y = pl.Y + p.DX
-		return x, y, z
+		return pl.X + dy, pl.Y + dx, pl.Z + dz
 	}
-	x = pl.X + p.DX
-	y = pl.Y + p.DY
-	return x, y, z
+	return pl.X + dx, pl.Y + dy, pl.Z + dz
 }
 
 // layerState is one z-slab with its own B*-tree floorplan. The prev
 // fields keep the slab as it was before the last move that touched it, in
 // storage the slab owns, so undoing a move neither repacks nor allocates.
+// The best fields keep it as SaveBest last saw it, overwritten in place.
 type layerState struct {
 	items []int // item IDs resident in this slab
 	tree  *btree.Tree
 	w, h  int
 	depth int
 	pl    []btree.Placement
+	// dirty marks a slab a move repacked since the last Cost, and z is
+	// the offset the cached positions of its items were written at.
+	// unsaved marks a slab a move touched since the last SaveBest.
+	dirty, unsaved bool
+	z              int
 
 	prevItems               []int
 	prevTree                *btree.Tree
 	prevPl                  []btree.Placement
 	prevW, prevH, prevDepth int
 	blocks                  []btree.Block // rebuild's scratch
+
+	bestItems []int
+	bestTree  btree.Snapshot
+	bestDepth int
 }
 
 // rebuild lays the slab's items out afresh in a grid tree.
@@ -117,6 +128,11 @@ func (l *layerState) rebuild(items []Item) {
 
 func (l *layerState) pack() {
 	l.pl, l.w, l.h = l.tree.Pack(l.pl)
+}
+
+// touch marks the slab changed by the move under way.
+func (l *layerState) touch() {
+	l.dirty, l.unsaved = true, true
 }
 
 // keepPacking sets the current packing aside for restorePacking; the
@@ -147,15 +163,29 @@ func (l *layerState) restore() {
 	l.depth = l.prevDepth
 }
 
-// problem implements anneal.Problem over the 2.5-D state.
+// problem implements anneal.Problem over the 2.5-D state. Beside the
+// slabs it keeps an incremental cost cache (see Cost): every item's
+// position, every cost term's value and their sums, valid for the slabs
+// as the last Cost saw them.
 type problem struct {
 	in     *Input
 	layers []*layerState
-	// netList is in.Nets flattened for allocation-free cost evaluation;
-	// posBuf is the reusable position scratch buffer, its Item and D set
-	// once.
-	netList [][]Pin
-	posBuf  []Placed
+	// nets is in.Nets by ascending representative, nets with fewer than
+	// two pins dropped.
+	nets [][]netPin
+
+	// terms lists every cost term once; itemTerms lists, per item, the
+	// terms that read its position.
+	terms     []term
+	itemTerms [][]int32
+	// pos, the terms' values and sum are the cache. epoch stamps the
+	// terms one Cost call evaluates, changed is its scratch and log what
+	// it overwrote since the last move began.
+	pos     []Placed
+	sum     sums
+	epoch   uint32
+	changed []int
+	log     moveLog
 }
 
 func newProblem(in *Input) *problem {
@@ -171,14 +201,16 @@ func newProblem(in *Input) *problem {
 	sort.Ints(reps)
 	for _, rep := range reps {
 		if pins := in.Nets[rep]; len(pins) >= 2 {
-			p.netList = append(p.netList, pins)
+			net := make([]netPin, len(pins))
+			for i := range pins {
+				pin := &pins[i]
+				net[i] = netPin{int32(pin.Item), int32(pin.DX), int32(pin.DY), int32(pinDZ(&in.Items[pin.Item], pin))}
+			}
+			p.nets = append(p.nets, net)
 		}
 	}
-	p.posBuf = make([]Placed, n)
-	for i := range p.posBuf {
-		p.posBuf[i].Item = &in.Items[i]
-		p.posBuf[i].D = in.Items[i].D
-	}
+	p.buildTerms()
+	p.pos = p.newPositions()
 	// Initial assignment: chunk items by depth so each slab holds items
 	// of similar z extent.
 	order := make([]int, n)
@@ -200,33 +232,12 @@ func newProblem(in *Input) *problem {
 		if end > n {
 			end = n
 		}
-		l := &layerState{items: append([]int(nil), order[start:end]...), tree: new(btree.Tree), prevTree: new(btree.Tree)}
+		l := &layerState{items: append([]int(nil), order[start:end]...), tree: new(btree.Tree), prevTree: new(btree.Tree), unsaved: true}
 		l.rebuild(in.Items)
 		p.layers = append(p.layers, l)
 	}
+	p.resum()
 	return p
-}
-
-// itemPositions computes the absolute placement of every item into the
-// shared scratch buffer (copy it before keeping a reference). Only the
-// fields a move can change are written.
-func (p *problem) itemPositions() []Placed {
-	out := p.posBuf
-	z := 0
-	for li, l := range p.layers {
-		if len(l.items) == 0 {
-			continue
-		}
-		for slot := range l.pl {
-			bpl := &l.pl[slot]
-			q := &out[l.tree.Blocks[slot].ID]
-			q.X, q.Y, q.Z = bpl.X, bpl.Y, z
-			q.W, q.H = bpl.W, bpl.H
-			q.Rotated, q.Layer = bpl.Rotated, li
-		}
-		z += l.depth
-	}
-	return out
 }
 
 func (p *problem) dims() (nx, ny, nz int) {
@@ -245,98 +256,39 @@ func (p *problem) dims() (nx, ny, nz int) {
 	return nx, ny, nz
 }
 
-func (p *problem) hpwl(pos []Placed) int {
-	total := 0
-	for _, pins := range p.netList {
-		minX, minY, minZ := math.MaxInt32, math.MaxInt32, math.MaxInt32
-		maxX, maxY, maxZ := math.MinInt32, math.MinInt32, math.MinInt32
-		for i := range pins {
-			x, y, z := pinPos(pos, &pins[i])
-			minX, maxX = min(minX, x), max(maxX, x)
-			minY, maxY = min(minY, y), max(maxY, y)
-			minZ, maxZ = min(minZ, z), max(maxZ, z)
-		}
-		total += (maxX - minX) + (maxY - minY) + (maxZ - minZ)
-	}
-	// Injection connections: box attach to consumer chain.
-	for i := range p.in.Items {
-		it := &p.in.Items[i]
-		if it.Kind != KindBox || it.FeedsItem < 0 {
-			continue
-		}
-		a, b := &pos[it.ID], &pos[it.FeedsItem]
-		total += abs(a.X+a.W-b.X) + abs(a.Y-b.Y) + abs(a.Z-b.Z)
-	}
-	return total
-}
-
-// orderPenalty sums how far each non-mutual order edge's After item
-// starts and finishes before its Before item.
-func (p *problem) orderPenalty(pos []Placed) float64 {
-	v := 0.0
-	for i := range p.in.OrderEdges {
-		e := &p.in.OrderEdges[i]
-		if e.Mutual {
-			continue
-		}
-		a, b := &pos[e.Before], &pos[e.After]
-		if d := (a.X) - (b.X); d > 0 {
-			v += float64(d)
-		}
-		if d := (a.X + a.W) - (b.X + b.W); d > 0 {
-			v += float64(d)
-		}
-	}
-	return v
-}
-
-// feedPenalty is the soft preference that a consumer start no earlier than
-// its distillation boxes.
-func (p *problem) feedPenalty(pos []Placed) float64 {
-	v := 0.0
-	for i := range p.in.Items {
-		it := &p.in.Items[i]
-		if it.Kind != KindBox || it.FeedsItem < 0 {
-			continue
-		}
-		if d := pos[it.ID].X - pos[it.FeedsItem].X; d > 0 {
-			v += float64(d)
-		}
-	}
-	return v
-}
-
-// Cost is volume + λ·HPWL + ω·order + soft feed preference.
-func (p *problem) Cost() float64 {
-	nx, ny, nz := p.dims()
-	pos := p.itemPositions()
-	return float64(nx*ny*nz) +
-		lambdaWire*float64(p.hpwl(pos)) +
-		orderWeight*p.orderPenalty(pos) +
-		feedWeight*p.feedPenalty(pos)
-}
-
 // Perturb applies one move: intra-layer B*-tree perturbation, or an item
 // migration between layers. The undo it returns reads state the layers
-// keep for the last move, so it is valid only until the next Perturb.
+// and the cost cache keep for the last move, so it is valid only until
+// the next Perturb or RestoreBest.
 func (p *problem) Perturb(rng *rand.Rand) func() {
 	if len(p.layers) == 0 {
 		return nil
 	}
+	p.log.reset(&p.sum)
 	if rng.Float64() < 0.7 {
-		// Intra-layer structural move.
-		l := p.layers[rng.Intn(len(p.layers))]
-		if len(l.items) < 2 || !l.tree.Perturb(rng) {
-			return nil
-		}
-		l.keepPacking()
-		l.pack()
-		return func() {
-			l.tree.Undo()
-			l.restorePacking()
-		}
+		return p.repack(rng)
 	}
-	// Cross-layer migration.
+	return p.migrate(rng)
+}
+
+// repack perturbs one slab's B*-tree.
+func (p *problem) repack(rng *rand.Rand) func() {
+	l := p.layers[rng.Intn(len(p.layers))]
+	if len(l.items) < 2 || !l.tree.Perturb(rng) {
+		return nil
+	}
+	l.keepPacking()
+	l.pack()
+	l.touch()
+	return func() {
+		l.tree.Undo()
+		l.restorePacking()
+		p.undoCost()
+	}
+}
+
+// migrate moves a random item to another slab and rebuilds both.
+func (p *problem) migrate(rng *rand.Rand) func() {
 	from := p.layers[rng.Intn(len(p.layers))]
 	if len(from.items) == 0 {
 		return nil
@@ -353,38 +305,40 @@ func (p *problem) Perturb(rng *rand.Rand) func() {
 	to.items = append(to.items, id)
 	from.rebuild(p.in.Items)
 	to.rebuild(p.in.Items)
+	from.touch()
+	to.touch()
 	return func() {
 		from.restore()
 		to.restore()
+		p.undoCost()
 	}
 }
 
-type placeSnapshot struct {
-	items  [][]int
-	trees  []btree.Snapshot
-	depths []int
-}
-
-// Snapshot captures the layer structure.
-func (p *problem) Snapshot() any {
-	s := placeSnapshot{}
+// SaveBest copies every slab a move touched since the last save into the
+// slab's own best storage; the other slabs already match theirs.
+func (p *problem) SaveBest() {
 	for _, l := range p.layers {
-		s.items = append(s.items, append([]int(nil), l.items...))
-		s.trees = append(s.trees, l.tree.Snapshot())
-		s.depths = append(s.depths, l.depth)
+		if !l.unsaved {
+			continue
+		}
+		l.bestItems = append(l.bestItems[:0], l.items...)
+		l.tree.Snapshot(&l.bestTree)
+		l.bestDepth = l.depth
+		l.unsaved = false
 	}
-	return s
 }
 
-// Restore reinstates a snapshot.
-func (p *problem) Restore(snap any) {
-	s := snap.(placeSnapshot)
-	for i, l := range p.layers {
-		l.items = append(l.items[:0], s.items[i]...)
-		l.tree.Restore(s.trees[i])
-		l.depth = s.depths[i]
+// RestoreBest reinstates the saved slabs, repacks them and rebuilds the
+// cost cache from scratch.
+func (p *problem) RestoreBest() {
+	for _, l := range p.layers {
+		l.items = append(l.items[:0], l.bestItems...)
+		l.tree.Restore(&l.bestTree)
+		l.depth = l.bestDepth
 		l.pack()
+		l.unsaved = false
 	}
+	p.resum()
 }
 
 // RunContext executes the placement stage under a context: the annealer
@@ -404,15 +358,16 @@ func RunContext(ctx context.Context, in *Input, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("place: %w", err)
 		}
 	}
-	pos := append([]Placed(nil), p.itemPositions()...)
+	// RestoreBest (or newProblem, when nothing anneals) left the cache
+	// summed from scratch.
 	nx, ny, nz := p.dims()
 	res := &Result{
 		Input:  in,
-		Placed: pos,
+		Placed: slices.Clone(p.pos),
 		NX:     nx, NY: ny, NZ: nz,
 		Volume: nx * ny * nz,
-		HPWL:   p.hpwl(pos),
-		Order:  p.orderPenalty(pos),
+		HPWL:   p.sum.hpwl(),
+		Order:  float64(p.sum[termOrder]),
 		SA:     sa,
 	}
 	return res, nil
