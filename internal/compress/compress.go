@@ -333,18 +333,27 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 	if err != nil {
 		return nil, fail(fmt.Errorf("compress: place: %w", err))
 	}
+	// The place row's volume passes through three steps; the span
+	// carries the first two and how many items legalization moved, so
+	// the waterfall says where the placed volume comes from.
+	annealed := contentVolume(pl)
+	compacted := annealed
 	if !opt.NoCompaction {
 		place.Compact(pl)
+		compacted = contentVolume(pl)
 	}
 	// Repair any residual measurement-ordering violations the annealer's
 	// soft penalty left behind; compaction alone never moves items right.
-	place.LegalizeOrder(pl)
+	legalized := place.LegalizeOrder(pl)
 	if err := pl.CheckLegal(); err != nil {
 		return nil, fail(fmt.Errorf("compress: placement legality: %w", err))
 	}
 	art.Placement = pl
 	sp.SetAttr("moves", pl.SA.Moves)
 	sp.SetAttr("accepted", pl.SA.Accepted)
+	sp.SetAttr("annealed_volume", annealed)
+	sp.SetAttr("compacted_volume", compacted)
+	sp.SetAttr("legalize_moved", legalized)
 	placed := contentVolume(pl)
 	done(placed)
 

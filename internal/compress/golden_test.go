@@ -1,6 +1,7 @@
 package compress_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -10,6 +11,8 @@ import (
 
 	"tqec/internal/bench"
 	"tqec/internal/compress"
+	"tqec/internal/journal"
+	"tqec/internal/obs"
 	"tqec/internal/revlib"
 	"tqec/internal/route"
 )
@@ -71,6 +74,33 @@ func TestRoutedCompileGolden(t *testing.T) {
 		}
 		checkGolden(t, "4gt10-v1_81", seed, res, gt10[seed])
 	}
+
+	// Where the router works hardest: rd84 seed 3 negotiates ten rounds
+	// and ends with overflow 1, so it pins the soft round budget and the
+	// stall exit; 4gt4 seed 1 squeezes through nine box walls.
+	for _, row := range []struct {
+		name string
+		seed int64
+		want golden
+	}{
+		{"rd84_142", 3, golden{143640, 171720, 24702, 1, 21, 10, "7665156cfd653ca27a72a08868b9b9ed7b431a28d1ac966cb477cda850702df3"}},
+		{"4gt4-v0_73", 1, golden{37440, 42636, 4430, 0, 9, 2, "6688de6bea2b4f283638aba23031d50c9577ef125416f693d2a3d7e7ee203736"}},
+	} {
+		spec, ok := bench.ByName(row.name)
+		if !ok {
+			t.Fatalf("no %s spec", row.name)
+		}
+		rep, _, err := spec.GenerateICM(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Seed = row.seed
+		res, err := compress.CompileICM(rep, spec.Name, opt, time.Time{}, nil)
+		if err != nil {
+			t.Fatalf("%s seed %d: %v", row.name, row.seed, err)
+		}
+		checkGolden(t, row.name, row.seed, res, row.want)
+	}
 }
 
 func checkGolden(t *testing.T, name string, seed int64, res *compress.Result, want golden) {
@@ -107,4 +137,44 @@ func routesDigest(routes map[int][]route.Cell) string {
 		h.Write(buf)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPlaceVolumeSteps pins where 4gt10's placed volume comes from: the
+// place span carries the annealed volume, the volume after compaction
+// and how many items order legalization moved, and the stage's row ends
+// at the placed volume.
+func TestPlaceVolumeSteps(t *testing.T) {
+	spec, ok := bench.ByName("4gt10-v1_81")
+	if !ok {
+		t.Fatal("no 4gt10-v1_81 spec")
+	}
+	rep, _, err := spec.GenerateICM(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer("compile")
+	opt := compress.Options{Mode: compress.Full, Effort: compress.EffortFast, Seed: 1, SkipRouting: true}
+	res, err := compress.CompileICMContext(obs.WithTracer(context.Background(), tr), rep, spec.Name, opt, time.Time{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	spans := tr.Root().Find("place")
+	if len(spans) != 1 {
+		t.Fatalf("%d place spans", len(spans))
+	}
+	want := map[string]int{
+		"annealed_volume":       13800,
+		"compacted_volume":      13524,
+		"legalize_moved":        19,
+		journal.AttrVolumeAfter: 16464,
+	}
+	for k, w := range want {
+		if v, _ := spans[0].Lookup(k); v != w {
+			t.Errorf("place span %s = %v, want %d", k, v, w)
+		}
+	}
+	if res.PlacedVolume != want[journal.AttrVolumeAfter] {
+		t.Errorf("placed volume %d, place row ends at %d", res.PlacedVolume, want[journal.AttrVolumeAfter])
+	}
 }

@@ -227,6 +227,22 @@ func TestJournalEventsPerStage(t *testing.T) {
 	if moves != res.Placement.SA.Moves {
 		t.Fatalf("anneal trajectory sums to %d moves, SA reports %d", moves, res.Placement.SA.Moves)
 	}
+	// The router's work totals are the route-round spans' sums.
+	searches, expansions := 0, 0
+	for _, r := range doc.RouteRounds {
+		searches += r.Searches
+		expansions += r.Expansions
+	}
+	spanSearches, spanExpansions := 0, 0
+	for _, sp := range root.Find("route-round") {
+		a := numericAttrs(sp)
+		spanSearches += int(a["searches"])
+		spanExpansions += int(a["expansions"])
+	}
+	if searches != spanSearches || expansions != spanExpansions || searches == 0 || expansions < searches {
+		t.Fatalf("journal totals %d searches, %d expansions; spans %d, %d",
+			searches, expansions, spanSearches, spanExpansions)
+	}
 }
 
 // tripCtx reports itself canceled once trip holds, so a cancellation

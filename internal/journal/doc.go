@@ -36,11 +36,15 @@ type AnnealEpoch struct {
 	Accepted int     `json:"accepted"`
 }
 
-// RouteRound is one PathFinder negotiation round.
+// RouteRound is one PathFinder negotiation round: the nets it ripped up
+// and rerouted, the A* searches they took and the cells those expanded,
+// and the overflow left after it.
 type RouteRound struct {
-	Round    int `json:"round"`
-	Ripped   int `json:"ripped"`
-	Overflow int `json:"overflow"`
+	Round      int `json:"round"`
+	Ripped     int `json:"ripped"`
+	Searches   int `json:"searches"`
+	Expansions int `json:"expansions"`
+	Overflow   int `json:"overflow"`
 }
 
 // DualPass is one dual-bridging merge-iteration pass.

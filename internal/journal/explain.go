@@ -41,8 +41,13 @@ func FormatExplain(j *Journal) string {
 			n, moves, accepted, rate, j.Anneal[0].Temp, j.Anneal[n-1].Temp)
 	}
 	if n := len(j.RouteRounds); n > 0 {
-		fmt.Fprintf(&sb, "routing:  %d negotiation rounds, final overflow %d\n",
-			n, j.RouteRounds[n-1].Overflow)
+		searches, expansions := 0, 0
+		for _, r := range j.RouteRounds {
+			searches += r.Searches
+			expansions += r.Expansions
+		}
+		fmt.Fprintf(&sb, "routing:  %d negotiation rounds, %d A* searches, %d expansions, final overflow %d\n",
+			n, searches, expansions, j.RouteRounds[n-1].Overflow)
 	}
 	if n := len(j.DualPasses); n > 0 {
 		merges := 0

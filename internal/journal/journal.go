@@ -292,9 +292,11 @@ func (r *Recorder) fold(ev Event) {
 			})
 		case "route-round":
 			d.RouteRounds = append(d.RouteRounds, RouteRound{
-				Round:    int(f["round"]),
-				Ripped:   int(f["ripped"]),
-				Overflow: int(f["overflow"]),
+				Round:      int(f["round"]),
+				Ripped:     int(f["ripped"]),
+				Searches:   int(f["searches"]),
+				Expansions: int(f["expansions"]),
+				Overflow:   int(f["overflow"]),
 			})
 		case "dual-pass":
 			d.DualPasses = append(d.DualPasses, DualPass{

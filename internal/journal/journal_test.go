@@ -336,14 +336,18 @@ func TestFormatExplain(t *testing.T) {
 				Mechanisms: map[string]int{"moves": 4000}},
 			{Stage: "route", VolumeBefore: 60, VolumeAfter: 90, Delta: 30},
 		},
-		Anneal:      []AnnealEpoch{{Epoch: 1, Temp: 50, Moves: 40, Accepted: 20}},
-		RouteRounds: []RouteRound{{Round: 1, Ripped: 7, Overflow: 0}},
-		Warnings:    []Warning{{Code: "route-squeezed", Message: "2 cells"}},
+		Anneal: []AnnealEpoch{{Epoch: 1, Temp: 50, Moves: 40, Accepted: 20}},
+		RouteRounds: []RouteRound{
+			{Round: 1, Ripped: 7, Searches: 9, Expansions: 120, Overflow: 2},
+			{Round: 2, Ripped: 2, Searches: 3, Expansions: 40, Overflow: 0},
+		},
+		Warnings: []Warning{{Code: "route-squeezed", Message: "2 cells"}},
 	}
 	out := FormatExplain(j)
 	for _, want := range []string{
 		"threecnot", "canonical", "pdgraph", "-108", "+30",
-		"modules=14 nets=7", "anneal:", "routing:", "[route-squeezed]",
+		"modules=14 nets=7", "anneal:", "[route-squeezed]",
+		"routing:  2 negotiation rounds, 12 A* searches, 160 expansions, final overflow 0",
 		"53.6% of canonical",
 	} {
 		if !strings.Contains(out, want) {

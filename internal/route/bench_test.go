@@ -18,7 +18,9 @@ func BenchmarkAStarStraight(b *testing.B) {
 		if err != nil || len(res.Failed) != 0 {
 			b.Fatal("route failed")
 		}
-		g.release(res.Routes[0])
+		for _, c := range res.Routes[0] {
+			g.usage[g.idx(c)]--
+		}
 	}
 }
 

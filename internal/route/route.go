@@ -10,6 +10,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -100,7 +101,10 @@ type Net struct {
 
 // Options tunes the router.
 type Options struct {
-	// MaxIters bounds the PathFinder negotiation rounds (default 8).
+	// MaxIters is the soft budget of PathFinder negotiation rounds
+	// (default 8). Once it is spent, negotiation stops after three rounds
+	// without a new lowest overflow, but while overflow keeps shrinking
+	// it goes on, up to 8×MaxIters rounds.
 	MaxIters int
 	// CellCapacity is the number of distinct nets a cell may carry
 	// without overflowing (default 1). The doubled lattice admits two
@@ -168,6 +172,13 @@ type Result struct {
 // round, never per cell: the counters are plain ints in the search
 // scratch.
 func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Result, error) {
+	return negotiate(ctx, g, nets, opt, nil)
+}
+
+// negotiate is RouteContext. When step is non-nil it runs after every
+// routed net and at the end of every round, so a test can audit the
+// search scratch where the router updates it.
+func negotiate(ctx context.Context, g *Grid, nets []Net, opt Options, step func(*search)) (*Result, error) {
 	opt = opt.withDefaults()
 	for _, n := range nets {
 		for _, p := range n.Pins {
@@ -234,15 +245,18 @@ func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Resul
 			}
 			n := nets[oi]
 			if old, ok := routed[n.ID]; ok {
-				g.release(old)
+				s.use(old, -1)
 			}
 			cells := s.routeNet(n)
 			if cells == nil {
 				delete(routed, n.ID)
-				continue
+			} else {
+				s.use(cells, 1)
+				routed[n.ID] = cells
 			}
-			g.occupy(cells)
-			routed[n.ID] = cells
+			if step != nil {
+				step(s)
+			}
 		}
 		// Assess overflow and build up history on over-capacity cells.
 		overflow := 0
@@ -251,7 +265,11 @@ func RouteContext(ctx context.Context, g *Grid, nets []Net, opt Options) (*Resul
 			if u > cap16 {
 				overflow++
 				g.history[i] += int32(u - cap16)
+				s.cells[i].entry = s.entry(i)
 			}
+		}
+		if step != nil {
+			step(s)
 		}
 		res.Overflow = overflow
 		if sp != nil {
@@ -303,18 +321,6 @@ func pinSpan(n Net) int {
 	return hi.Manhattan(lo)
 }
 
-func (g *Grid) occupy(cells []Cell) {
-	for _, c := range cells {
-		g.usage[g.idx(c)]++
-	}
-}
-
-func (g *Grid) release(cells []Cell) {
-	for _, c := range cells {
-		g.usage[g.idx(c)]--
-	}
-}
-
 // search is the scratch one RouteContext call routes every net with. Its
 // per-cell state lives in dense arrays indexed by Grid.idx, and epoch
 // stamps say which entries belong to the current A* search or the current
@@ -325,38 +331,68 @@ type search struct {
 	g     *Grid
 	opt   Options
 	cells []searchCell
+	// mark[i] is epoch while cell i is open in the running A* search and
+	// epoch+1 once it is closed; any other value means unseen.
+	mark []uint16
 	// inTree[i] == tree when cell i is on the current net's tree.
 	inTree []uint16
-	// epoch stamps searchCell.seen and .closed for the running A* search;
-	// tree stamps inTree for the net being routed.
+	// epoch is even and steps by two per search; tree steps by one per
+	// net.
 	epoch, tree uint16
 	open        openHeap
 	// treeOrder lists the tree's cells in insertion order, for the
 	// heuristic sample; treeLo and treeHi bound them.
 	treeOrder      []Cell
 	treeLo, treeHi Cell
-	sample         []Cell
-	stride         [6]int // Grid.idx offset of each neighbors6 step
+	// sx, sy and sz are the heuristic sample's coordinates, as columns.
+	sx, sy, sz []int32
 	// searches and expansions count the round's A* searches (region
 	// retries included) and expanded cells, for its route-round span.
 	searches, expansions int
 }
 
-// searchCell is one grid cell's A* state.
+// searchCell is one grid cell's A* record.
 type searchCell struct {
-	gScore float64 // cheapest known cost from the source (valid when seen)
-	parent int32   // predecessor on that path, −1 at the source
-	seen   uint16  // == search.epoch when gScore and parent are set
-	closed uint16  // == search.epoch once popped
+	g      int64 // cheapest known cost from the source (valid while marked)
+	parent int32 // predecessor on that path, −1 at the source
+	entry  int32 // cost of stepping into the cell: search.entry, kept current
 }
 
 func newSearch(g *Grid, opt Options) *search {
 	n := g.NX * g.NY * g.NZ
-	s := &search{g: g, opt: opt, cells: make([]searchCell, n), inTree: make([]uint16, n)}
-	for k, d := range neighbors6 {
-		s.stride[k] = (d.Z*g.NY+d.Y)*g.NX + d.X
+	s := &search{g: g, opt: opt, cells: make([]searchCell, n), mark: make([]uint16, n), inTree: make([]uint16, n)}
+	for i := range s.cells {
+		s.cells[i].entry = s.entry(i)
 	}
 	return s
+}
+
+// entry is the cost of stepping into cell i: one for the step, the
+// cell's history, the present-sharing penalty for every user beyond
+// capacity the step would make (below capacity a cell is free of sharing
+// cost), and blockPenalty on an obstacle. The router keeps each cell's
+// searchCell.entry equal to it: use refreshes the cells whose usage
+// changes, the round-end pass those whose history grows.
+func (s *search) entry(i int) int32 {
+	g := s.g
+	cost := 1 + historyFactor*g.history[i]
+	if over := int(g.usage[i]) + 1 - s.opt.CellCapacity; over > 0 {
+		cost += presentFactor * int32(over)
+	}
+	if g.blocked[i] {
+		cost += blockPenalty
+	}
+	return cost
+}
+
+// use adds d users to each of cells and refreshes their entry costs.
+func (s *search) use(cells []Cell, d int16) {
+	g := s.g
+	for _, c := range cells {
+		i := g.idx(c)
+		g.usage[i] += d
+		s.cells[i].entry = s.entry(i)
+	}
 }
 
 // endRound records the round's A* counters on its span and ends it.
@@ -419,14 +455,11 @@ func (s *search) connect(src Cell) bool {
 	// (the true nearest tree cell may be unsampled), trading strict A*
 	// optimality for speed — acceptable inside the negotiated router.
 	const maxSample = 24
-	sample := s.treeOrder
-	if len(sample) > maxSample {
-		s.sample = s.sample[:0]
-		stride := len(sample) / maxSample
-		for i := 0; i < len(sample) && len(s.sample) < maxSample; i += stride {
-			s.sample = append(s.sample, sample[i])
-		}
-		sample = s.sample
+	stride := max(1, len(s.treeOrder)/maxSample)
+	s.sx, s.sy, s.sz = s.sx[:0], s.sy[:0], s.sz[:0]
+	for i := 0; i < len(s.treeOrder) && len(s.sx) < maxSample; i += stride {
+		c := s.treeOrder[i]
+		s.sx, s.sy, s.sz = append(s.sx, int32(c.X)), append(s.sy, int32(c.Y)), append(s.sz, int32(c.Z))
 	}
 	// Region: bbox of src and the tree.
 	lo := Cell{min(src.X, s.treeLo.X), min(src.Y, s.treeLo.Y), min(src.Z, s.treeLo.Z)}
@@ -434,7 +467,7 @@ func (s *search) connect(src Cell) bool {
 	for inflate := regionInflate; ; inflate *= 2 {
 		rlo := Cell{max(0, lo.X-inflate), max(0, lo.Y-inflate), max(0, lo.Z-inflate)}
 		rhi := Cell{min(g.NX-1, hi.X+inflate), min(g.NY-1, hi.Y+inflate), min(g.NZ-1, hi.Z+inflate)}
-		if hit := s.astar(src, sample, rlo, rhi); hit >= 0 {
+		if hit := s.astar(src, rlo, rhi); hit >= 0 {
 			// Walk the path back from the tree cell it reached to src.
 			for i := hit; i >= 0; i = int(s.cells[i].parent) {
 				if s.inTree[i] != s.tree {
@@ -455,103 +488,144 @@ func (s *search) connect(src Cell) bool {
 // The path is left in the parent links. Because the sampled heuristic is
 // inconsistent, a closed cell's cost and parent may still be lowered;
 // only its re-expansion is skipped.
-func (s *search) astar(src Cell, sample []Cell, rlo, rhi Cell) int {
-	g, opt := s.g, s.opt
+func (s *search) astar(src, rlo, rhi Cell) int {
 	s.searches++
-	s.epoch++
-	if s.epoch == 0 { // wrapped: a stale stamp could alias the new search
-		for i := range s.cells {
-			s.cells[i].seen, s.cells[i].closed = 0, 0
-		}
-		s.epoch = 1
+	if s.epoch >= math.MaxUint16-1 { // used up: a stale mark could alias the new search
+		clear(s.mark)
+		s.epoch = 0
 	}
-	si := g.idx(src)
-	s.cells[si] = searchCell{parent: -1, seen: s.epoch}
+	s.epoch += 2
+	closed := s.epoch + 1
+	nx, ny := s.g.NX, s.g.NY
+	nxy := nx * ny
+	si := s.g.idx(src)
+	s.cells[si].g, s.cells[si].parent = 0, -1
+	s.mark[si] = s.epoch
 	s.open = s.open[:0]
-	s.open.push(openItem{f: nearest(src, sample), idx: si})
+	s.open.push(openItem{f: s.nearest(src.X, src.Y, src.Z), idx: int32(si)})
 	for len(s.open) > 0 {
-		ci := s.open.pop().idx
-		cur := &s.cells[ci]
-		if cur.closed == s.epoch {
+		ci := int(s.open.pop().idx)
+		if s.mark[ci] == closed {
 			continue
 		}
-		cur.closed = s.epoch
+		s.mark[ci] = closed
 		if s.inTree[ci] == s.tree {
 			return ci
 		}
 		s.expansions++
-		c := g.cell(ci)
-		for k, d := range neighbors6 {
-			nxt := c.Add(d)
-			if nxt.X < rlo.X || nxt.X > rhi.X || nxt.Y < rlo.Y || nxt.Y > rhi.Y ||
-				nxt.Z < rlo.Z || nxt.Z > rhi.Z {
-				continue
+		// Every cell on the frontier lies inside the region, so each
+		// step tests only the coordinate it changes; the steps keep the
+		// order +x, −x, +y, −y, +z, −z.
+		r := ci / nx
+		x, z := ci-r*nx, r/ny
+		y := r - z*ny
+		g := s.cells[ci].g
+		if x < rhi.X {
+			if ng, ok := s.lower(ci, ci+1, g); ok {
+				s.open.push(openItem{f: ng + s.nearest(x+1, y, z), idx: int32(ci + 1)})
 			}
-			ni := ci + s.stride[k]
-			// Below capacity the cell is free of sharing cost; at or above
-			// it the present penalty grows with the would-be excess.
-			cost := 1.0 + historyFactor*float64(g.history[ni])
-			if u := int(g.usage[ni]); u+1 > opt.CellCapacity {
-				cost += presentFactor * float64(u+1-opt.CellCapacity)
+		}
+		if x > rlo.X {
+			if ng, ok := s.lower(ci, ci-1, g); ok {
+				s.open.push(openItem{f: ng + s.nearest(x-1, y, z), idx: int32(ci - 1)})
 			}
-			ng := cur.gScore + cost
-			if g.blocked[ni] {
-				ng += blockPenalty
+		}
+		if y < rhi.Y {
+			if ng, ok := s.lower(ci, ci+nx, g); ok {
+				s.open.push(openItem{f: ng + s.nearest(x, y+1, z), idx: int32(ci + nx)})
 			}
-			next := &s.cells[ni]
-			if next.seen == s.epoch && ng >= next.gScore {
-				continue
+		}
+		if y > rlo.Y {
+			if ng, ok := s.lower(ci, ci-nx, g); ok {
+				s.open.push(openItem{f: ng + s.nearest(x, y-1, z), idx: int32(ci - nx)})
 			}
-			next.gScore, next.parent, next.seen = ng, int32(ci), s.epoch
-			s.open.push(openItem{f: ng + nearest(nxt, sample), idx: ni})
+		}
+		if z < rhi.Z {
+			if ng, ok := s.lower(ci, ci+nxy, g); ok {
+				s.open.push(openItem{f: ng + s.nearest(x, y, z+1), idx: int32(ci + nxy)})
+			}
+		}
+		if z > rlo.Z {
+			if ng, ok := s.lower(ci, ci-nxy, g); ok {
+				s.open.push(openItem{f: ng + s.nearest(x, y, z-1), idx: int32(ci - nxy)})
+			}
 		}
 	}
 	return -1
 }
 
-// nearest is the A* heuristic: the distance from c to the nearest sampled
-// tree cell.
-func nearest(c Cell, sample []Cell) float64 {
-	best := 1 << 30
-	for _, t := range sample {
-		if d := c.Manhattan(t); d < best {
-			best = d
-		}
+// lower offers cell ni the path through ci, whose cost is g, and
+// reports the path's cost when it is an improvement. A cell seen in this
+// search keeps the cheaper of its paths, ties going to the earlier one;
+// a closed cell may still be lowered but stays closed.
+func (s *search) lower(ci, ni int, g int64) (int64, bool) {
+	c := &s.cells[ni]
+	ng := g + int64(c.entry)
+	m := s.mark[ni]
+	if m-s.epoch <= 1 && ng >= c.g {
+		return 0, false
 	}
-	return float64(best)
+	c.g, c.parent = ng, int32(ci)
+	if m != s.epoch+1 {
+		s.mark[ni] = s.epoch
+	}
+	return ng, true
+}
+
+// nearest is the A* heuristic: the distance from (x, y, z) to the nearest
+// sampled tree cell.
+func (s *search) nearest(x, y, z int) int64 {
+	sx := s.sx
+	sy, sz := s.sy[:len(sx)], s.sz[:len(sx)]
+	cx, cy, cz := int32(x), int32(y), int32(z)
+	best := int32(1 << 30)
+	for k := range sx {
+		dx, dy, dz := cx-sx[k], cy-sy[k], cz-sz[k]
+		// |d| without a branch: d>>31 is 0 or −1.
+		dx = (dx ^ dx>>31) - dx>>31
+		dy = (dy ^ dy>>31) - dy>>31
+		dz = (dz ^ dz>>31) - dz>>31
+		best = min(best, dx+dy+dz)
+	}
+	return int64(best)
 }
 
 // openItem is one A* frontier entry; a cell may have several, and all
 // but the cheapest are skipped once it is closed.
 type openItem struct {
-	f   float64
-	idx int
+	f   int64
+	idx int32
 }
 
-// openHeap is a binary min-heap on f. push and pop are container/heap's
-// Push and Pop with its up and down inlined, comparison for comparison,
-// so entries with equal f pop in exactly the order a container/heap gives
-// them, and routes stay bit-identical.
+// openHeap is a binary min-heap on f. push and pop make container/heap's
+// up and down comparisons, in its order, but move a hole instead of
+// swapping: the item being sifted is the one every comparison reads, so
+// it is written once, where it stops. Entries with equal f therefore pop
+// in exactly the order a container/heap gives them, and routes stay
+// bit-identical.
 type openHeap []openItem
 
 func (h *openHeap) push(it openItem) {
-	*h = append(*h, it)
-	q := *h
-	for j := len(q) - 1; ; {
+	q := append(*h, it)
+	j := len(q) - 1
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !(q[j].f < q[i].f) {
+		if !(it.f < q[i].f) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[j] = q[i]
 		j = i
 	}
+	q[j] = it
+	*h = q
 }
 
 func (h *openHeap) pop() openItem {
 	q := *h
 	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
+	top, last := q[0], q[n]
+	i := 0
+	for {
 		j := 2*i + 1 // left child
 		if j >= n {
 			break
@@ -559,14 +633,15 @@ func (h *openHeap) pop() openItem {
 		if j2 := j + 1; j2 < n && q[j2].f < q[j].f {
 			j = j2 // right child
 		}
-		if !(q[j].f < q[i].f) {
+		if !(q[j].f < last.f) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[i] = q[j]
 		i = j
 	}
+	q[i] = last
 	*h = q[:n]
-	return q[n]
+	return top
 }
 
 // Validate checks the routing result: every route connects all of its

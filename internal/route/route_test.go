@@ -312,7 +312,9 @@ func TestNegotiatedRoutingAllocations(t *testing.T) {
 // route with a search whose 16-bit epoch and tree stamps wrap on that
 // very net: the wrap must clear the stamps the earlier route left, or the
 // crossing net would take the stale cells for its own tree and stop at
-// them.
+// them, or take stale marks for cells its own search has seen. The epoch
+// steps by two, so the last one before the wrap is MaxUint16−1 and the
+// first after it 2.
 func TestStampWrapKeepsRoutes(t *testing.T) {
 	g := mustGrid(t, 21, 11, 1)
 	opt := Options{}.withDefaults()
@@ -320,10 +322,10 @@ func TestStampWrapKeepsRoutes(t *testing.T) {
 	down := Net{ID: 2, Pins: []Cell{{10, 0, 0}, {10, 10, 0}}}
 	want := newSearch(g, opt).routeNet(down)
 	s := newSearch(g, opt)
-	s.routeNet(across) // stamps its cells with tree 1 and low epochs
-	s.epoch, s.tree = math.MaxUint16, math.MaxUint16
+	s.routeNet(across) // stamps its cells with tree 1 and the first epoch
+	s.epoch, s.tree = math.MaxUint16-1, math.MaxUint16
 	got := s.routeNet(down)
-	if s.epoch != 1 || s.tree != 1 {
+	if s.epoch != 2 || s.tree != 1 {
 		t.Fatalf("stamps did not wrap: epoch %d, tree %d", s.epoch, s.tree)
 	}
 	if !slices.Equal(got, want) {
