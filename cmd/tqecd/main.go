@@ -19,7 +19,9 @@
 //	curl -s localhost:8142/v1/jobs/j000001/journal           # finished-job journal
 //	tqecd -debug-addr localhost:6060                         # net/http/pprof
 //	tqecd -log-level debug -log-format json                  # structured logs
-//	tqecd -profile-slow-after 30s                            # CPU-profile jobs that run long
+//
+// Why a job was slow is answered by its trace (submit with "trace":
+// true, then GET /v1/jobs/{id}/trace) and its journal.
 //
 // Durability (-data-dir) makes the daemon crash-safe: finished results
 // persist in a content-addressed on-disk store and every job's lifecycle
@@ -74,14 +76,11 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS, negative = no cap; coordinator: concurrent dispatches, 0 = no cap)")
 		queue      = flag.Int("queue", 64, "max queued jobs before submissions are rejected")
 		cacheSize  = flag.Int("cache", 256, "result-cache entries (-1 disables caching)")
-		cacheBytes = flag.Int64("cache-bytes", 0, "in-memory result-cache byte bound (0 = entries-only bound)")
 		dataDir    = flag.String("data-dir", "", "durable storage directory: crash-safe result store + write-ahead job log with restart recovery (empty = in-memory only)")
 		storeMax   = flag.Int64("store-max-bytes", 0, "on-disk result-store byte bound before LRU GC (0 = default 1 GiB)")
 		defTimeout = flag.Duration("default-timeout", 5*time.Minute, "per-job deadline when the request sets none")
 		maxTimeout = flag.Duration("max-timeout", 30*time.Minute, "upper bound on requested per-job deadlines")
 		retain     = flag.Int("retain", 512, "finished jobs kept queryable before the oldest are forgotten (-1 keeps all)")
-		journalEvs = flag.Int("journal-events", 0, "per-job flight-recorder ring-buffer capacity for /v1/jobs/{id}/events (0 = default 4096, -1 disables journaling)")
-		slowAfter  = flag.Duration("profile-slow-after", 0, "record a pprof CPU profile for jobs running longer than this, served at /v1/jobs/{id}/profile (0 disables; one capture at a time per process)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long a shutdown waits for in-flight compiles")
 		logLevel   = flag.String("log-level", "info", "log level: debug | info | warn | error")
 		logFormat  = flag.String("log-format", "text", "log format: text | json")
@@ -131,16 +130,13 @@ func main() {
 	}
 
 	svcConfig := service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheEntries:     *cacheSize,
-		CacheBytes:       *cacheBytes,
-		DefaultTimeout:   *defTimeout,
-		MaxTimeout:       *maxTimeout,
-		MaxFinishedJobs:  *retain,
-		JournalEvents:    *journalEvs,
-		SlowProfileAfter: *slowAfter,
-		Logger:           logger,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		CacheEntries:    *cacheSize,
+		DefaultTimeout:  *defTimeout,
+		MaxTimeout:      *maxTimeout,
+		MaxFinishedJobs: *retain,
+		Logger:          logger,
 	}
 
 	switch *role {

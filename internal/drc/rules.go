@@ -196,7 +196,7 @@ func registerRouteRules() {
 						missing = true
 					}
 				}
-				if !missing && !cellsConnected(set, n.Pins) {
+				if !missing && !route.Connected(set, n.Pins) {
 					r.Violationf(LocNet(n.ID), "net %d route tree is disconnected", n.ID)
 				}
 			}
@@ -261,31 +261,6 @@ func registerRouteRules() {
 			}
 		},
 	})
-}
-
-func cellsConnected(set map[route.Cell]bool, pins []route.Cell) bool {
-	if len(pins) == 0 {
-		return true
-	}
-	visited := map[route.Cell]bool{pins[0]: true}
-	stack := []route.Cell{pins[0]}
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, d := range []route.Cell{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {Z: 1}, {Z: -1}} {
-			n := c.Add(d)
-			if set[n] && !visited[n] {
-				visited[n] = true
-				stack = append(stack, n)
-			}
-		}
-	}
-	for _, p := range pins {
-		if !visited[p] {
-			return false
-		}
-	}
-	return true
 }
 
 func registerGeometryRules() {

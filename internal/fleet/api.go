@@ -67,7 +67,6 @@ func (c *Coordinator) routes() *http.ServeMux {
 	mux.Handle("/", c.Server)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", c.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleTrace)
-	mux.HandleFunc("GET /v1/jobs/{id}/profile", c.handleProfile)
 	mux.HandleFunc("POST /fleet/v1/register", c.handleRegister)
 	mux.HandleFunc("POST /fleet/v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("GET /fleet/v1/workers", c.handleWorkers)

@@ -117,10 +117,6 @@ func (c *Coordinator) attempt(ctx context.Context, j *service.Job, d *service.Di
 	c.reg.addInflight(w.ID, 1)
 	defer c.reg.addInflight(w.ID, -1)
 	final, err := c.track(ctx, w, st)
-	if final.Profiled {
-		d.Profiled = true
-		c.Server.SetDispatch(j, *d)
-	}
 	if err == nil && final.State == service.StateDone {
 		var p *service.ResultPayload
 		if p, err = c.fetchResult(ctx, w, final.ID); err == nil {

@@ -29,9 +29,9 @@
 //     another worker is always safe: dispatch is at-least-once, results
 //     are exactly-one-answer.
 //   - Cancellation (DELETE) ends the job's run, which forwards it to the
-//     owning worker; SSE event streams, slow-job profiles and traces are
-//     served from the owning worker (traces stitched under the
-//     coordinator's dispatch spans).
+//     owning worker; SSE event streams and traces are served from the
+//     owning worker (traces stitched under the coordinator's dispatch
+//     spans).
 //
 // Coordinator endpoints beyond the service's:
 //
@@ -41,7 +41,6 @@
 //	GET    /v1/jobs/{id}/trace    coordinator spans with the worker's
 //	                              pipeline tree grafted under the last
 //	                              dispatch span
-//	GET    /v1/jobs/{id}/profile  the owning worker's slow-job profile
 //	POST   /fleet/v1/register     worker registration
 //	POST   /fleet/v1/heartbeat    worker heartbeat (404 → re-register)
 //	GET    /fleet/v1/workers      registered workers and their liveness

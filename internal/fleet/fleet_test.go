@@ -716,26 +716,3 @@ func TestFleetWorkerCanceledJobFailsOver(t *testing.T) {
 			final.State, final.Worker, final.Retries, final.Error, runnerID)
 	}
 }
-
-// TestFleetStatusCarriesWorkerProfile checks that a job the worker
-// profiled reads profiled through the coordinator, which proxies the
-// profile itself.
-func TestFleetStatusCarriesWorkerProfile(t *testing.T) {
-	f := newTestFleet(t, Config{}, nil, nil)
-	f.startWorker(t, "w-p", service.Config{
-		Workers:          1,
-		SlowProfileAfter: 20 * time.Millisecond,
-		Runner: service.Compiler(func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
-			time.Sleep(250 * time.Millisecond)
-			return instantCompile(ctx, c, opt, seeds, parallel)
-		}),
-	})
-	f.waitWorkersAlive(t, 1)
-	st := f.waitJob(t, f.submit(t, threecnotBody).ID, 30*time.Second)
-	if st.State != service.StateDone || !st.Profiled {
-		t.Fatalf("job = %s profiled=%t (err %q), want done and profiled", st.State, st.Profiled, st.Error)
-	}
-	if code := getJSON(t, f.ts.URL+"/v1/jobs/"+st.ID+"/profile", nil); code != http.StatusOK {
-		t.Fatalf("profile: http %d", code)
-	}
-}

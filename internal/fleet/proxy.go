@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"tqec/internal/obs"
-	"tqec/internal/service"
 )
 
 // handleEvents streams a job's journal as Server-Sent Events. Once the
@@ -112,35 +111,4 @@ func setTreeAttr(tree *obs.SpanJSON, key string, value any) {
 		tree.Attrs = map[string]any{}
 	}
 	tree.Attrs[key] = value
-}
-
-// handleProfile proxies the owning worker's slow-job CPU profile. The
-// coordinator does not copy profiles at completion time (they are large
-// and rarely wanted); a worker that died since the job finished answers
-// 502 here, which is an honest account of where the bytes live.
-func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	d, st, ok := c.JobDispatch(id)
-	if !ok || !st.Terminal() || d.RemoteID == "" {
-		// Unknown, not final, or never dispatched: the service answers.
-		c.Server.ServeHTTP(w, r)
-		return
-	}
-	pctx, cancel := context.WithTimeout(r.Context(), 10*time.Second)
-	defer cancel()
-	raw, err := c.workerClient(d.URL).Profile(pctx, d.RemoteID)
-	if err != nil {
-		var se *service.StatusError
-		if errors.As(err, &se) {
-			// Forward the worker's own verdict (404 no profile, 409 not
-			// final) untouched.
-			writeJSON(w, se.Code, errorResponse{Error: se.Message})
-			return
-		}
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: "fetch profile: " + err.Error()})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", `attachment; filename="`+id+`.pprof"`)
-	_, _ = w.Write(raw)
 }

@@ -15,7 +15,10 @@ import (
 // arrays on every relax, a []Cell heuristic sample scanned with
 // Manhattan, and a swap-based heap. The fast kernel must make the same
 // comparisons in the same order, so every field of the Result and the
-// grid's usage and history afterwards must match it exactly.
+// grid's usage and history afterwards must match it exactly. It keeps
+// the retry with a doubled region margin that the kernel does not have:
+// every cell is enterable, so the first search always reaches the tree
+// and a match shows the retry never ran.
 func routeScan(ctx context.Context, g *Grid, nets []Net, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	for _, n := range nets {

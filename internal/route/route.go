@@ -126,8 +126,8 @@ func (o Options) withDefaults() Options {
 
 // Search costs and the restricted region.
 const (
-	// regionInflate is the initial restricted-region margin around the
-	// pin bounding box, in cells; it doubles on retry.
+	// regionInflate is the restricted-region margin around the box of a
+	// search's source and the net's tree, in cells.
 	regionInflate = 4
 	// presentFactor scales the present-sharing penalty per extra user;
 	// historyFactor scales accumulated history.
@@ -346,8 +346,8 @@ type search struct {
 	treeLo, treeHi Cell
 	// sx, sy and sz are the heuristic sample's coordinates, as columns.
 	sx, sy, sz []int32
-	// searches and expansions count the round's A* searches (region
-	// retries included) and expanded cells, for its route-round span.
+	// searches and expansions count the round's A* searches and
+	// expanded cells, for its route-round span.
 	searches, expansions int
 }
 
@@ -443,8 +443,10 @@ func (s *search) routeNet(n Net) []Cell {
 }
 
 // connect finds a cheapest path from src to any tree cell within a
-// restricted region, growing the region on failure, and adds the path to
-// the tree.
+// restricted region and adds the path to the tree. The region is the box
+// of src and the tree, inflated by regionInflate; every cell is
+// enterable (a blocked one costs blockPenalty), so the search always
+// reaches the tree inside it.
 func (s *search) connect(src Cell) bool {
 	g := s.g
 	// The heuristic is the distance to the nearest of a bounded sample of
@@ -461,26 +463,21 @@ func (s *search) connect(src Cell) bool {
 		c := s.treeOrder[i]
 		s.sx, s.sy, s.sz = append(s.sx, int32(c.X)), append(s.sy, int32(c.Y)), append(s.sz, int32(c.Z))
 	}
-	// Region: bbox of src and the tree.
 	lo := Cell{min(src.X, s.treeLo.X), min(src.Y, s.treeLo.Y), min(src.Z, s.treeLo.Z)}
 	hi := Cell{max(src.X, s.treeHi.X), max(src.Y, s.treeHi.Y), max(src.Z, s.treeHi.Z)}
-	for inflate := regionInflate; ; inflate *= 2 {
-		rlo := Cell{max(0, lo.X-inflate), max(0, lo.Y-inflate), max(0, lo.Z-inflate)}
-		rhi := Cell{min(g.NX-1, hi.X+inflate), min(g.NY-1, hi.Y+inflate), min(g.NZ-1, hi.Z+inflate)}
-		if hit := s.astar(src, rlo, rhi); hit >= 0 {
-			// Walk the path back from the tree cell it reached to src.
-			for i := hit; i >= 0; i = int(s.cells[i].parent) {
-				if s.inTree[i] != s.tree {
-					s.addToTree(g.cell(i), i)
-				}
-			}
-			return true
-		}
-		// Stop once the region covers the whole grid.
-		if rlo == (Cell{0, 0, 0}) && rhi == (Cell{g.NX - 1, g.NY - 1, g.NZ - 1}) {
-			return false
+	rlo := Cell{max(0, lo.X-regionInflate), max(0, lo.Y-regionInflate), max(0, lo.Z-regionInflate)}
+	rhi := Cell{min(g.NX-1, hi.X+regionInflate), min(g.NY-1, hi.Y+regionInflate), min(g.NZ-1, hi.Z+regionInflate)}
+	hit := s.astar(src, rlo, rhi)
+	if hit < 0 {
+		return false
+	}
+	// Walk the path back from the tree cell it reached to src.
+	for i := hit; i >= 0; i = int(s.cells[i].parent) {
+		if s.inTree[i] != s.tree {
+			s.addToTree(g.cell(i), i)
 		}
 	}
+	return true
 }
 
 // astar searches from src to the nearest tree cell inside the region
@@ -679,7 +676,7 @@ func (r *Result) ValidateCapacity(g *Grid, nets []Net, capacity int) error {
 				return fmt.Errorf("route: net %d missing pin %v", id, p)
 			}
 		}
-		if !connected(set, n.Pins) {
+		if !Connected(set, n.Pins) {
 			return fmt.Errorf("route: net %d tree disconnected", id)
 		}
 	}
@@ -689,7 +686,9 @@ func (r *Result) ValidateCapacity(g *Grid, nets []Net, capacity int) error {
 	return nil
 }
 
-func connected(set map[Cell]bool, pins []Cell) bool {
+// Connected reports whether pins all lie in one 6-connected component
+// of set (true for no pins).
+func Connected(set map[Cell]bool, pins []Cell) bool {
 	if len(pins) == 0 {
 		return true
 	}

@@ -78,9 +78,6 @@ type JobStatus struct {
 	// in the aggregate tqecd_job_queue_seconds histogram.
 	QueuedMS float64 `json:"queued_ms,omitempty"`
 	RunMS    float64 `json:"run_ms,omitempty"`
-	// Profiled reports that the job crossed the daemon's slow-job
-	// threshold and a CPU profile is waiting at GET /v1/jobs/{id}/profile.
-	Profiled bool `json:"profiled,omitempty"`
 	// Worker is the fleet worker a coordinator dispatched the job to, and
 	// Retries the failed dispatch attempts and failovers it took (both
 	// empty outside a coordinator).
@@ -99,7 +96,6 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/jobs/{id}/profile", s.handleProfile)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/journal", s.handleJournal)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
@@ -315,33 +311,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	_ = tracer.WriteJSON(w)
 }
 
-// handleProfile serves the pprof CPU profile captured for a job that
-// ran past the slow-job threshold; jobs that never crossed it (or ran
-// while another capture held the process's one profiler slot) answer
-// 404. The profile is written while the job runs, so like the trace it
-// is only served once the job is terminal.
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.jobByID(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
-		return
-	}
-	s.mu.Lock()
-	state, profile := j.state, j.profile
-	s.mu.Unlock()
-	if !state.Terminal() {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("job is %s, profile not final", state)})
-		return
-	}
-	if len(profile) == 0 {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no profile: job did not cross the slow-job threshold"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", `attachment; filename="`+j.ID+`.pprof"`)
-	_, _ = w.Write(profile)
-}
-
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobByID(r.PathValue("id"))
 	if !ok {
@@ -420,7 +389,6 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 		Cached:   j.cached,
 		Error:    j.errMsg,
 		CacheKey: j.Key,
-		Profiled: len(j.profile) > 0 || j.dispatch.Profiled,
 		Worker:   j.dispatch.Worker,
 		Retries:  j.dispatch.Retries,
 	}

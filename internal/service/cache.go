@@ -61,16 +61,14 @@ func CacheKey(c *circuit.Circuit, opt compress.Options, seeds []int64) (string, 
 }
 
 // resultCache is the in-memory LRU over finished result payloads, keyed
-// by CacheKey and bounded by entry count and (optionally) by the summed
-// serialized payload size — the same store.ByteLRU accounting the
-// on-disk GC uses. When a durable result store is attached the cache
-// reads through to it (a warm restart serves done_cached from disk) and
-// writes through on every insert.
+// by CacheKey and bounded by entry count (a store.ByteLRU without a byte
+// bound). When a durable result store is attached the cache reads
+// through to it (a warm restart serves done_cached from disk) and writes
+// through on every insert.
 type resultCache struct {
-	max      int   // <= 0 disables the cache entirely
-	maxBytes int64 // <= 0: no byte bound
-	disk     *store.Results
-	logger   *slog.Logger
+	max    int // <= 0 disables the cache entirely
+	disk   *store.Results
+	logger *slog.Logger
 
 	mu       sync.Mutex
 	lru      *store.ByteLRU
@@ -79,7 +77,7 @@ type resultCache struct {
 	hits, misses, evictions *obs.Counter
 }
 
-func newResultCache(max int, maxBytes int64, disk *store.Results, logger *slog.Logger, m *metrics) *resultCache {
+func newResultCache(max int, disk *store.Results, logger *slog.Logger, m *metrics) *resultCache {
 	if max <= 0 {
 		// Caching disabled: the disk store is not consulted either, so
 		// -cache -1 keeps today's compile-every-time semantics even with a
@@ -88,10 +86,9 @@ func newResultCache(max int, maxBytes int64, disk *store.Results, logger *slog.L
 	}
 	return &resultCache{
 		max:       max,
-		maxBytes:  maxBytes,
 		disk:      disk,
 		logger:    logger,
-		lru:       store.NewByteLRU(max, maxBytes),
+		lru:       store.NewByteLRU(max, 0),
 		payloads:  map[string]*ResultPayload{},
 		hits:      m.cacheHits,
 		misses:    m.cacheMisses,
@@ -164,11 +161,4 @@ func (rc *resultCache) Len() int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.lru.Len()
-}
-
-// Bytes returns the summed serialized size of the in-memory entries.
-func (rc *resultCache) Bytes() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.lru.Bytes()
 }

@@ -149,7 +149,7 @@ func TestCacheKeyCoversEveryOption(t *testing.T) {
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	m := newMetrics()
-	rc := newResultCache(2, 0, nil, obs.NopLogger(), m)
+	rc := newResultCache(2, nil, obs.NopLogger(), m)
 	pay := func(i int) *ResultPayload { return &ResultPayload{Name: fmt.Sprintf("p%d", i)} }
 
 	rc.Put("a", pay(1))
@@ -177,7 +177,7 @@ func TestResultCacheLRUEviction(t *testing.T) {
 
 func TestResultCacheRefreshKeepsSingleEntry(t *testing.T) {
 	m := newMetrics()
-	rc := newResultCache(2, 0, nil, obs.NopLogger(), m)
+	rc := newResultCache(2, nil, obs.NopLogger(), m)
 	rc.Put("a", &ResultPayload{Name: "old"})
 	rc.Put("a", &ResultPayload{Name: "new"})
 	if rc.Len() != 1 {

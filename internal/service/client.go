@@ -81,7 +81,9 @@ func (c *Client) newRequest(ctx context.Context, method, path string, rd io.Read
 }
 
 // do issues one request and decodes the JSON response into out (skipped
-// when out is nil).
+// when out is nil). It reads at most maxBodyBytes of the response body;
+// a non-2xx response becomes a *StatusError carrying the daemon's error
+// message.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -98,39 +100,14 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	raw, err := c.send(req, maxBodyBytes)
-	if err != nil || out == nil {
-		return err
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("client: decode response: %w", err)
-	}
-	return nil
-}
-
-// getRaw issues one GET asking for the accept media type and returns the
-// body as sent.
-func (c *Client) getRaw(ctx context.Context, path, accept string) ([]byte, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", accept)
-	return c.send(req, 64<<20)
-}
-
-// send performs one request and reads at most limit bytes of the body.
-// Non-2xx responses become *StatusError carrying the daemon's error
-// message.
-func (c *Client) send(req *http.Request, limit int64) ([]byte, error) {
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: %s %s: %w", req.Method, req.URL.Path, err)
+		return fmt.Errorf("client: %s %s: %w", req.Method, req.URL.Path, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
-		return nil, fmt.Errorf("client: read response: %w", err)
+		return fmt.Errorf("client: read response: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var er errorResponse
@@ -138,9 +115,15 @@ func (c *Client) send(req *http.Request, limit int64) ([]byte, error) {
 		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
 			msg = er.Error
 		}
-		return nil, &StatusError{Code: resp.StatusCode, Message: msg}
+		return &StatusError{Code: resp.StatusCode, Message: msg}
 	}
-	return raw, nil
+	if out == nil {
+		return nil
+	}
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("client: decode response: %w", err)
+	}
+	return nil
 }
 
 // Submit posts one job. On a cache hit the returned status is already
@@ -176,13 +159,6 @@ func (c *Client) Trace(ctx context.Context, id string) (*obs.SpanJSON, error) {
 		return nil, err
 	}
 	return &sp, nil
-}
-
-// Profile fetches the raw pprof CPU profile of a slow job. A job that
-// never crossed the daemon's -profile-slow-after threshold answers 404
-// (a StatusError).
-func (c *Client) Profile(ctx context.Context, id string) ([]byte, error) {
-	return c.getRaw(ctx, "/v1/jobs/"+id+"/profile", "application/octet-stream")
 }
 
 // Cancel requests cancellation of a queued or running job.

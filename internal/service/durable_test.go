@@ -2,9 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -263,34 +261,6 @@ func TestCanceledQueuedJobNotReplayed(t *testing.T) {
 	final := waitState(t, ts2, running.ID, 30*time.Second)
 	if final.State != StateDone {
 		t.Fatalf("interrupted job state = %s (err %q), want done", final.State, final.Error)
-	}
-}
-
-// TestCacheBytesBoundEvicts checks the in-memory tier honors the byte
-// bound: inserting past it evicts the least recently used payload.
-func TestCacheBytesBoundEvicts(t *testing.T) {
-	m := newMetrics()
-	mkPayload := func(name string) *ResultPayload {
-		return &ResultPayload{Name: name, Report: compress.Report{Name: name, Volume: 42}}
-	}
-	raw, err := json.Marshal(mkPayload("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Room for one payload plus slack, never two.
-	rc := newResultCache(10, int64(len(raw))+8, nil, obs.NopLogger(), m)
-
-	key := func(b byte) string { return strings.Repeat(fmt.Sprintf("%02x", b), 32) }
-	rc.Put(key(1), mkPayload("a"))
-	rc.Put(key(2), mkPayload("b"))
-	if n := rc.Len(); n != 1 {
-		t.Fatalf("cache holds %d entries over the byte bound, want 1", n)
-	}
-	if _, ok := rc.Get(key(1)); ok {
-		t.Fatal("LRU victim still cached after byte-bound eviction")
-	}
-	if p, ok := rc.Get(key(2)); !ok || p.Name != "b" {
-		t.Fatal("most recent entry evicted instead of the LRU victim")
 	}
 }
 

@@ -30,20 +30,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown job"})
 		return
 	}
-	s.mu.Lock()
-	rec := j.recorder
-	s.mu.Unlock()
-	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "journaling disabled (server started with journal events < 0)"})
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "response writer cannot stream"})
 		return
 	}
 
-	replay, live, cancel := rec.Subscribe()
+	replay, live, cancel := j.recorder.Subscribe()
 	defer cancel()
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -102,7 +95,7 @@ type JournalResponse struct {
 // handleJournal serves the finished job's structured journal — the same
 // document tqecc -explain-json writes — plus the buffered raw events. It
 // answers 409 while the job is still queued or running (stream
-// /v1/jobs/{id}/events instead) and 404 when journaling is disabled.
+// /v1/jobs/{id}/events instead).
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobByID(r.PathValue("id"))
 	if !ok {
@@ -110,13 +103,9 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	state, rec, doc := j.state, j.recorder, j.journal
+	state, doc := j.state, j.journal
 	id, name := j.ID, j.Name
 	s.mu.Unlock()
-	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "journaling disabled (server started with journal events < 0)"})
-		return
-	}
 	if !state.Terminal() {
 		writeJSON(w, http.StatusConflict, errorResponse{Error: fmt.Sprintf("job is %s, journal not final (stream /v1/jobs/%s/events)", state, id)})
 		return
@@ -126,7 +115,7 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		Name:          name,
 		State:         state,
 		Journal:       doc,
-		Events:        rec.Events(),
-		EventsDropped: rec.Dropped(),
+		Events:        j.recorder.Events(),
+		EventsDropped: j.recorder.Dropped(),
 	})
 }

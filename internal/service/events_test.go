@@ -2,7 +2,9 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,7 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"tqec/internal/circuit"
+	"tqec/internal/compress"
 	"tqec/internal/journal"
+	"tqec/internal/obs"
 )
 
 // sseEvent is one parsed text/event-stream frame.
@@ -181,27 +186,6 @@ func TestJournalEndpoint(t *testing.T) {
 	}
 }
 
-// TestJournalingDisabled starts the server with JournalEvents < 0: both
-// journal endpoints answer 404, and compiles still succeed.
-func TestJournalingDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, JournalEvents: -1})
-	st, _ := postJob(t, ts, `{"source":{"sample":"threecnot"},"no_cache":true}`)
-	if done := waitState(t, ts, st.ID, 30*time.Second); done.State != StateDone {
-		t.Fatalf("job ended %s (%s)", done.State, done.Error)
-	}
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/journal", nil); code != http.StatusNotFound {
-		t.Fatalf("journal with journaling disabled: http %d, want 404", code)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("events with journaling disabled: http %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestQueuedMSReportedWhileQueued pins the queued_ms semantics: a job
 // still waiting for a worker reports its wait so far, and a started job
 // reports the final queue delay separately from run time.
@@ -258,26 +242,46 @@ func TestJobLatencySecondsFamilies(t *testing.T) {
 	}
 }
 
-// TestJournalDroppedCounter bounds a job's flight-recorder ring so low
-// that lifecycle events overflow it, and checks the loss surfaces in the
+// TestJournalDroppedCounter overflows a job's production-size
+// flight-recorder ring through the probe: the compile ends
+// DefaultMaxEvents+1 anneal-epoch spans, and the loss surfaces in the
 // tqecd_journal_dropped_events_total counter and the JSON snapshot.
 func TestJournalDroppedCounter(t *testing.T) {
-	svc, ts := newTestServer(t, Config{
-		Workers:       1,
-		Runner:        Compiler(instantCompile),
-		JournalEvents: 1, // every job emits >1 lifecycle event
-	})
+	overflow := func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+		for i := 0; i <= journal.DefaultMaxEvents; i++ {
+			sp, _ := obs.StartSpan(ctx, "anneal-epoch")
+			sp.End()
+		}
+		return instantCompile(ctx, c, opt, seeds, parallel)
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, Runner: Compiler(overflow)})
 	st, _ := postJob(t, ts, `{"source":{"sample":"threecnot"}}`)
-	waitState(t, ts, st.ID, 10*time.Second)
+	if done := waitState(t, ts, st.ID, 10*time.Second); done.State != StateDone {
+		t.Fatalf("job ended %s (%s)", done.State, done.Error)
+	}
+	// Queued, running and done plus DefaultMaxEvents+1 heartbeats: four
+	// events more than the ring holds.
+	const dropped = 4
 
-	if got := svc.metrics.journalDropped.Value(); got == 0 {
-		t.Fatal("journalDropped counter still 0 after ring overflow")
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/plain")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if want := fmt.Sprintf("\ntqecd_journal_dropped_events_total %d\n", dropped); !strings.Contains(string(raw), want) {
+		t.Fatalf("exposition missing %q:\n%s", strings.TrimSpace(want), raw)
 	}
 	var snap MetricsSnapshot
 	if code := getJSON(t, ts.URL+"/metrics", &snap); code != http.StatusOK {
 		t.Fatalf("metrics: http %d", code)
 	}
-	if snap.Journal.DroppedEvents == 0 {
-		t.Fatal("snapshot journal.dropped_events = 0, want > 0")
+	if snap.Journal.DroppedEvents != dropped {
+		t.Fatalf("snapshot journal.dropped_events = %d, want %d", snap.Journal.DroppedEvents, dropped)
 	}
 }

@@ -55,7 +55,6 @@ func FuzzSubmit(f *testing.F) {
 		Workers:         2,
 		QueueDepth:      1 << 12,
 		MaxFinishedJobs: 16,
-		JournalEvents:   -1,
 		Logger:          obs.NopLogger(),
 		Runner:          Compiler(instantCompile),
 	})

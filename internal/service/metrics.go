@@ -30,13 +30,6 @@ type metrics struct {
 	jobsFailed     *obs.Counter
 	jobsCanceled   *obs.Counter
 
-	// Slow-job flight-data capture outcomes: started counts jobs that
-	// crossed -profile-slow-after and recorded a CPU profile; skipped
-	// counts jobs that crossed it while another capture held the
-	// process's single profiler slot.
-	slowProfilesStarted *obs.Counter
-	slowProfilesSkipped *obs.Counter
-
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
@@ -92,9 +85,6 @@ func newMetrics() *metrics {
 		jobsDoneCached: reg.Counter("tqecd_jobs_done_cached_total", "Submissions answered from the result cache without compiling."),
 		jobsFailed:     reg.Counter("tqecd_jobs_failed_total", "Jobs that ended in an error."),
 		jobsCanceled:   reg.Counter("tqecd_jobs_canceled_total", "Jobs canceled by DELETE, deadline at shutdown, or drain abort."),
-
-		slowProfilesStarted: reg.Counter("tqecd_slow_profiles_started_total", "Jobs that crossed the slow-job threshold and recorded a CPU profile."),
-		slowProfilesSkipped: reg.Counter("tqecd_slow_profiles_skipped_total", "Slow jobs that could not record because the process profiler slot was busy."),
 
 		cacheHits:      reg.Counter("tqecd_cache_hits_total", "Result-cache lookups that found an entry."),
 		cacheMisses:    reg.Counter("tqecd_cache_misses_total", "Result-cache lookups that found nothing."),
@@ -224,11 +214,6 @@ type MetricsSnapshot struct {
 	Journal struct {
 		DroppedEvents int64 `json:"dropped_events"`
 	} `json:"journal"`
-	// SlowProfiles summarizes slow-job flight-data capture outcomes.
-	SlowProfiles struct {
-		Started int64 `json:"started"`
-		Skipped int64 `json:"skipped"`
-	} `json:"slow_profiles"`
 	// Runtime is the process's own vitals, sampled from runtime/metrics
 	// at snapshot time (the Prometheus exposition carries the same data
 	// as the go_* families, including the full GC-pause histogram).
@@ -261,8 +246,6 @@ func (m *metrics) snapshot(queueDepth, cacheEntries int) MetricsSnapshot {
 		s.Cache.HitRate = float64(s.Cache.Hits) / float64(total)
 	}
 	s.Journal.DroppedEvents = m.journalDropped.Value()
-	s.SlowProfiles.Started = m.slowProfilesStarted.Value()
-	s.SlowProfiles.Skipped = m.slowProfilesSkipped.Value()
 	rt := obs.ReadRuntimeStats()
 	s.Runtime.Goroutines = rt.Goroutines
 	s.Runtime.HeapBytes = rt.HeapBytes

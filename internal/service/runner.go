@@ -71,14 +71,9 @@ func (c *compiler) Run(ctx context.Context, j *Job) (Outcome, error) {
 	s := c.s
 	ctx, cancel := context.WithTimeout(ctx, j.timeout)
 	defer cancel()
-	prof := s.armSlowProfile(j)
 	start := time.Now()
 	res, err := c.compile(ctx, j.circ, j.opt, j.seeds, j.req.Options.Parallel)
 	dur := time.Since(start)
-	profile := prof.stop()
-	s.mu.Lock()
-	j.profile = profile
-	s.mu.Unlock()
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -147,9 +142,6 @@ type Dispatch struct {
 	// Retries counts failed dispatch attempts and failovers, reported in
 	// the job status.
 	Retries int
-	// Profiled reports that the worker recorded a slow-job profile, which
-	// the job status shows as profiled.
-	Profiled bool
 }
 
 // SetDispatch records where j runs now.

@@ -63,10 +63,6 @@ type Config struct {
 	// CacheEntries bounds the result cache (default 256; negative
 	// disables caching, including the durable result store's read path).
 	CacheEntries int
-	// CacheBytes additionally bounds the in-memory result cache by the
-	// summed serialized payload size (0 = no byte bound). The accounting
-	// is shared with the on-disk store's GC (store.ByteLRU).
-	CacheBytes int64
 	// Store, when non-nil, is the durable storage layer: finished results
 	// are written through to its content-addressed store (and served from
 	// it across restarts as done_cached), and every job lifecycle
@@ -84,17 +80,6 @@ type Config struct {
 	// forgotten so a long-lived daemon does not accumulate every job it
 	// ever ran (default 512; negative retains everything).
 	MaxFinishedJobs int
-	// JournalEvents bounds each job's flight-recorder ring buffer, i.e.
-	// how many journal events GET /v1/jobs/{id}/events can replay to a
-	// late subscriber (default 4096; negative disables journaling
-	// entirely, making the events and journal endpoints answer 404).
-	JournalEvents int
-	// SlowProfileAfter arms slow-job flight-data capture: a job still
-	// running after this long records a pprof CPU profile, retrievable
-	// via GET /v1/jobs/{id}/profile once the job finishes (0 disables).
-	// Capture is best-effort — runtime/pprof allows one CPU profile per
-	// process, so when two slow jobs overlap only the first records.
-	SlowProfileAfter time.Duration
 	// Logger receives structured per-job log lines (default: text handler
 	// on stderr at info level, the same shape the tqec CLIs use).
 	Logger *slog.Logger
@@ -123,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFinishedJobs == 0 {
 		c.MaxFinishedJobs = 512
-	}
-	if c.JournalEvents == 0 {
-		c.JournalEvents = journal.DefaultMaxEvents
 	}
 	if c.Logger == nil {
 		l, err := obs.NewLogger(obs.LogConfig{Writer: os.Stderr})
@@ -185,12 +167,11 @@ type Job struct {
 	finished        time.Time
 	payload         *ResultPayload
 	tracer          *obs.Tracer // non-nil once a traced job starts running
-	profile         []byte      // pprof CPU profile of a slow job; nil otherwise
 	dispatch        Dispatch    // set by a fleet coordinator's Runner
 
-	// recorder is the job's flight recorder, created at submission so even
-	// queued, cache-answered, and rejected jobs stream their lifecycle;
-	// nil when Config.JournalEvents is negative. journal is the structured
+	// recorder is the job's flight recorder, a journal.DefaultMaxEvents
+	// ring created at submission so even queued, cache-answered, and
+	// rejected jobs stream their lifecycle. journal is the structured
 	// waterfall document of a compile that ran to completion. Neither is
 	// part of ResultPayload: a cache replay runs no pipeline, so replaying
 	// a prior job's journal under a new job ID would misattribute it.
@@ -247,7 +228,7 @@ func New(ctx context.Context, cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		metrics: m,
-		cache:   newResultCache(cfg.CacheEntries, cfg.CacheBytes, disk, cfg.Logger, m),
+		cache:   newResultCache(cfg.CacheEntries, disk, cfg.Logger, m),
 		store:   cfg.Store,
 		jobs:    map[string]*Job{},
 		queue:   make(chan *Job, cfg.QueueDepth),
@@ -328,10 +309,8 @@ func (s *Server) register(j *Job) {
 	}
 	j.state = StateQueued
 	j.submitted = time.Now()
-	if s.cfg.JournalEvents > 0 {
-		j.recorder = journal.NewRecorder(s.cfg.JournalEvents)
-		j.recorder.JobState(string(StateQueued), "")
-	}
+	j.recorder = journal.NewRecorder(journal.DefaultMaxEvents)
+	j.recorder.JobState(string(StateQueued), "")
 	s.jobs[j.ID] = j
 }
 
@@ -400,10 +379,8 @@ func (s *Server) runJob(j *Job) {
 		j.tracer.Root().SetAttr("queued_us", queueDur.Microseconds())
 		ctx = obs.WithTracer(ctx, j.tracer)
 	}
-	if j.recorder != nil {
-		ctx = journal.WithRecorder(ctx, j.recorder)
-		j.recorder.JobState(string(StateRunning), "")
-	}
+	ctx = journal.WithRecorder(ctx, j.recorder)
+	j.recorder.JobState(string(StateRunning), "")
 	s.mu.Unlock()
 	defer cancel(nil)
 	s.walAppend(walTypeStarted, j.ID, nil)
@@ -497,14 +474,12 @@ func (s *Server) runJob(j *Job) {
 // funnels through here, so subscribers always see exactly one terminal
 // job-state event.
 func (s *Server) finishLocked(j *Job) {
-	if j.recorder != nil {
-		j.recorder.JobState(string(j.state), j.errMsg)
-		j.recorder.Close()
-		// The ring is final now: fold any silently dropped events into the
-		// daemon-wide counter so event loss is visible on /metrics.
-		if n := j.recorder.Dropped(); n > 0 {
-			s.metrics.journalDropped.Add(n)
-		}
+	j.recorder.JobState(string(j.state), j.errMsg)
+	j.recorder.Close()
+	// The ring is final now: fold any silently dropped events into the
+	// daemon-wide counter so event loss is visible on /metrics.
+	if n := j.recorder.Dropped(); n > 0 {
+		s.metrics.journalDropped.Add(n)
 	}
 	j.circ = nil
 	j.req.Source = Source{}

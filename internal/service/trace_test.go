@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -11,31 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"tqec/internal/circuit"
-	"tqec/internal/compress"
 	"tqec/internal/obs"
 )
-
-// slowCompile holds the worker long enough for the slow-job threshold
-// to fire, doing real work so the CPU profile has something to sample.
-func slowCompile(d time.Duration) CompileFunc {
-	return func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
-		deadline := time.Now().Add(d)
-		x := 1.0
-		for time.Now().Before(deadline) {
-			for i := 0; i < 1000; i++ {
-				x = x*1.0000001 + float64(i)
-			}
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		_ = x
-		return &compress.Result{Name: c.Name, Volume: 7, PlacedVolume: 7, SeedsTried: len(seeds)}, nil
-	}
-}
 
 // postJobWithHeaders submits a job with extra request headers (the
 // plain postJob helper cannot set them).
@@ -62,62 +38,6 @@ func postJobWithHeaders(t *testing.T, url, body string, headers map[string]strin
 		}
 	}
 	return st, resp.StatusCode
-}
-
-func TestSlowProfileCapture(t *testing.T) {
-	svc, ts := newTestServer(t, Config{
-		Workers:          1,
-		SlowProfileAfter: 20 * time.Millisecond,
-		Runner:           Compiler(slowCompile(250 * time.Millisecond)),
-	})
-	_ = svc
-	st, code := postJob(t, ts, `{"source":{"sample":"threecnot"}}`)
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("submit: http %d", code)
-	}
-	st = waitState(t, ts, st.ID, 30*time.Second)
-	if st.State != StateDone {
-		t.Fatalf("job state = %s (err %q), want done", st.State, st.Error)
-	}
-	if !st.Profiled {
-		t.Fatal("status.Profiled = false for a job that crossed the threshold")
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/profile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("profile: http %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Fatalf("profile content type = %q", ct)
-	}
-	if cd := resp.Header.Get("Content-Disposition"); !strings.Contains(cd, st.ID+".pprof") {
-		t.Fatalf("profile disposition = %q, want filename %s.pprof", cd, st.ID)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if len(body) == 0 {
-		t.Fatal("profile body is empty")
-	}
-}
-
-func TestSlowProfileNotCrossed(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		Workers:          1,
-		SlowProfileAfter: time.Hour,
-		Runner:           Compiler(instantCompile),
-	})
-	st, _ := postJob(t, ts, `{"source":{"sample":"threecnot"}}`)
-	st = waitState(t, ts, st.ID, 10*time.Second)
-	if st.Profiled {
-		t.Fatal("fast job reports Profiled")
-	}
-	var e errorResponse
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID+"/profile", &e); code != http.StatusNotFound {
-		t.Fatalf("profile for fast job: http %d, want 404", code)
-	}
 }
 
 // TestSubmitTraceparentLink: a traced submission's X-Request-ID lands on

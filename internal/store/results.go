@@ -67,8 +67,9 @@ type Results struct {
 
 // OpenResults scans dir (created if absent) and rebuilds the LRU from
 // the index file's access times, falling back to file mtimes for keys
-// the index missed. maxBytes bounds the on-disk footprint (<= 0 selects
-// 1 GiB); entries beyond it are evicted oldest-access-first on Put.
+// the index missed. Temp files a crash left in dir or its shard dirs are
+// removed. maxBytes bounds the on-disk footprint (<= 0 selects 1 GiB);
+// entries beyond it are evicted oldest-access-first on Put.
 func OpenResults(dir string, maxBytes int64) (*Results, error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 30
@@ -89,7 +90,8 @@ func OpenResults(dir string, maxBytes int64) (*Results, error) {
 }
 
 // scan loads the index and walks the shard directories, admitting every
-// result file into the LRU ordered oldest access first.
+// result file into the LRU ordered oldest access first and removing
+// crash leftovers.
 func (r *Results) scan() error {
 	var idx resultsIndex
 	if b, err := os.ReadFile(filepath.Join(r.dir, "index.json")); err == nil {
@@ -107,14 +109,21 @@ func (r *Results) scan() error {
 		return fmt.Errorf("store: results dir: %w", err)
 	}
 	for _, sh := range shards {
+		if err := removeTemp(r.dir, sh); err != nil {
+			return err
+		}
 		if !sh.IsDir() || len(sh.Name()) != 2 {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(r.dir, sh.Name()))
+		shard := filepath.Join(r.dir, sh.Name())
+		files, err := os.ReadDir(shard)
 		if err != nil {
 			continue
 		}
 		for _, f := range files {
+			if err := removeTemp(shard, f); err != nil {
+				return err
+			}
 			key, ok := strings.CutSuffix(f.Name(), ".json")
 			if !ok {
 				continue

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -210,6 +212,55 @@ func TestStoreOpenCloseAndStats(t *testing.T) {
 		t.Error("Stats.Results non-nil with NoResults")
 	}
 	if got := len(coord.WAL.Recovered()); got != 1 {
+		t.Errorf("recovered %d records, want 1", got)
+	}
+}
+
+// TestOpenRemovesCrashLeftovers plants the temp file each writer leaves
+// when the process dies between create and rename: Results.Put's in a
+// shard dir, the index rewrite's and WAL compaction's. Open removes all
+// three and keeps the real entry and record.
+func TestOpenRemovesCrashLeftovers(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	key := testKey(0xab)
+	if err := s.Results.Put(key, []byte(`{"v":1}`)); err != nil {
+		t.Fatalf("Put: %v", err)
+	}
+	if err := s.WAL.Append("submitted", "j000001", 1, nil); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	leftovers := []string{
+		filepath.Join(dir, "results", "ab", "put-crash.tmp"),
+		filepath.Join(dir, "results", "index-crash.tmp"),
+		filepath.Join(dir, "wal", "compact-crash.tmp"),
+	}
+	for _, p := range leftovers {
+		if err := os.WriteFile(p, bytes.Repeat([]byte("x"), 4096), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer s2.Close()
+	for _, p := range leftovers {
+		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s survived open (stat: %v)", p, err)
+		}
+	}
+	if _, ok := s2.Results.Get(key); !ok {
+		t.Error("real entry lost")
+	}
+	if got := len(s2.WAL.Recovered()); got != 1 {
 		t.Errorf("recovered %d records, want 1", got)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // Options tunes Open. Zero values select defaults.
@@ -32,8 +33,6 @@ type Options struct {
 	// MaxBytes bounds the result store's on-disk footprint before GC
 	// evicts least-recently-used entries (default 1 GiB).
 	MaxBytes int64
-	// SegmentBytes bounds one WAL segment before rotation (default 4 MiB).
-	SegmentBytes int64
 	// NoResults opens only the WAL — the fleet coordinator's mode, which
 	// journals dispatch state but stores no payloads (workers own those).
 	NoResults bool
@@ -77,7 +76,7 @@ func Open(dir string, o Options) (*Store, error) {
 			return nil, err
 		}
 	}
-	s.WAL, err = OpenWAL(filepath.Join(dir, "wal"), o.SegmentBytes)
+	s.WAL, err = OpenWAL(filepath.Join(dir, "wal"))
 	if err != nil {
 		return nil, err
 	}
@@ -101,4 +100,19 @@ func (s *Store) Stats() Stats {
 		st.Results = &rs
 	}
 	return st
+}
+
+// removeTemp deletes e, an entry of dir, when it is a *.tmp file. Every
+// writer here renames its temp file into place or removes it before it
+// returns, so a temp file found at open was left by a crash, and its
+// bytes would escape the store's bounds. A data dir has one writer, so
+// no live write owns it.
+func removeTemp(dir string, e os.DirEntry) error {
+	if e.IsDir() || !strings.HasSuffix(e.Name(), ".tmp") {
+		return nil
+	}
+	if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+		return fmt.Errorf("store: remove crash leftover: %w", err)
+	}
+	return nil
 }

@@ -32,6 +32,9 @@ type Record struct {
 // and recovery truncates the segment back to the last clean frame.
 const walFrameHeader = 8
 
+// walSegmentBytes is the size past which Append starts a new segment.
+const walSegmentBytes = 4 << 20
+
 // maxWALRecordBytes bounds one frame's payload. Recovery treats a longer
 // length prefix as corrupt (it must not trigger a multi-gigabyte
 // allocation), so Append refuses to write such a frame: the log never
@@ -58,7 +61,7 @@ type WALStats struct {
 // time; Append is safe for concurrent callers.
 type WAL struct {
 	dir      string
-	segBytes int64
+	segBytes int64 // rotation size, walSegmentBytes outside tests
 
 	records   atomic.Int64
 	truncated atomic.Int64
@@ -77,16 +80,22 @@ type WAL struct {
 // OpenWAL opens (or creates) the log under dir, scanning every segment
 // in order. Clean records are exposed via Recovered for the caller to
 // replay; a corrupt or torn tail in the final segment is truncated away
-// so the next Append extends a clean prefix. segBytes bounds a segment
-// before rotation (<= 0 selects 4 MiB).
-func OpenWAL(dir string, segBytes int64) (*WAL, error) {
-	if segBytes <= 0 {
-		segBytes = 4 << 20
-	}
+// so the next Append extends a clean prefix. A compaction temp file left
+// by a crash is removed.
+func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: wal dir: %w", err)
 	}
-	w := &WAL{dir: dir, segBytes: segBytes}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("store: wal dir: %w", err)
+	}
+	for _, e := range ents {
+		if err := removeTemp(dir, e); err != nil {
+			return nil, err
+		}
+	}
+	w := &WAL{dir: dir, segBytes: walSegmentBytes}
 	segs, err := w.listSegments()
 	if err != nil {
 		return nil, err

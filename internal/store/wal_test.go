@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-func openTestWAL(t *testing.T, dir string, segBytes int64) *WAL {
+func openTestWAL(t *testing.T, dir string) *WAL {
 	t.Helper()
-	w, err := OpenWAL(dir, segBytes)
+	w, err := OpenWAL(dir)
 	if err != nil {
 		t.Fatalf("OpenWAL: %v", err)
 	}
@@ -18,7 +18,7 @@ func openTestWAL(t *testing.T, dir string, segBytes int64) *WAL {
 
 func TestWALAppendAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	w := openTestWAL(t, dir, 0)
+	w := openTestWAL(t, dir)
 	for i, typ := range []string{"submitted", "started", "terminal"} {
 		if err := w.Append(typ, "j000001", int64(1000+i), map[string]int{"i": i}); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -28,7 +28,7 @@ func TestWALAppendAndRecover(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	w2 := openTestWAL(t, dir, 0)
+	w2 := openTestWAL(t, dir)
 	defer w2.Close()
 	recs := w2.Recovered()
 	if len(recs) != 3 {
@@ -59,7 +59,7 @@ func TestWALAppendAndRecover(t *testing.T) {
 // one truncation, and leave the segment appendable.
 func TestWALTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	w := openTestWAL(t, dir, 0)
+	w := openTestWAL(t, dir)
 	if err := w.Append("submitted", "j000001", 1, nil); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestWALTruncatedTail(t *testing.T) {
 		t.Fatalf("truncate: %v", err)
 	}
 
-	w2 := openTestWAL(t, dir, 0)
+	w2 := openTestWAL(t, dir)
 	recs := w2.Recovered()
 	if len(recs) != 1 || recs[0].JobID != "j000001" {
 		t.Fatalf("recovered %+v, want only j000001", recs)
@@ -92,7 +92,7 @@ func TestWALTruncatedTail(t *testing.T) {
 		t.Fatalf("Append after truncation: %v", err)
 	}
 	w2.Close()
-	w3 := openTestWAL(t, dir, 0)
+	w3 := openTestWAL(t, dir)
 	defer w3.Close()
 	if got := len(w3.Recovered()); got != 2 {
 		t.Fatalf("after repair recovered %d records, want 2", got)
@@ -106,7 +106,7 @@ func TestWALTruncatedTail(t *testing.T) {
 // the corrupt frame rather than deliver a damaged record.
 func TestWALCorruptCRC(t *testing.T) {
 	dir := t.TempDir()
-	w := openTestWAL(t, dir, 0)
+	w := openTestWAL(t, dir)
 	for _, id := range []string{"j000001", "j000002", "j000003"} {
 		if err := w.Append("submitted", id, 1, nil); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -126,7 +126,7 @@ func TestWALCorruptCRC(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	w2 := openTestWAL(t, dir, 0)
+	w2 := openTestWAL(t, dir)
 	defer w2.Close()
 	recs := w2.Recovered()
 	if len(recs) != 1 || recs[0].JobID != "j000001" {
@@ -139,8 +139,9 @@ func TestWALCorruptCRC(t *testing.T) {
 
 func TestWALRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
+	w := openTestWAL(t, dir)
 	// Tiny segments force rotation nearly every append.
-	w := openTestWAL(t, dir, 64)
+	w.segBytes = 64
 	for _, id := range []string{"j000001", "j000002", "j000003", "j000004"} {
 		if err := w.Append("submitted", id, 1, map[string]string{"pad": "xxxxxxxxxxxxxxxx"}); err != nil {
 			t.Fatalf("Append: %v", err)
@@ -166,7 +167,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 		t.Fatalf("Append after compact: %v", err)
 	}
 	w.Close()
-	w2 := openTestWAL(t, dir, 64)
+	w2 := openTestWAL(t, dir)
 	defer w2.Close()
 	recs := w2.Recovered()
 	if len(recs) != 3 {
@@ -181,7 +182,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 }
 
 func TestWALEmptyDirRecoversNothing(t *testing.T) {
-	w := openTestWAL(t, t.TempDir(), 0)
+	w := openTestWAL(t, t.TempDir())
 	defer w.Close()
 	if got := len(w.Recovered()); got != 0 {
 		t.Fatalf("recovered %d records from empty dir", got)
@@ -199,7 +200,7 @@ func TestWALRejectsOversizedRecord(t *testing.T) {
 		t.Skip("allocates a record over the 64 MiB frame limit")
 	}
 	dir := t.TempDir()
-	w := openTestWAL(t, dir, 0)
+	w := openTestWAL(t, dir)
 	if err := w.Append("submitted", "j000001", 1, nil); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
@@ -211,7 +212,7 @@ func TestWALRejectsOversizedRecord(t *testing.T) {
 	}
 	w.Close()
 
-	w2 := openTestWAL(t, dir, 0)
+	w2 := openTestWAL(t, dir)
 	defer w2.Close()
 	recs := w2.Recovered()
 	if len(recs) != 2 || recs[0].JobID != "j000001" || recs[1].JobID != "j000003" {
