@@ -17,6 +17,7 @@ import (
 	"os/signal"
 
 	"tqec/internal/bench"
+	"tqec/internal/compress"
 )
 
 func main() {
@@ -38,9 +39,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	eff, ok := bench.EffortByName(*effort)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "tqec-bench: unknown effort %q\n", *effort)
+	eff, err := compress.ParseEffort(*effort)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tqec-bench:", err)
 		os.Exit(1)
 	}
 	specs := bench.Small(*n)

@@ -101,26 +101,11 @@ func run(args []string) int {
 			SkipRouting:  *skipRouting,
 			KeepGeometry: true,
 		}
-		switch *mode {
-		case "full":
-			copt.Mode = compress.Full
-		case "dual":
-			copt.Mode = compress.DualOnly
-		case "deform":
-			copt.Mode = compress.DeformOnly
-		default:
-			fmt.Fprintf(os.Stderr, "tqec-lint: unknown mode %q\n", *mode)
-			return 2
+		if copt.Mode, err = compress.ParseMode(*mode); err == nil {
+			copt.Effort, err = compress.ParseEffort(*effort)
 		}
-		switch *effort {
-		case "fast":
-			copt.Effort = compress.EffortFast
-		case "normal":
-			copt.Effort = compress.EffortNormal
-		case "high":
-			copt.Effort = compress.EffortHigh
-		default:
-			fmt.Fprintf(os.Stderr, "tqec-lint: unknown effort %q\n", *effort)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tqec-lint:", err)
 			return 2
 		}
 		res, err := compress.CompileContext(context.Background(), c, copt)

@@ -34,7 +34,7 @@ func main() {
 		inText      = flag.String("text", "", "plain-text gate-list circuit file")
 		sample      = flag.String("sample", "", "embedded sample name (threecnot, toffoli3, mixed4)")
 		benchName   = flag.String("bench", "", "synthetic Table-1 benchmark name")
-		mode        = flag.String("mode", "full", "compression mode: full | dual")
+		mode        = flag.String("mode", "full", "compression mode: full | dual | deform")
 		effort      = flag.String("effort", "fast", "optimization effort: fast | normal | high")
 		seed        = flag.Int64("seed", 1, "random seed for all stochastic stages")
 		skipRouting = flag.Bool("skip-routing", false, "stop after placement (fast, volume = placed volume)")
@@ -96,24 +96,11 @@ func main() {
 		MeasurementSideIShape: *measSide,
 		DRC:                   *runDRC,
 	}
-	switch *mode {
-	case "full":
-		opt.Mode = compress.Full
-	case "dual":
-		opt.Mode = compress.DualOnly
-	default:
-		fmt.Fprintf(os.Stderr, "tqecc: unknown mode %q\n", *mode)
-		os.Exit(1)
+	if opt.Mode, err = compress.ParseMode(*mode); err == nil {
+		opt.Effort, err = compress.ParseEffort(*effort)
 	}
-	switch *effort {
-	case "fast":
-		opt.Effort = compress.EffortFast
-	case "normal":
-		opt.Effort = compress.EffortNormal
-	case "high":
-		opt.Effort = compress.EffortHigh
-	default:
-		fmt.Fprintf(os.Stderr, "tqecc: unknown effort %q\n", *effort)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tqecc:", err)
 		os.Exit(1)
 	}
 

@@ -195,7 +195,7 @@ func main() {
 	}
 }
 
-// closeStore flushes and closes the durable store after the drain.
+// closeStore closes the durable store after the drain.
 func closeStore(st *store.Store, logger *slog.Logger) {
 	if st == nil {
 		return

@@ -298,11 +298,3 @@ func TestBenchmarkScaleInvariants(t *testing.T) {
 		t.Fatal("no ordering constraints audited at scale")
 	}
 }
-
-func TestEffortByName(t *testing.T) {
-	for name, want := range map[string]bool{"": true, "fast": true, "normal": true, "high": true, "bogus": false} {
-		if _, ok := EffortByName(name); ok != want {
-			t.Fatalf("EffortByName(%q) ok=%v, want %v", name, ok, want)
-		}
-	}
-}

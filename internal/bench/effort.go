@@ -55,29 +55,9 @@ func FormatEffortCurve(name string, pts []EffortPoint) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Effort curve for %s (full pipeline)\n", name)
 	fmt.Fprintf(&sb, "%-8s %10s %10s %9s %9s %9s\n", "effort", "volume", "placed", "t(s)", "overflow", "order")
-	names := map[compress.Effort]string{
-		compress.EffortFast:   "fast",
-		compress.EffortNormal: "normal",
-		compress.EffortHigh:   "high",
-	}
 	for _, p := range pts {
 		fmt.Fprintf(&sb, "%-8s %10d %10d %9.2f %9d %9.0f\n",
-			names[p.Effort], p.Volume, p.Placed, p.Runtime.Seconds(), p.Overflow, p.Order)
+			p.Effort, p.Volume, p.Placed, p.Runtime.Seconds(), p.Overflow, p.Order)
 	}
 	return sb.String()
-}
-
-// EffortByName maps an effort label ("fast", "normal", "high"; "" means
-// fast) to the pipeline's effort level.
-func EffortByName(name string) (compress.Effort, bool) {
-	switch name {
-	case "", "fast":
-		return compress.EffortFast, true
-	case "normal":
-		return compress.EffortNormal, true
-	case "high":
-		return compress.EffortHigh, true
-	default:
-		return compress.EffortFast, false
-	}
 }

@@ -60,6 +60,20 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode maps a mode name, as tqecc, tqec-lint and tqecd accept it,
+// to its Mode: "full", "dual" or "deform"; "" means full.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "", "full":
+		return Full, nil
+	case "dual":
+		return DualOnly, nil
+	case "deform":
+		return DeformOnly, nil
+	}
+	return Full, fmt.Errorf("unknown mode %q", name)
+}
+
 // Effort scales the optimization budget without changing any algorithmic
 // decision.
 type Effort int
@@ -70,6 +84,33 @@ const (
 	EffortNormal
 	EffortHigh
 )
+
+// String names the effort level as ParseEffort reads it.
+func (e Effort) String() string {
+	switch e {
+	case EffortFast:
+		return "fast"
+	case EffortNormal:
+		return "normal"
+	case EffortHigh:
+		return "high"
+	}
+	return fmt.Sprintf("Effort(%d)", int(e))
+}
+
+// ParseEffort maps an effort name to its Effort: "fast", "normal" or
+// "high"; "" means fast.
+func ParseEffort(name string) (Effort, error) {
+	if name == "" {
+		return EffortFast, nil
+	}
+	for _, e := range []Effort{EffortFast, EffortNormal, EffortHigh} {
+		if name == e.String() {
+			return e, nil
+		}
+	}
+	return EffortFast, fmt.Errorf("unknown effort %q", name)
+}
 
 // placeMoves is the SA move budget. It is (nearly) a fixed compute budget
 // per effort level, NOT scaled with problem size: the paper's analysis of

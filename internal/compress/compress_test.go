@@ -265,6 +265,33 @@ func TestEffortKnobs(t *testing.T) {
 	}
 }
 
+func TestParseMode(t *testing.T) {
+	for name, want := range map[string]Mode{"": Full, "full": Full, "dual": DualOnly, "deform": DeformOnly} {
+		if got, err := ParseMode(name); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"bogus", "dual-only", "Full"} {
+		if _, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) accepted", name)
+		}
+	}
+}
+
+func TestParseEffort(t *testing.T) {
+	for name, want := range map[string]Effort{"": EffortFast, "fast": EffortFast, "normal": EffortNormal, "high": EffortHigh} {
+		if got, err := ParseEffort(name); err != nil || got != want {
+			t.Errorf("ParseEffort(%q) = %v, %v; want %v", name, got, err, want)
+		}
+		if name != "" && want.String() != name {
+			t.Errorf("%v.String() = %q, want %q", int(want), want.String(), name)
+		}
+	}
+	if _, err := ParseEffort("bogus"); err == nil {
+		t.Error(`ParseEffort("bogus") accepted`)
+	}
+}
+
 func TestTGateCircuitEndToEnd(t *testing.T) {
 	c := circuit.New("tgate", 2)
 	c.AppendNew(circuit.T, 0)

@@ -451,25 +451,12 @@ func (o OptionSpec) resolve() (compress.Options, []int64, error) {
 		PrimalRestarts:        o.PrimalRestarts,
 		DRC:                   o.DRC,
 	}
-	switch o.Mode {
-	case "", "full":
-		opt.Mode = compress.Full
-	case "dual":
-		opt.Mode = compress.DualOnly
-	case "deform":
-		opt.Mode = compress.DeformOnly
-	default:
-		return opt, nil, fmt.Errorf("options: unknown mode %q", o.Mode)
+	var err error
+	if opt.Mode, err = compress.ParseMode(o.Mode); err != nil {
+		return opt, nil, fmt.Errorf("options: %w", err)
 	}
-	switch o.Effort {
-	case "", "fast":
-		opt.Effort = compress.EffortFast
-	case "normal":
-		opt.Effort = compress.EffortNormal
-	case "high":
-		opt.Effort = compress.EffortHigh
-	default:
-		return opt, nil, fmt.Errorf("options: unknown effort %q", o.Effort)
+	if opt.Effort, err = compress.ParseEffort(o.Effort); err != nil {
+		return opt, nil, fmt.Errorf("options: %w", err)
 	}
 	seeds := o.Seeds
 	if len(seeds) == 0 {

@@ -124,24 +124,31 @@ func (rc *resultCache) Get(key string) (*ResultPayload, bool) {
 	return nil, false
 }
 
-// Put inserts (or refreshes) a payload, evicts beyond the bounds, and
-// writes through to the durable store. A disk write failure degrades
-// durability, not availability: it is logged and the in-memory entry
-// stands.
-func (rc *resultCache) Put(key string, p *ResultPayload) {
+// Put inserts (or refreshes) a payload in the memory tier, evicting
+// beyond the bound, and returns its encoding for Persist; nil when the
+// cache is disabled or the payload does not encode.
+func (rc *resultCache) Put(key string, p *ResultPayload) []byte {
 	if rc.max <= 0 {
-		return
+		return nil
 	}
 	raw, err := json.Marshal(p)
 	if err != nil {
 		rc.logger.Warn("result payload unmarshalable, not cached", "key", key[:12], "err", err)
-		return
+		return nil
 	}
 	rc.admit(key, p, int64(len(raw)))
-	if rc.disk != nil {
-		if err := rc.disk.Put(key, raw); err != nil {
-			rc.logger.Warn("result store write failed", "key", key[:12], "err", err)
-		}
+	return raw
+}
+
+// Persist writes a payload Put encoded through to the durable store; a
+// nil encoding writes nothing. A disk write failure degrades durability,
+// not availability: it is logged and the in-memory entry stands.
+func (rc *resultCache) Persist(key string, raw []byte) {
+	if rc.disk == nil || raw == nil {
+		return
+	}
+	if err := rc.disk.Put(key, raw); err != nil {
+		rc.logger.Warn("result store write failed", "key", key[:12], "err", err)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 // service defines what they mean:
 //
 //	submitted        job accepted, Data = walSubmit (everything needed to re-run)
-//	started          a worker picked the job up (informational)
 //	terminal         job reached done/failed/canceled, Data = walTerminal
 //	cancel_requested a client DELETE landed while the job ran; replay
 //	                 must never re-queue this job even without a terminal
@@ -22,13 +21,15 @@ import (
 //	                 after startup compaction so terminal jobs' IDs are
 //	                 never reused once their records are compacted away
 //
+// Replay skips any other type, such as the started record older binaries
+// appended when a worker picked a job up.
+//
 // Deliberately absent: a terminal record for jobs canceled because the
 // server itself was shutting down (drain abort or Close). Those jobs
 // were interrupted by the process dying, not by anyone's decision about
 // the job — exactly the jobs a restart should re-queue.
 const (
 	walTypeSubmitted       = "submitted"
-	walTypeStarted         = "started"
 	walTypeTerminal        = "terminal"
 	walTypeCancelRequested = "cancel_requested"
 	walTypeNextID          = "next_id"

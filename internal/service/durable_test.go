@@ -220,8 +220,48 @@ func TestPartialSweepNeverWrittenToStore(t *testing.T) {
 	if code := getJSON(t, ts2.URL+"/v1/jobs/"+job.ID, nil); code != http.StatusNotFound {
 		t.Fatalf("canceled job after restart: http %d, want 404", code)
 	}
-	if n := st2.Results.Len(); n != 0 {
+	if n := st2.Results.Stats().Entries; n != 0 {
 		t.Fatalf("result store holds %d entries after restart, want 0", n)
+	}
+}
+
+// TestWALRecordsPerJob pins the log's cost per job: a compiled job
+// appends exactly submitted, then terminal, and a cache hit the same
+// two. Replay reads nothing else.
+func TestWALRecordsPerJob(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	svc, ts := durableServer(t, st, Config{Workers: 1})
+	body := `{"source":{"sample":"threecnot"},"options":{"mode":"full"}}`
+	compiled, code := postJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: http %d", code)
+	}
+	if final := waitState(t, ts, compiled.ID, 30*time.Second); final.State != StateDone {
+		t.Fatalf("compiled job state = %s (err %q), want done", final.State, final.Error)
+	}
+	hit, code := postJob(t, ts, body)
+	if code != http.StatusOK || !hit.Cached {
+		t.Fatalf("resubmit: http %d cached %t, want a cache hit", code, hit.Cached)
+	}
+	// Close waits for the worker, so the compiled job's terminal record,
+	// appended after its state is published, is in the log.
+	ts.Close()
+	svc.Close()
+	if err := st.Close(); err != nil {
+		t.Fatalf("store close: %v", err)
+	}
+
+	st2 := openTestStore(t, dir)
+	defer st2.Close()
+	types := map[string][]string{}
+	for _, rec := range st2.WAL.Recovered() {
+		types[rec.JobID] = append(types[rec.JobID], rec.Type)
+	}
+	for _, id := range []string{compiled.ID, hit.ID} {
+		if got := strings.Join(types[id], " "); got != "submitted terminal" {
+			t.Errorf("job %s appended %q, want \"submitted terminal\"", id, got)
+		}
 	}
 }
 

@@ -121,7 +121,7 @@ func (m *metrics) registerStore(st *store.Store) {
 			func() float64 { return float64(r.Stats().Writes) })
 		m.reg.CounterFunc("tqecd_store_gc_evictions_total", "Result files evicted by the byte-bounded LRU GC.",
 			func() float64 { return float64(r.Stats().GCEvictions) })
-		m.reg.CounterFunc("tqecd_store_corrupt_total", "Result files quarantined after failing CRC or envelope checks.",
+		m.reg.CounterFunc("tqecd_store_corrupt_total", "Result files removed after failing CRC or envelope checks.",
 			func() float64 { return float64(r.Stats().Corrupt) })
 		m.reg.GaugeFunc("tqecd_store_entries", "Result files currently on disk.",
 			func() float64 { return float64(r.Stats().Entries) })

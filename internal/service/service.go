@@ -383,17 +383,24 @@ func (s *Server) runJob(j *Job) {
 	j.recorder.JobState(string(StateRunning), "")
 	s.mu.Unlock()
 	defer cancel(nil)
-	s.walAppend(walTypeStarted, j.ID, nil)
 
 	s.metrics.jobsRunning.Add(1)
 	defer s.metrics.jobsRunning.Add(-1)
 	s.metrics.queueWait.ObserveDuration(queueDur)
 	s.metrics.jobQueueSeconds.Observe(queueDur.Seconds())
-	s.log(j, "start", "seeds", len(j.seeds), "effort", int(j.opt.Effort),
+	s.log(j, "start", "seeds", len(j.seeds), "effort", j.opt.Effort.String(),
 		"mode", j.opt.Mode.String(), "timeout", j.timeout, "trace", j.req.Trace)
 
 	out, err := s.runner.Run(ctx, j)
 	j.tracer.Finish()
+	// A complete result enters the memory tier before the job can read
+	// done, so a client that sees done and resubmits is answered from the
+	// cache. The context can still fire before the lock below; the job's
+	// state and the disk write follow that later reading.
+	var encoded []byte
+	if err == nil && !out.Partial && ctx.Err() == nil && !j.req.NoCache {
+		encoded = s.cache.Put(j.Key, out.Payload)
+	}
 
 	s.mu.Lock()
 	j.finished = time.Now()
@@ -447,7 +454,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.metrics.jobRunSeconds.Observe(runDur.Seconds())
 	s.finishLocked(j)
-	state, cached, errMsg, payload := j.state, j.cached, j.errMsg, j.payload
+	state, cached, errMsg := j.state, j.cached, j.errMsg
 	// A job aborted because the server itself is dying gets NO terminal
 	// WAL record: its submitted record survives, so a restart replays it.
 	// Every deliberate outcome — done, failed, a client's cancel — is
@@ -455,10 +462,11 @@ func (s *Server) runJob(j *Job) {
 	shutdownCancel := state == StateCanceled && !j.cancelRequested && s.rootCtx.Err() != nil
 	s.mu.Unlock()
 
-	// Cache insertion (and its durable write-through) happens outside the
-	// server lock: disk latency must not stall the job table.
-	if state == StateDone && !j.req.NoCache && !partial {
-		s.cache.Put(j.Key, payload)
+	// The durable write-through happens after the job reads done and
+	// outside the server lock: disk latency must not stall the job table
+	// or the job's answer.
+	if !partial {
+		s.cache.Persist(j.Key, encoded)
 	}
 	if !shutdownCancel {
 		s.walTerminalFor(j, state, cached, errMsg)

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,6 +182,41 @@ func TestCacheHitOnIdenticalSubmission(t *testing.T) {
 		t.Fatal("expected per-stage histograms after a compile")
 	}
 	_ = svc
+}
+
+// doneProbe is a slog handler that reports, when a job's done line is
+// logged, how many results the memory tier holds. runJob logs that line
+// under the server lock, just before the job reads done.
+type doneProbe struct {
+	slog.Handler
+	svc    atomic.Pointer[Server]
+	cached chan int
+}
+
+func (p *doneProbe) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == "done" {
+		p.cached <- p.svc.Load().cache.Len()
+	}
+	return nil
+}
+
+// TestDoneJobIsAlreadyCached: a compiled result enters the memory tier
+// before its job reads done, so a client that sees done and resubmits at
+// once is answered from the cache.
+func TestDoneJobIsAlreadyCached(t *testing.T) {
+	probe := &doneProbe{Handler: slog.NewTextHandler(io.Discard, nil), cached: make(chan int, 1)}
+	svc, ts := newTestServer(t, Config{Workers: 1, Logger: slog.New(probe)})
+	probe.svc.Store(svc)
+	job, code := postJob(t, ts, `{"source":{"sample":"threecnot"},"options":{"mode":"full"}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: http %d", code)
+	}
+	if st := waitState(t, ts, job.ID, 30*time.Second); st.State != StateDone {
+		t.Fatalf("job state = %s (err %q), want done", st.State, st.Error)
+	}
+	if n := <-probe.cached; n != 1 {
+		t.Fatalf("memory tier held %d results when the job was logged done, want 1", n)
+	}
 }
 
 func TestResultBeforeDoneConflicts(t *testing.T) {

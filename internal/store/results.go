@@ -24,14 +24,6 @@ type resultEnvelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// resultsIndex is results/index.json: last-access times (Unix
-// nanoseconds) per key, persisted so the LRU eviction order survives
-// restarts. It is advisory — a missing or stale index degrades GC
-// ordering to file mtimes, never correctness.
-type resultsIndex struct {
-	Atime map[string]int64 `json:"atime"`
-}
-
 // ResultsStats is a point-in-time snapshot of the content-addressed
 // result store, the source of the tqecd_store_* metric families.
 type ResultsStats struct {
@@ -48,11 +40,11 @@ type ResultsStats struct {
 // under a sharded dir/ab/<key>.json layout (ab = the key's first two
 // hex digits, keeping directories small at millions of entries), each
 // written atomically via temp-file + rename and verified by CRC on
-// read. A byte-bounded LRU — ordered by access time, persisted in an
-// index file — garbage-collects the least recently used entries.
+// read. A byte-bounded LRU garbage-collects the least recently used
+// entries. Each file's mtime, stamped at every write and hit, is its
+// only recency record, so the LRU order survives a restart and a kill.
 type Results struct {
-	dir      string
-	maxBytes int64
+	dir string
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -60,16 +52,16 @@ type Results struct {
 	evictions atomic.Int64
 	corrupt   atomic.Int64
 
-	mu    sync.Mutex
-	lru   *ByteLRU
-	atime map[string]int64 // key → last access, Unix ns
+	mu  sync.Mutex
+	lru *ByteLRU
 }
 
 // OpenResults scans dir (created if absent) and rebuilds the LRU from
-// the index file's access times, falling back to file mtimes for keys
-// the index missed. Temp files a crash left in dir or its shard dirs are
-// removed. maxBytes bounds the on-disk footprint (<= 0 selects 1 GiB);
-// entries beyond it are evicted oldest-access-first on Put.
+// the files' mtimes. Files no open admits are removed: temp files a
+// crash left in dir or its shard dirs, and the access-time index and
+// quarantined .corrupt files of older binaries. maxBytes bounds the
+// on-disk footprint (<= 0 selects 1 GiB); entries beyond it are evicted
+// least-recently-used first on Put.
 func OpenResults(dir string, maxBytes int64) (*Results, error) {
 	if maxBytes <= 0 {
 		maxBytes = 1 << 30
@@ -78,10 +70,8 @@ func OpenResults(dir string, maxBytes int64) (*Results, error) {
 		return nil, fmt.Errorf("store: results dir: %w", err)
 	}
 	r := &Results{
-		dir:      dir,
-		maxBytes: maxBytes,
-		lru:      NewByteLRU(0, maxBytes),
-		atime:    map[string]int64{},
+		dir: dir,
+		lru: NewByteLRU(0, maxBytes),
 	}
 	if err := r.scan(); err != nil {
 		return nil, err
@@ -89,19 +79,14 @@ func OpenResults(dir string, maxBytes int64) (*Results, error) {
 	return r, nil
 }
 
-// scan loads the index and walks the shard directories, admitting every
-// result file into the LRU ordered oldest access first and removing
-// crash leftovers.
+// scan walks the shard directories, admitting every result file into
+// the LRU ordered by (mtime, key), oldest first, and removing leftovers.
+// The key breaks ties a coarse filesystem clock can leave.
 func (r *Results) scan() error {
-	var idx resultsIndex
-	if b, err := os.ReadFile(filepath.Join(r.dir, "index.json")); err == nil {
-		// A corrupt index is dropped, not fatal: order degrades to mtime.
-		_ = json.Unmarshal(b, &idx)
-	}
 	type entry struct {
 		key   string
 		size  int64
-		atime int64
+		mtime int64
 	}
 	var found []entry
 	shards, err := os.ReadDir(r.dir)
@@ -109,7 +94,7 @@ func (r *Results) scan() error {
 		return fmt.Errorf("store: results dir: %w", err)
 	}
 	for _, sh := range shards {
-		if err := removeTemp(r.dir, sh); err != nil {
+		if err := removeLeftover(r.dir, sh, ".tmp", "index.json"); err != nil {
 			return err
 		}
 		if !sh.IsDir() || len(sh.Name()) != 2 {
@@ -121,7 +106,7 @@ func (r *Results) scan() error {
 			continue
 		}
 		for _, f := range files {
-			if err := removeTemp(shard, f); err != nil {
+			if err := removeLeftover(shard, f, ".tmp", ".corrupt"); err != nil {
 				return err
 			}
 			key, ok := strings.CutSuffix(f.Name(), ".json")
@@ -132,31 +117,32 @@ func (r *Results) scan() error {
 			if err != nil {
 				continue
 			}
-			at := fi.ModTime().UnixNano()
-			if t, ok := idx.Atime[key]; ok {
-				at = t
-			}
-			found = append(found, entry{key: key, size: fi.Size(), atime: at})
+			found = append(found, entry{key: key, size: fi.Size(), mtime: fi.ModTime().UnixNano()})
 		}
 	}
-	sort.Slice(found, func(a, b int) bool { return found[a].atime < found[b].atime })
+	sort.Slice(found, func(a, b int) bool {
+		if found[a].mtime != found[b].mtime {
+			return found[a].mtime < found[b].mtime
+		}
+		return found[a].key < found[b].key
+	})
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range found {
-		r.atime[e.key] = e.atime
 		// Admitting oldest first leaves the newest at the LRU front; any
 		// evictions here enforce a bound that shrank between runs.
 		for _, ev := range r.lru.Add(e.key, e.size) {
-			r.dropLocked(ev)
+			os.Remove(r.path(ev.Key))
 		}
 	}
 	return nil
 }
 
-// Get returns the payload bytes stored under key. A missing file is a
-// miss; a file that fails the envelope checks (unreadable JSON, wrong
-// key, CRC mismatch) is quarantined by renaming it to <name>.corrupt,
-// counted, and reported as a miss — never a panic, and never served.
+// Get returns the payload bytes stored under key and stamps the file's
+// mtime, so the hit's recency is on disk when Get returns. A missing
+// file is a miss; a file that fails the envelope checks (unreadable
+// JSON, wrong key, CRC mismatch) is deleted, counted, and reported as a
+// miss — never a panic, and never served.
 func (r *Results) Get(key string) ([]byte, bool) {
 	path := r.path(key)
 	b, err := os.ReadFile(path)
@@ -167,13 +153,15 @@ func (r *Results) Get(key string) ([]byte, bool) {
 	var env resultEnvelope
 	if err := json.Unmarshal(b, &env); err != nil || env.Key != key ||
 		crc32.ChecksumIEEE(env.Payload) != env.CRC32 {
-		r.quarantine(key, path)
+		r.removeCorrupt(key, path)
 		r.misses.Add(1)
 		return nil, false
 	}
+	// A failed stamp costs only the entry's place in the next open's
+	// order, never the hit.
+	_ = stamp(path)
 	r.mu.Lock()
 	r.lru.Touch(key)
-	r.atime[key] = time.Now().UnixNano()
 	r.mu.Unlock()
 	r.hits.Add(1)
 	return env.Payload, true
@@ -182,8 +170,8 @@ func (r *Results) Get(key string) ([]byte, bool) {
 // Put stores payload under key atomically: the envelope is written to a
 // temp file in the shard directory and renamed into place, so readers
 // (and a crash at any instant) see either the old entry or the complete
-// new one. GC then evicts the least recently used entries beyond the
-// byte bound, and the access-time index is rewritten.
+// new one. The temp file's mtime is stamped before the rename. GC then
+// evicts the least recently used entries beyond the byte bound.
 func (r *Results) Put(key string, payload []byte) error {
 	env := resultEnvelope{V: 1, Key: key, CRC32: crc32.ChecksumIEEE(payload), Payload: payload}
 	b, err := json.Marshal(env)
@@ -198,44 +186,28 @@ func (r *Results) Put(key string, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: results write: %w", err)
 	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: results write: %w", err)
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: results write: %w", err)
+	if err == nil {
+		err = stamp(tmp.Name())
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: results write: %w", err)
 	}
 	r.writes.Add(1)
 	r.mu.Lock()
-	r.atime[key] = time.Now().UnixNano()
 	for _, ev := range r.lru.Add(key, int64(len(b))) {
-		r.dropLocked(ev)
+		os.Remove(r.path(ev.Key))
 		r.evictions.Add(1)
 	}
-	r.writeIndexLocked()
 	r.mu.Unlock()
 	return nil
-}
-
-// Len is the number of stored entries.
-func (r *Results) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lru.Len()
-}
-
-// Bytes is the on-disk footprint of the stored entries (envelope files
-// only; the index is excluded).
-func (r *Results) Bytes() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lru.Bytes()
 }
 
 // Stats snapshots the store counters.
@@ -254,54 +226,26 @@ func (r *Results) Stats() ResultsStats {
 	}
 }
 
-// close persists the in-memory access times so the next open rebuilds
-// the same LRU order.
-func (r *Results) close() {
-	r.mu.Lock()
-	r.writeIndexLocked()
-	r.mu.Unlock()
-}
-
-// quarantine sidelines a failed-verification file as <name>.corrupt and
-// forgets it; the key reads as a miss from now on.
-func (r *Results) quarantine(key, path string) {
-	_ = os.Rename(path, path+".corrupt")
+// removeCorrupt deletes a file that failed verification and forgets its
+// key, which reads as a miss until it is written again. The bytes can
+// never be served, and kept they would escape the byte bound; the
+// corrupt counter is the record.
+func (r *Results) removeCorrupt(key, path string) {
+	// A failed remove leaves the file to fail its check again on the
+	// next Get of key.
+	_ = os.Remove(path)
 	r.corrupt.Add(1)
 	r.mu.Lock()
 	r.lru.Remove(key)
-	delete(r.atime, key)
 	r.mu.Unlock()
 }
 
-// dropLocked deletes an evicted entry's file; the caller holds r.mu.
-func (r *Results) dropLocked(ev Eviction) {
-	os.Remove(r.path(ev.Key))
-	delete(r.atime, ev.Key)
-}
-
-// writeIndexLocked rewrites index.json atomically; the caller holds
-// r.mu. Best-effort — a failure costs LRU-order fidelity, not data.
-func (r *Results) writeIndexLocked() {
-	b, err := json.Marshal(resultsIndex{Atime: r.atime})
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(r.dir, "index-*.tmp")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(r.dir, "index.json")); err != nil {
-		os.Remove(tmp.Name())
-	}
+// stamp sets path's mtime to now at the clock's full precision: the
+// mtime is the entry's recency record, and the filesystem's own write
+// stamp can tie between writes milliseconds apart.
+func stamp(path string) error {
+	now := time.Now()
+	return os.Chtimes(path, now, now)
 }
 
 // path is the sharded location of key's envelope file. Keys are hex

@@ -2,11 +2,14 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,24 +64,20 @@ func TestResultsSurviveReopen(t *testing.T) {
 	if err := r.Put(key, []byte(`{"v":1}`)); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	r.close()
 
 	r2 := openTestResults(t, dir, 0)
 	if got, ok := r2.Get(key); !ok || !bytes.Equal(got, []byte(`{"v":1}`)) {
 		t.Fatalf("after reopen Get = %q, %v", got, ok)
 	}
-	if got := r2.Len(); got != 1 {
-		t.Errorf("Len = %d, want 1", got)
-	}
-	if r2.Bytes() <= 0 {
-		t.Errorf("Bytes = %d, want > 0", r2.Bytes())
+	if st := r2.Stats(); st.Entries != 1 || st.Bytes <= 0 {
+		t.Errorf("stats = %+v, want 1 entry of > 0 bytes", st)
 	}
 }
 
-// TestResultsCorruptCRCQuarantined is the corruption satellite: a
-// flipped payload byte must read as a miss, move the file aside with a
-// .corrupt suffix, and never panic.
-func TestResultsCorruptCRCQuarantined(t *testing.T) {
+// TestResultsCorruptEntryRemoved: a flipped payload byte must read as a
+// miss and delete the file, whose bytes could never be served and would
+// escape the byte bound, and never panic.
+func TestResultsCorruptEntryRemoved(t *testing.T) {
 	dir := t.TempDir()
 	r := openTestResults(t, dir, 0)
 	key := testKey(0xab)
@@ -104,19 +103,18 @@ func TestResultsCorruptCRCQuarantined(t *testing.T) {
 	if _, ok := r.Get(key); ok {
 		t.Fatal("corrupt entry served as a hit")
 	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Errorf("quarantine file missing: %v", err)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("corrupt original still in place: %v", err)
+	for _, p := range []string{path, path + ".corrupt"} {
+		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s on disk after a corrupt read (stat: %v)", p, err)
+		}
 	}
 	st := r.Stats()
-	if st.Corrupt != 1 || st.Misses != 1 {
-		t.Errorf("stats = %+v, want corrupt=1 misses=1", st)
+	if st.Corrupt != 1 || st.Misses != 1 || st.Entries != 0 {
+		t.Errorf("stats = %+v, want corrupt=1 misses=1 entries=0", st)
 	}
-	// The key is re-writable after quarantine.
+	// The key is re-writable after the removal.
 	if err := r.Put(key, []byte(`{"name":"threecnot"}`)); err != nil {
-		t.Fatalf("Put after quarantine: %v", err)
+		t.Fatalf("Put after removal: %v", err)
 	}
 	if _, ok := r.Get(key); !ok {
 		t.Error("re-written entry missed")
@@ -134,8 +132,8 @@ func TestResultsGCEvictsLRUByBytes(t *testing.T) {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	if got := r.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2 after GC", got)
+	if got := r.Stats().Entries; got != 2 {
+		t.Fatalf("Entries = %d, want 2 after GC", got)
 	}
 	if _, ok := r.Get(testKey(1)); ok {
 		t.Error("oldest entry survived GC")
@@ -149,9 +147,9 @@ func TestResultsGCEvictsLRUByBytes(t *testing.T) {
 	}
 }
 
-// TestResultsGCOrderSurvivesReopen: touching an old entry, then closing
-// and reopening, must protect it from the next GC — the access-time
-// index, not file mtime, drives the eviction order.
+// TestResultsGCOrderSurvivesReopen: touching an old entry, then
+// reopening without any close, as after a kill, must protect it from the
+// next GC — the hit's mtime stamp is on disk when Get returns.
 func TestResultsGCOrderSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	wrapped := `{"p":"` + strings.Repeat("x", 200) + `"}`
@@ -166,17 +164,100 @@ func TestResultsGCOrderSurvivesReopen(t *testing.T) {
 	if _, ok := r.Get(testKey(1)); !ok {
 		t.Fatal("Get 1 missed")
 	}
-	r.close()
 
 	r2 := openTestResults(t, dir, 700)
 	if err := r2.Put(testKey(3), []byte(wrapped)); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := r2.Get(testKey(1)); !ok {
-		t.Error("recently touched entry evicted — index order lost")
+		t.Error("recently touched entry evicted — hit recency lost")
 	}
 	if _, ok := r2.Get(testKey(2)); ok {
 		t.Error("LRU victim survived")
+	}
+}
+
+// TestResultsDirHoldsOnlyEntries: after Puts, hits, an eviction and a
+// reopen, results/ holds nothing but ab/<key>.json files. An older
+// binary's access-time index and quarantined .corrupt file, planted
+// before the reopen, are gone after it.
+func TestResultsDirHoldsOnlyEntries(t *testing.T) {
+	dir := t.TempDir()
+	wrapped := `{"p":"` + strings.Repeat("x", 200) + `"}`
+	r := openTestResults(t, dir, 700)
+	for i := 1; i <= 3; i++ {
+		if err := r.Put(testKey(i), []byte(wrapped)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.Get(testKey(i)); !ok {
+			t.Fatalf("Get %d missed", i)
+		}
+	}
+	if got := r.Stats().GCEvictions; got != 1 {
+		t.Fatalf("GCEvictions = %d, want 1", got)
+	}
+	for _, p := range []string{"index.json", filepath.Join("02", "x.json.corrupt")} {
+		if err := os.WriteFile(filepath.Join(dir, p), []byte(`{}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	openTestResults(t, dir, 700)
+	var got []string
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, p)
+			got = append(got, rel)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		filepath.Join("02", testKey(2)+".json"),
+		filepath.Join("03", testKey(3)+".json"),
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("results dir holds %q, want %q", got, want)
+	}
+}
+
+// BenchmarkResultsPut times one Put of a ~726-byte envelope, the
+// benchmark service's size, into a store bounded to hold n entries, so
+// every Put also evicts one. A Put's cost must not grow with n.
+func BenchmarkResultsPut(b *testing.B) {
+	payload := []byte(`{"p":"` + strings.Repeat("x", 608) + `"}`)
+	key := func(i int) string {
+		sum := sha256.Sum256([]byte(strconv.Itoa(i)))
+		return hex.EncodeToString(sum[:])
+	}
+	probe, err := OpenResults(b.TempDir(), 0)
+	if err == nil {
+		err = probe.Put(key(0), payload)
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	size := probe.Stats().Bytes
+	for _, n := range []int{400, 4400} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			r, err := OpenResults(b.TempDir(), int64(n)*size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := r.Put(key(i), payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := r.Put(key(n+i), payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -218,8 +299,8 @@ func TestStoreOpenCloseAndStats(t *testing.T) {
 
 // TestOpenRemovesCrashLeftovers plants the temp file each writer leaves
 // when the process dies between create and rename: Results.Put's in a
-// shard dir, the index rewrite's and WAL compaction's. Open removes all
-// three and keeps the real entry and record.
+// shard dir, an older binary's index rewrite's and WAL compaction's.
+// Open removes all three and keeps the real entry and record.
 func TestOpenRemovesCrashLeftovers(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})

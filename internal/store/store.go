@@ -1,6 +1,7 @@
 // Package store is tqecd's zero-dependency durable storage layer: a
 // content-addressed result store (one CRC-checked file per cache key,
-// written via temp-file + rename, byte-bounded by an access-time LRU)
+// written via temp-file + rename, byte-bounded by an LRU whose order is
+// each file's mtime)
 // and a write-ahead job log (append-only, length-prefixed, CRC-framed
 // segments with rotation and compaction). Together they let a restarted
 // daemon serve previously compiled results as done_cached and re-queue
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -41,8 +43,8 @@ type Options struct {
 // Store bundles the two durable halves under one data directory:
 //
 //	data-dir/
-//	  results/ab/<key>.json   content-addressed result envelopes
-//	  results/index.json      access-time index for GC ordering
+//	  results/ab/<key>.json   content-addressed result envelopes; the
+//	                          mtime is the entry's recency for GC
 //	  wal/NNNNNNNN.wal        framed job-lifecycle record segments
 //
 // Results is nil when opened with NoResults.
@@ -83,12 +85,9 @@ func Open(dir string, o Options) (*Store, error) {
 	return s, nil
 }
 
-// Close persists the result store's access-time index and releases the
-// WAL's segment handle.
+// Close releases the WAL's segment handle. The result store holds
+// nothing open: each write and hit is on disk when its call returns.
 func (s *Store) Close() error {
-	if s.Results != nil {
-		s.Results.close()
-	}
 	return s.WAL.Close()
 }
 
@@ -102,17 +101,19 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// removeTemp deletes e, an entry of dir, when it is a *.tmp file. Every
-// writer here renames its temp file into place or removes it before it
-// returns, so a temp file found at open was left by a crash, and its
-// bytes would escape the store's bounds. A data dir has one writer, so
-// no live write owns it.
-func removeTemp(dir string, e os.DirEntry) error {
-	if e.IsDir() || !strings.HasSuffix(e.Name(), ".tmp") {
+// removeLeftover deletes e, an entry of dir, when it is a file whose
+// name ends in one of suffixes: a file no open admits, so its bytes
+// would escape the store's bounds. Every writer here renames its temp
+// file into place or removes it before it returns, so a *.tmp file found
+// at open was left by a crash; a data dir has one writer, so no live
+// write owns it. The other suffixes name files only older binaries wrote.
+func removeLeftover(dir string, e os.DirEntry, suffixes ...string) error {
+	isLeftover := func(suf string) bool { return strings.HasSuffix(e.Name(), suf) }
+	if e.IsDir() || !slices.ContainsFunc(suffixes, isLeftover) {
 		return nil
 	}
 	if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-		return fmt.Errorf("store: remove crash leftover: %w", err)
+		return fmt.Errorf("store: remove leftover: %w", err)
 	}
 	return nil
 }

@@ -91,7 +91,7 @@ func OpenWAL(dir string) (*WAL, error) {
 		return nil, fmt.Errorf("store: wal dir: %w", err)
 	}
 	for _, e := range ents {
-		if err := removeTemp(dir, e); err != nil {
+		if err := removeLeftover(dir, e, ".tmp"); err != nil {
 			return nil, err
 		}
 	}
