@@ -20,12 +20,10 @@ import (
 	"os"
 	"strings"
 
-	"tqec/internal/bench"
-	"tqec/internal/circuit"
 	"tqec/internal/compress"
 	"tqec/internal/drc"
 	"tqec/internal/geom"
-	"tqec/internal/revlib"
+	"tqec/internal/service"
 )
 
 func main() {
@@ -91,23 +89,22 @@ func run(args []string) int {
 		}
 		report = drc.Run(&drc.Artifacts{Name: *geomDump, Geometry: desc}, opt)
 	default:
-		c, err := loadCircuit(*inReal, *inText, *sample, *benchName, *seed)
+		src, err := service.LocalSource(*inReal, *inText, *sample, *benchName, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tqec-lint:", err)
 			return 2
 		}
-		copt := compress.Options{
-			Seed:         *seed,
-			SkipRouting:  *skipRouting,
-			KeepGeometry: true,
-		}
-		if copt.Mode, err = compress.ParseMode(*mode); err == nil {
-			copt.Effort, err = compress.ParseEffort(*effort)
-		}
+		c, err := src.Load()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tqec-lint:", err)
 			return 2
 		}
+		copt, _, err := service.OptionSpec{Mode: *mode, Effort: *effort, SkipRouting: *skipRouting}.Resolve()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tqec-lint:", err)
+			return 2
+		}
+		copt.Seed, copt.KeepGeometry = *seed, true
 		res, err := compress.CompileContext(context.Background(), c, copt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tqec-lint:", err)
@@ -137,37 +134,4 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-func loadCircuit(inReal, inText, sample, benchName string, seed int64) (*circuit.Circuit, error) {
-	switch {
-	case inReal != "":
-		f, err := os.Open(inReal)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return revlib.Parse(f)
-	case inText != "":
-		f, err := os.Open(inText)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return circuit.ParseText(f)
-	case sample != "":
-		src, ok := revlib.Samples[sample]
-		if !ok {
-			return nil, fmt.Errorf("unknown sample %q", sample)
-		}
-		return revlib.ParseString(src)
-	case benchName != "":
-		spec, ok := bench.ByName(benchName)
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q", benchName)
-		}
-		return spec.Generate(seed)
-	default:
-		return nil, fmt.Errorf("need one of -in, -text, -sample, -bench, -geom")
-	}
 }

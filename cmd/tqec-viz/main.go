@@ -21,7 +21,7 @@ import (
 	"tqec/internal/decompose"
 	"tqec/internal/geom"
 	"tqec/internal/icm"
-	"tqec/internal/revlib"
+	"tqec/internal/service"
 )
 
 func main() {
@@ -35,24 +35,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var (
-		c   *circuit.Circuit
-		err error
-	)
-	if *inReal != "" {
-		f, ferr := os.Open(*inReal)
-		if ferr != nil {
-			fail(ferr)
-		}
-		defer f.Close()
-		c, err = revlib.Parse(f)
-	} else {
-		src, ok := revlib.Samples[*sample]
-		if !ok {
-			fail(fmt.Errorf("unknown sample %q", *sample))
-		}
-		c, err = revlib.ParseString(src)
+	// The -sample default stands in only when -in names no circuit.
+	sampleSet := false
+	flag.Visit(func(f *flag.Flag) { sampleSet = sampleSet || f.Name == "sample" })
+	if *inReal != "" && !sampleSet {
+		*sample = ""
 	}
+	src, err := service.LocalSource(*inReal, "", *sample, "", 0)
+	fail(err)
+	c, err := src.Load()
 	fail(err)
 
 	var desc *geom.Description

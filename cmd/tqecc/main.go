@@ -2,6 +2,11 @@
 // description and reports the per-stage statistics and the resulting
 // space-time volume.
 //
+// It takes exactly one source flag (-in, -text, -sample or -bench) and
+// builds from its flags the request tqecd takes: it compiles that request
+// in process, or submits it to a daemon with -server. Two source flags
+// are an error, and -bench generates with -seed (seed 0 generates with 1).
+//
 // Usage:
 //
 //	tqecc -sample threecnot -mode full
@@ -20,12 +25,10 @@ import (
 	"net/http"
 	"os"
 
-	"tqec/internal/bench"
-	"tqec/internal/circuit"
 	"tqec/internal/compress"
 	"tqec/internal/journal"
 	"tqec/internal/obs"
-	"tqec/internal/revlib"
+	"tqec/internal/service"
 )
 
 func main() {
@@ -52,28 +55,31 @@ func main() {
 	)
 	flag.Parse()
 
+	if *server != "" && (*viz || *explain || *explainJSON != "") {
+		fmt.Fprintln(os.Stderr, "tqecc: -viz and -explain* compile locally; they cannot combine with -server")
+		os.Exit(1)
+	}
+	src, err := service.LocalSource(*inReal, *inText, *sample, *benchName, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tqecc:", err)
+		os.Exit(1)
+	}
+	req := service.SubmitRequest{
+		Source: src,
+		Options: service.OptionSpec{
+			Mode:                  *mode,
+			Effort:                *effort,
+			Seeds:                 []int64{*seed},
+			SkipRouting:           *skipRouting,
+			MeasurementSideIShape: *measSide,
+			DRC:                   *runDRC,
+		},
+		TimeoutMS: timeout.Milliseconds(),
+		NoCache:   *noCache,
+		Trace:     *traceOut != "",
+	}
 	if *server != "" {
-		if *viz || *explain || *explainJSON != "" {
-			fmt.Fprintln(os.Stderr, "tqecc: -viz and -explain* compile locally; they cannot combine with -server")
-			os.Exit(1)
-		}
-		os.Exit(runRemote(remoteFlags{
-			traceOut:    *traceOut,
-			server:      *server,
-			inReal:      *inReal,
-			inText:      *inText,
-			sample:      *sample,
-			benchName:   *benchName,
-			mode:        *mode,
-			effort:      *effort,
-			seed:        *seed,
-			skipRouting: *skipRouting,
-			measSide:    *measSide,
-			runDRC:      *runDRC,
-			timeout:     *timeout,
-			jsonOut:     *jsonOut,
-			noCache:     *noCache,
-		}))
+		os.Exit(runRemote(*server, req, *traceOut, *jsonOut))
 	}
 
 	if *debugAddr != "" {
@@ -84,25 +90,19 @@ func main() {
 		}()
 	}
 
-	c, err := loadCircuit(*inReal, *inText, *sample, *benchName, *seed)
+	c, err := req.Source.Load()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tqecc:", err)
 		os.Exit(1)
 	}
-	opt := compress.Options{
-		Seed:                  *seed,
-		SkipRouting:           *skipRouting,
-		KeepGeometry:          *viz || *runDRC,
-		MeasurementSideIShape: *measSide,
-		DRC:                   *runDRC,
-	}
-	if opt.Mode, err = compress.ParseMode(*mode); err == nil {
-		opt.Effort, err = compress.ParseEffort(*effort)
-	}
+	opt, _, err := req.Options.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tqecc:", err)
 		os.Exit(1)
 	}
+	opt.Seed = *seed
+	// The geometry is a local artifact: -viz draws it and -drc checks it.
+	opt.KeepGeometry = *viz || *runDRC
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -220,37 +220,4 @@ func writeTrace(path string, t *obs.Tracer) error {
 		return err
 	}
 	return f.Close()
-}
-
-func loadCircuit(inReal, inText, sample, benchName string, seed int64) (*circuit.Circuit, error) {
-	switch {
-	case inReal != "":
-		f, err := os.Open(inReal)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return revlib.Parse(f)
-	case inText != "":
-		f, err := os.Open(inText)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return circuit.ParseText(f)
-	case sample != "":
-		src, ok := revlib.Samples[sample]
-		if !ok {
-			return nil, fmt.Errorf("unknown sample %q", sample)
-		}
-		return revlib.ParseString(src)
-	case benchName != "":
-		spec, ok := bench.ByName(benchName)
-		if !ok {
-			return nil, fmt.Errorf("unknown benchmark %q", benchName)
-		}
-		return spec.Generate(seed)
-	default:
-		return nil, fmt.Errorf("need one of -in, -text, -sample, -bench")
-	}
 }

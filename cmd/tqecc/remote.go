@@ -11,104 +11,42 @@ import (
 	"tqec/internal/service"
 )
 
-// remoteFlags is everything the -server path needs from the CLI.
-type remoteFlags struct {
-	server      string
-	inReal      string
-	inText      string
-	sample      string
-	benchName   string
-	mode        string
-	effort      string
-	seed        int64
-	skipRouting bool
-	measSide    bool
-	runDRC      bool
-	timeout     time.Duration
-	jsonOut     string
-	noCache     bool
-	// traceOut asks the daemon to trace the job and, once it is
-	// terminal, fetches the trace (stitched fleet-wide when -server is a
-	// coordinator) and writes it here in Chrome trace_event format.
-	traceOut string
-}
-
-// runRemote submits the compile to a running tqecd (or fleet
-// coordinator) at -server instead of compiling in-process, waits for the
-// job, and prints the result report. Local-artifact flags (-viz,
-// -explain*) don't apply: the daemon keeps those on its side of the
-// wire. -trace does: the daemon traces the job, and the trace — stitched
-// across coordinator and worker when -server is a fleet coordinator — is
-// fetched and written locally once the job is terminal.
-func runRemote(f remoteFlags) int {
-	req := service.SubmitRequest{
-		Options: service.OptionSpec{
-			Mode:                  f.mode,
-			Effort:                f.effort,
-			Seeds:                 []int64{f.seed},
-			SkipRouting:           f.skipRouting,
-			MeasurementSideIShape: f.measSide,
-			DRC:                   f.runDRC,
-		},
-		NoCache: f.noCache,
-		Trace:   f.traceOut != "",
-	}
-	if f.timeout > 0 {
-		req.TimeoutMS = f.timeout.Milliseconds()
-	}
-	switch {
-	case f.inReal != "":
-		body, err := os.ReadFile(f.inReal)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tqecc:", err)
-			return 1
-		}
-		req.Source.Real = string(body)
-	case f.inText != "":
-		body, err := os.ReadFile(f.inText)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tqecc:", err)
-			return 1
-		}
-		req.Source.Text = string(body)
-	case f.sample != "":
-		req.Source.Sample = f.sample
-	case f.benchName != "":
-		req.Source.Bench = f.benchName
-		req.Source.GenSeed = f.seed
-	default:
-		fmt.Fprintln(os.Stderr, "tqecc: need one of -in, -text, -sample, -bench")
-		return 1
-	}
-
+// runRemote submits req to a running tqecd (or fleet coordinator) at
+// server instead of compiling in-process, waits for the job, and prints
+// the result report. Local-artifact flags (-viz, -explain*) don't apply:
+// the daemon keeps those on its side of the wire. -trace does: the daemon
+// traces the job, and the trace — stitched across coordinator and worker
+// when server is a fleet coordinator — is fetched and written to traceOut
+// once the job is terminal.
+func runRemote(server string, req service.SubmitRequest, traceOut, jsonOut string) int {
 	ctx := context.Background()
-	if f.timeout > 0 {
+	if req.TimeoutMS > 0 {
 		// Give the daemon its own deadline plus slack for queueing and
 		// the round trips; the server-side timeout is authoritative.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.timeout+30*time.Second)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond+30*time.Second)
 		defer cancel()
 	}
-	cl := service.NewClient(f.server)
+	cl := service.NewClient(server)
 	st, err := cl.Submit(ctx, req)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tqecc:", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "submitted %s to %s (cache key %.12s)\n", st.ID, f.server, st.CacheKey)
+	fmt.Fprintf(os.Stderr, "submitted %s to %s (cache key %.12s)\n", st.ID, server, st.CacheKey)
 	if !st.State.Terminal() {
 		if st, err = cl.Wait(ctx, st.ID, 0); err != nil {
 			fmt.Fprintln(os.Stderr, "tqecc:", err)
 			return 1
 		}
 	}
-	if f.traceOut != "" {
+	if traceOut != "" {
 		// Fetch even for failed jobs — a partial trace is exactly what
 		// explains where the time went.
-		if terr := fetchRemoteTrace(ctx, cl, st.ID, f.traceOut); terr != nil {
+		if terr := fetchRemoteTrace(ctx, cl, st.ID, traceOut); terr != nil {
 			fmt.Fprintln(os.Stderr, "tqecc: trace:", terr)
 		} else {
-			fmt.Fprintf(os.Stderr, "wrote %s\n", f.traceOut)
+			fmt.Fprintf(os.Stderr, "wrote %s\n", traceOut)
 		}
 	}
 	if st.State != service.StateDone {
@@ -122,13 +60,13 @@ func runRemote(f remoteFlags) int {
 	}
 
 	rep := payload.Report
-	fmt.Printf("job:       %s (server %s, cached %v)\n", st.ID, f.server, st.Cached)
-	fmt.Printf("mode:      %s (effort %s, seed %d)\n", rep.Mode, f.effort, f.seed)
+	fmt.Printf("job:       %s (server %s, cached %v)\n", st.ID, server, st.Cached)
+	fmt.Printf("mode:      %s (effort %s, seed %d)\n", rep.Mode, req.Options.Effort, req.Options.Seeds[0])
 	fmt.Printf("canonical: %d\n", rep.CanonicalVolume)
 	fmt.Printf("modules:   %d  ->  nodes: %d  (I-shape merges: %d)\n",
 		rep.Modules, rep.Nodes, rep.IShapeMerges)
 	fmt.Printf("placed:    %d\n", rep.PlacedVolume)
-	if !f.skipRouting {
+	if !req.Options.SkipRouting {
 		fmt.Printf("routed:    wirelength %d, overflow %d, failed %d\n",
 			rep.Wirelength, rep.RouteOverflow, rep.RouteFailed)
 	}
@@ -138,8 +76,8 @@ func runRemote(f remoteFlags) int {
 		fmt.Print(payload.DRC.String())
 	}
 
-	if f.jsonOut != "" {
-		out, err := os.Create(f.jsonOut)
+	if jsonOut != "" {
+		out, err := os.Create(jsonOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tqecc:", err)
 			return 1
@@ -155,7 +93,7 @@ func runRemote(f remoteFlags) int {
 			fmt.Fprintln(os.Stderr, "tqecc:", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", f.jsonOut)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", jsonOut)
 	}
 	if payload.DRC != nil && !payload.DRC.Clean() {
 		fmt.Fprintf(os.Stderr, "tqecc: drc failed: %d error(s)\n", payload.DRC.Errors())

@@ -61,14 +61,15 @@ func (m Mode) String() string {
 }
 
 // ParseMode maps a mode name, as tqecc, tqec-lint and tqecd accept it,
-// to its Mode: "full", "dual" or "deform"; "" means full.
+// to its Mode: "full", "dual" or "deform", or the name String prints
+// ("dual-only", "deform-only"); "" means full.
 func ParseMode(name string) (Mode, error) {
 	switch name {
 	case "", "full":
 		return Full, nil
-	case "dual":
+	case "dual", "dual-only":
 		return DualOnly, nil
-	case "deform":
+	case "deform", "deform-only":
 		return DeformOnly, nil
 	}
 	return Full, fmt.Errorf("unknown mode %q", name)
@@ -499,17 +500,25 @@ func contentVolume(pl *place.Result) int {
 	if len(pl.Placed) == 0 {
 		return 0
 	}
-	minX, minY, minZ := 1<<30, 1<<30, 1<<30
-	maxX, maxY, maxZ := -(1 << 30), -(1 << 30), -(1 << 30)
+	lo, hi, _ := placedExtent(pl)
+	return dim(hi.X-lo.X) * dim(hi.Y-lo.Y) * dim(hi.Z-lo.Z)
+}
+
+// placedExtent is the box contentVolume measures, as a half-open [lo, hi)
+// range of cells; ok is false when no placed entry carries an item.
+func placedExtent(pl *place.Result) (lo, hi route.Cell, ok bool) {
+	lo = route.Cell{X: 1 << 30, Y: 1 << 30, Z: 1 << 30}
+	hi = route.Cell{X: -(1 << 30), Y: -(1 << 30), Z: -(1 << 30)}
 	for _, it := range pl.Placed {
 		if it.Item == nil {
 			continue
 		}
-		minX, maxX = min(minX, it.X), max(maxX, it.X+it.W-it.Item.Pad)
-		minY, maxY = min(minY, it.Y), max(maxY, it.Y+it.H-it.Item.Pad)
-		minZ, maxZ = min(minZ, it.Z), max(maxZ, it.Z+it.D-it.Item.Pad)
+		ok = true
+		lo.X, hi.X = min(lo.X, it.X), max(hi.X, it.X+it.W-it.Item.Pad)
+		lo.Y, hi.Y = min(lo.Y, it.Y), max(hi.Y, it.Y+it.H-it.Item.Pad)
+		lo.Z, hi.Z = min(lo.Z, it.Z), max(hi.Z, it.Z+it.D-it.Item.Pad)
 	}
-	return dim(maxX-minX) * dim(maxY-minY) * dim(maxZ-minZ)
+	return lo, hi, ok
 }
 
 func dim(v int) int {
@@ -616,28 +625,17 @@ func routeNets(ctx context.Context, pl *place.Result, opt Options) (*route.Resul
 
 // finalVolume unions the placed content box with the routed dual extents.
 func finalVolume(pl *place.Result, rr *route.Result, off route.Cell) int {
-	minX, minY, minZ := 1<<30, 1<<30, 1<<30
-	maxX, maxY, maxZ := -(1 << 30), -(1 << 30), -(1 << 30)
-	any := false
-	for _, it := range pl.Placed {
-		if it.Item == nil {
-			continue
-		}
-		any = true
-		minX, maxX = min(minX, it.X), max(maxX, it.X+it.W-it.Item.Pad)
-		minY, maxY = min(minY, it.Y), max(maxY, it.Y+it.H-it.Item.Pad)
-		minZ, maxZ = min(minZ, it.Z), max(maxZ, it.Z+it.D-it.Item.Pad)
+	lo, hi, ok := placedExtent(pl)
+	if rlo, rhi, rok := rr.Bounds(); rok {
+		ok = true
+		lo.X, hi.X = min(lo.X, rlo.X-off.X), max(hi.X, rhi.X-off.X+1)
+		lo.Y, hi.Y = min(lo.Y, rlo.Y-off.Y), max(hi.Y, rhi.Y-off.Y+1)
+		lo.Z, hi.Z = min(lo.Z, rlo.Z-off.Z), max(hi.Z, rhi.Z-off.Z+1)
 	}
-	if lo, hi, ok := rr.Bounds(); ok {
-		any = true
-		minX, maxX = min(minX, lo.X-off.X), max(maxX, hi.X-off.X+1)
-		minY, maxY = min(minY, lo.Y-off.Y), max(maxY, hi.Y-off.Y+1)
-		minZ, maxZ = min(minZ, lo.Z-off.Z), max(maxZ, hi.Z-off.Z+1)
-	}
-	if !any {
+	if !ok {
 		return 0
 	}
-	return dim(maxX-minX) * dim(maxY-minY) * dim(maxZ-minZ)
+	return dim(hi.X-lo.X) * dim(hi.Y-lo.Y) * dim(hi.Z-lo.Z)
 }
 
 // realize builds a 3-D geometric description of the compressed result:

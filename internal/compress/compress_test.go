@@ -271,7 +271,13 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	for _, name := range []string{"bogus", "dual-only", "Full"} {
+	// Every printed name parses back, so a report's mode can be resubmitted.
+	for _, m := range []Mode{Full, DualOnly, DeformOnly} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, name := range []string{"bogus", "dual_only", "Full"} {
 		if _, err := ParseMode(name); err == nil {
 			t.Errorf("ParseMode(%q) accepted", name)
 		}

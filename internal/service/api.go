@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,7 +53,7 @@ type Source struct {
 
 // OptionSpec is the JSON form of compress.Options plus the seed set.
 type OptionSpec struct {
-	Mode                  string  `json:"mode,omitempty"`   // full | dual | deform (default full)
+	Mode                  string  `json:"mode,omitempty"`   // full | dual | deform (default full); also dual-only, deform-only
 	Effort                string  `json:"effort,omitempty"` // fast | normal | high (default fast)
 	Seeds                 []int64 `json:"seeds,omitempty"`  // SA restart seeds (default [1])
 	Parallel              int     `json:"parallel,omitempty"`
@@ -133,34 +134,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, errorResponse{Error: "bad request: " + err.Error()})
 		return
 	}
-	c, err := loadSource(req.Source)
+	j, err := s.newJob(req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	opt, seeds, err := req.Options.resolve()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	if req.Name == "" {
-		req.Name = c.Name
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	key, err := CacheKey(c, opt, seeds)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-
-	j := &Job{Name: req.Name, Key: key, req: req, circ: c, opt: opt, seeds: seeds, timeout: timeout,
-		requestID: r.Header.Get(obs.RequestIDHeader)}
+	j.requestID = r.Header.Get(obs.RequestIDHeader)
 	s.register(j)
 	s.metrics.jobsSubmitted.Inc()
 	// Durable before runnable: the submitted record reaches the WAL
@@ -173,7 +152,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// with this submission's name). Traced jobs always compile — the
 	// trace is the point, and a cached answer has none.
 	if !req.NoCache && !req.Trace {
-		if p, ok := s.cache.Get(key); ok {
+		if p, ok := s.cache.Get(j.Key); ok {
 			s.finishCached(j, p)
 			s.log(j, "done", "cached", true)
 			writeJSON(w, http.StatusOK, s.status(j))
@@ -194,8 +173,37 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "queue full or service draining"})
 		return
 	}
-	s.log(j, "submitted", "key", j.Key[:12], "timeout", timeout)
+	s.log(j, "submitted", "key", j.Key[:12], "timeout", j.timeout)
 	writeJSON(w, http.StatusAccepted, s.status(j))
+}
+
+// newJob turns a compile request into an unregistered job: it loads the
+// source, resolves the options, defaults the name to the circuit's,
+// clamps the timeout to the server maximum and computes the cache key.
+// Submit and WAL replay both build their jobs here, so a replayed job is
+// keyed by the running binary, never by the key its record carries.
+func (s *Server) newJob(req SubmitRequest) (*Job, error) {
+	c, err := req.Source.Load()
+	if err != nil {
+		return nil, err
+	}
+	opt, seeds, err := req.Options.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	if req.Name == "" {
+		req.Name = c.Name
+	}
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	}
+	key, err := CacheKey(c, opt, seeds)
+	if err != nil {
+		return nil, err
+	}
+	return &Job{Name: req.Name, Key: key, req: req, circ: c, opt: opt, seeds: seeds,
+		timeout: min(timeout, s.cfg.MaxTimeout)}, nil
 }
 
 // JobList is the GET /v1/jobs response: job statuses newest-first,
@@ -407,8 +415,9 @@ func (s *Server) statusLocked(j *Job) JobStatus {
 	return st
 }
 
-// loadSource materializes the submitted circuit.
-func loadSource(src Source) (*circuit.Circuit, error) {
+// Load materializes the circuit the source names; exactly one of its
+// inputs must be set. A bench source with no GenSeed generates with seed 1.
+func (src Source) Load() (*circuit.Circuit, error) {
 	set := 0
 	for _, has := range []bool{src.Real != "", src.Text != "", src.Sample != "", src.Bench != ""} {
 		if has {
@@ -442,8 +451,42 @@ func loadSource(src Source) (*circuit.Circuit, error) {
 	}
 }
 
-// resolve converts the wire options into pipeline options and a seed set.
-func (o OptionSpec) resolve() (compress.Options, []int64, error) {
+// LocalSource builds the source a CLI's -in, -text, -sample and -bench
+// flags name, reading the -in (.real) and -text (gate list) files inline.
+// genSeed seeds a -bench generator. Load enforces the one-source rule.
+func LocalSource(in, text, sample, bench string, genSeed int64) (Source, error) {
+	src := Source{Sample: sample, Bench: bench}
+	if bench != "" {
+		src.GenSeed = genSeed
+	}
+	var err error
+	if src.Real, err = readLocal(in); err != nil {
+		return Source{}, err
+	}
+	if src.Text, err = readLocal(text); err != nil {
+		return Source{}, err
+	}
+	return src, nil
+}
+
+// readLocal reads a named input file; an empty path reads nothing. An
+// empty file is an error here, since Load would read it as no source.
+func readLocal(path string) (string, error) {
+	if path == "" {
+		return "", nil
+	}
+	b, err := os.ReadFile(path)
+	if err == nil && len(b) == 0 {
+		err = fmt.Errorf("%s: empty file", path)
+	}
+	return string(b), err
+}
+
+// Resolve converts the wire options into pipeline options and a seed
+// set ([1] when none is given). Options.Seed and KeepGeometry stay zero:
+// a multi-seed compile sets the seed per run, and the service returns no
+// geometry.
+func (o OptionSpec) Resolve() (compress.Options, []int64, error) {
 	opt := compress.Options{
 		MeasurementSideIShape: o.MeasurementSideIShape,
 		SkipRouting:           o.SkipRouting,

@@ -41,7 +41,11 @@ const (
 // not persisted — a replayed job runs untraced, as documented in the
 // README's durability section.
 type walSubmit struct {
-	Name      string     `json:"name"`
+	Name string `json:"name"`
+	// Key is written but never read: replay recomputes the key, so a
+	// record from before a pipeline-version bump is never answered with
+	// that version's result. It stays because an older binary's replay
+	// keys the job by it and slices it for a log line.
 	Key       string     `json:"key"`
 	Circuit   string     `json:"circuit"`
 	Options   OptionSpec `json:"options"`
@@ -162,11 +166,21 @@ func (s *Server) recoverFromWAL() {
 		if st.finished || st.submit == nil {
 			continue
 		}
-		j, err := s.rebuildJob(id, st.submit)
+		// The job is rebuilt as a fresh submission of the normalized
+		// circuit text, so this binary computes its cache key. A record
+		// without a circuit, written in another format by an older binary,
+		// does not load and is unrecoverable.
+		w := st.submit
+		j, err := s.newJob(SubmitRequest{Name: w.Name, Source: Source{Text: w.Circuit},
+			Options: w.Options, TimeoutMS: w.TimeoutMS, NoCache: w.NoCache})
 		if err != nil {
 			s.cfg.Logger.Warn("wal replay: job unrecoverable", "job", id, "err", err)
 			continue
 		}
+		// The original ID, so clients polling across the restart find
+		// their job again.
+		j.ID = id
+		s.register(j)
 		replayed++
 		// The previous run may have completed an identical compile (this
 		// job's own interrupted run never wrote the store — partial sweeps
@@ -203,41 +217,6 @@ func (s *Server) recoverFromWAL() {
 	if replayed > 0 {
 		s.cfg.Logger.Info("wal replayed", "jobs", replayed, "requeued", len(live))
 	}
-}
-
-// rebuildJob reconstructs a queued job from its submitted record,
-// keeping the original ID so clients polling across the restart find
-// their job again. A record without a circuit — one written in another
-// format by an older binary — fails to parse and is unrecoverable.
-func (s *Server) rebuildJob(id string, w *walSubmit) (*Job, error) {
-	c, err := circuit.ParseText(strings.NewReader(w.Circuit))
-	if err != nil {
-		return nil, err
-	}
-	opt, seeds, err := w.Options.resolve()
-	if err != nil {
-		return nil, err
-	}
-	timeout := time.Duration(w.TimeoutMS) * time.Millisecond
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	j := &Job{
-		ID:   id,
-		Name: w.Name,
-		Key:  w.Key,
-		req: SubmitRequest{Name: w.Name, Source: Source{Text: w.Circuit}, Options: w.Options,
-			TimeoutMS: w.TimeoutMS, NoCache: w.NoCache},
-		circ:    c,
-		opt:     opt,
-		seeds:   seeds,
-		timeout: timeout,
-	}
-	s.register(j)
-	return j, nil
 }
 
 // finishCached completes a job instantly from a cached payload,

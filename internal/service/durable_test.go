@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -100,6 +101,11 @@ func TestWALReplayRequeuesInterruptedJob(t *testing.T) {
 	}
 	if final.Cached {
 		t.Fatal("replayed job served from cache, but nothing was ever stored")
+	}
+	// Replay recomputes the key; on the same pipeline version it is the
+	// key the submit returned, so the job keeps its warm hits.
+	if final.CacheKey != job.CacheKey {
+		t.Fatalf("replayed cache key %.12s, submit returned %.12s", final.CacheKey, job.CacheKey)
 	}
 
 	// The replayed completion writes through to the result store, so it
@@ -389,5 +395,62 @@ func TestReplaySkipsRecordsWithoutCircuit(t *testing.T) {
 	}
 	if final := waitState(t, ts2, job.ID, 10*time.Second); final.State != StateDone {
 		t.Fatalf("current-format job replayed as %s (err %q), want done", final.State, final.Error)
+	}
+}
+
+// TestReplayComputesTodaysKey replays a submitted record carrying a key
+// that is not today's, as one written before a pipeline-version bump,
+// beside a result stored under that key. The running binary must key the
+// job itself and compile it, never answer with the stale result.
+func TestReplayComputesTodaysKey(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	c, err := Source{Sample: "threecnot"}.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, seeds, err := OptionSpec{}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	today, err := CacheKey(c, opt, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := strings.Repeat("ab", 32)
+	raw, err := json.Marshal(ResultPayload{Name: "threecnot", CacheKey: stale,
+		Report: compress.Report{Volume: 999, PlacedVolume: 999}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Results.Put(stale, raw); err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := circuit.WriteText(&text, c); err != nil {
+		t.Fatal(err)
+	}
+	rec := walSubmit{Name: "threecnot", Key: stale, Circuit: text.String()}
+	if err := st.WAL.Append(walTypeSubmitted, "j000001", time.Now().UnixMilli(), rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openTestStore(t, dir)
+	svc, ts := durableServer(t, st2, Config{Workers: 1, Runner: Compiler(instantCompile)})
+	defer func() { ts.Close(); svc.Close(); st2.Close() }()
+	final := waitState(t, ts, "j000001", 10*time.Second)
+	if final.State != StateDone || final.Cached || final.CacheKey != today {
+		t.Fatalf("replayed job: state=%s cached=%t key=%.12s, want done, compiled, key %.12s",
+			final.State, final.Cached, final.CacheKey, today)
+	}
+	var p ResultPayload
+	if code := getJSON(t, ts.URL+"/v1/jobs/j000001/result", &p); code != http.StatusOK {
+		t.Fatalf("result: http %d", code)
+	}
+	if p.Report.PlacedVolume == 999 {
+		t.Fatal("replayed job answered with the result stored under its recorded key")
 	}
 }
