@@ -9,7 +9,7 @@
 //	tqec-lint -sample threecnot
 //	tqec-lint -in circuit.real -mode dual -effort normal
 //	tqec-lint -bench 4gt10-v1_81 -json report.json
-//	tqec-lint -geom geometry.json         # lint an exported geometry dump
+//	tqec-lint -geom geometry.json         # lint an exported geometry dump (no source flag)
 //	tqec-lint -list                        # list the registered rules
 package main
 
@@ -76,6 +76,10 @@ func run(args []string) int {
 
 	switch {
 	case *geomDump != "":
+		if *inReal != "" || *inText != "" || *sample != "" || *benchName != "" {
+			fmt.Fprintln(os.Stderr, "tqec-lint: source: -geom lints a saved dump and takes no -in, -text, -sample or -bench")
+			return 2
+		}
 		f, err := os.Open(*geomDump)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tqec-lint:", err)

@@ -39,7 +39,12 @@
 // A coordinator is the same job service — one job lifecycle, j… job IDs,
 // the same /v1 API, WAL replay and metrics — whose jobs are dispatched to
 // registered workers instead of compiled, routed by cache-key rendezvous
-// hash (affinity) and failed over when a worker dies. There -workers 0
+// hash (affinity) and failed over when a worker dies. -heartbeat is the
+// fleet's one clock: a worker that misses 3 beats gets no new jobs, one
+// that misses 9 is dead and its jobs fail over, and a job that finds no
+// alive worker (as a restarted coordinator's replayed jobs do until their
+// workers re-register on their next beat) waits up to 9 beats for one.
+// Workers learn the cadence when they register. There -workers 0
 // (the default) dispatches every admitted job at once, leaving load
 // bounds to the workers; a positive -workers caps concurrent dispatches
 // and -queue then bounds the jobs waiting for one. A job's deadline runs
@@ -90,11 +95,7 @@ func main() {
 		coordinator = flag.String("coordinator", "", "coordinator base URL (worker role)")
 		advertise   = flag.String("advertise", "", "base URL the coordinator should dispatch to (worker role; default http://<addr> with localhost for a wildcard host)")
 		workerID    = flag.String("worker-id", "", "stable worker identity for rendezvous routing (worker role; default hostname:port)")
-		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "worker heartbeat cadence (coordinator role)")
-		suspectAge  = flag.Duration("suspect-after", 0, "heartbeat age that makes a worker suspect (coordinator role; 0 = 3x heartbeat)")
-		deadAge     = flag.Duration("dead-after", 0, "heartbeat age that declares a worker dead and fails over its jobs (coordinator role; 0 = 3x suspect-after)")
-		dispatchTry = flag.Int("dispatch-attempts", 3, "dispatch rounds (initial + retries + failovers) per job before it fails (coordinator role)")
-		pollEvery   = flag.Duration("poll-interval", 200*time.Millisecond, "status-poll cadence for dispatched jobs (coordinator role)")
+		heartbeat   = flag.Duration("heartbeat", 2*time.Second, "the fleet's one clock (coordinator role): workers beat at this cadence, turn suspect after 3 missed beats and dead after 9, dispatched jobs are polled 10 times a beat, and a job with no alive worker waits up to 9 beats for one")
 	)
 	flag.Parse()
 
@@ -151,12 +152,11 @@ func main() {
 				os.Exit(2)
 			}
 			agent, err = fleet.StartAgent(context.Background(), fleet.AgentConfig{
-				CoordinatorURL:    *coordinator,
-				WorkerID:          defaultWorkerID(*workerID, *addr),
-				AdvertiseURL:      defaultAdvertise(*advertise, *addr),
-				Stats:             func() (int, int) { s := svc.Stats(); return s.Running, s.Queued },
-				HeartbeatInterval: *heartbeat,
-				Logger:            logger,
+				CoordinatorURL: *coordinator,
+				WorkerID:       defaultWorkerID(*workerID, *addr),
+				AdvertiseURL:   defaultAdvertise(*advertise, *addr),
+				Stats:          func() (int, int) { s := svc.Stats(); return s.Running, s.Queued },
+				Logger:         logger,
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tqecd:", err)
@@ -179,10 +179,6 @@ func main() {
 		coord := fleet.NewCoordinator(context.Background(), fleet.Config{
 			Config:            svcConfig,
 			HeartbeatInterval: *heartbeat,
-			SuspectAfter:      *suspectAge,
-			DeadAfter:         *deadAge,
-			DispatchAttempts:  *dispatchTry,
-			PollInterval:      *pollEvery,
 		})
 		serve(*addr, coord.Handler(), logger, *drainGrace, func(ctx context.Context) error {
 			err := coord.Shutdown(ctx)

@@ -30,21 +30,16 @@ type AgentConfig struct {
 	// Stats reports the worker's current load for heartbeats (nil
 	// reports zeros).
 	Stats func() (running, queued int)
-	// HeartbeatInterval paces beats until the coordinator's register
-	// response overrides it (default 2s).
-	HeartbeatInterval time.Duration
-	// Backoff shapes the register-retry delays after the coordinator is
-	// unreachable or restarts.
-	Backoff Backoff
 	// Logger receives membership log lines (default: text on stderr).
 	Logger *slog.Logger
 }
 
 // Agent maintains one worker's registration with the coordinator: it
-// registers at startup, heartbeats on the coordinator's cadence, and —
-// when a heartbeat is answered 404 (the coordinator restarted and lost
-// its registry) or registration fails — re-registers with jittered
-// exponential backoff. Start with StartAgent, stop with Stop.
+// registers at startup, heartbeats at the interval the coordinator's
+// register response names, re-registers when a heartbeat is answered 404
+// (the coordinator restarted and lost its registry), and retries a
+// failed registration with the fleet's backoff. Start with StartAgent,
+// stop with Stop.
 type Agent struct {
 	cfg    AgentConfig
 	http   *http.Client
@@ -57,9 +52,6 @@ type Agent struct {
 func StartAgent(ctx context.Context, cfg AgentConfig) (*Agent, error) {
 	if cfg.CoordinatorURL == "" || cfg.WorkerID == "" || cfg.AdvertiseURL == "" {
 		return nil, errors.New("fleet agent: coordinator URL, worker ID, and advertise URL are all required")
-	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 2 * time.Second
 	}
 	if cfg.Logger == nil {
 		l, err := obs.NewLogger(obs.LogConfig{Writer: os.Stderr})
@@ -85,7 +77,7 @@ func (a *Agent) Stop() {
 // heartbeat until told to re-register or stopped.
 func (a *Agent) run(ctx context.Context) {
 	defer close(a.done)
-	interval := a.cfg.HeartbeatInterval
+	interval := defaultHeartbeat
 	registered := false
 	attempt := 0
 	for ctx.Err() == nil {
@@ -95,7 +87,7 @@ func (a *Agent) run(ctx context.Context) {
 				a.cfg.Logger.WarnContext(ctx, "fleet register failed", "coordinator", a.cfg.CoordinatorURL,
 					"attempt", attempt, "err", err.Error())
 				attempt++
-				if a.cfg.Backoff.Sleep(ctx, attempt-1) != nil {
+				if backoff(ctx, attempt-1) != nil {
 					return
 				}
 				continue

@@ -6,84 +6,31 @@ import (
 	"time"
 )
 
-// Backoff computes jittered exponential retry delays. It is a value
-// type: copy it freely, configure the exported fields, and call Delay
-// with a 0-based attempt number. The zero value selects the defaults
-// below. Both the dispatch-retry path in the coordinator and the
-// worker's re-registration loop after a coordinator restart share this
-// one policy, so the fleet's retry storms stay de-synchronized the same
-// way everywhere.
-type Backoff struct {
-	// Base is the delay for attempt 0 (default 100ms).
-	Base time.Duration
-	// Max caps the un-jittered delay (default 5s).
-	Max time.Duration
-	// Factor is the per-attempt growth multiplier (default 2).
-	Factor float64
-	// Jitter is the fraction of each delay that is randomized, in [0, 1]
-	// (default 0.5): the delay is drawn uniformly from
-	// [d·(1−Jitter), d]. Full-range jitter at 1; a negative value
-	// disables jitter entirely (exact exponential delays).
-	Jitter float64
-	// Rand supplies uniform values in [0, 1). Nil selects the shared
-	// math/rand source; tests inject a seeded rand.New(...).Float64 for
-	// reproducible sequences.
-	Rand func() float64
+// The fleet's one retry policy: the delay before retry n (0-based) is
+// backoffBase·2ⁿ, capped at backoffMax, less a random share of up to
+// backoffJitter. Dispatch retries, result fetches and an agent's
+// re-registration all use it, so the fleet's retry storms stay
+// de-synchronized the same way everywhere.
+const (
+	backoffBase   = 100 * time.Millisecond
+	backoffMax    = 5 * time.Second
+	backoffJitter = 0.5
+)
+
+// backoffDelay is the delay before 0-based retry n, with u, uniform in
+// [0, 1), drawing the jitter: it lies in [d·(1−backoffJitter), d] for the
+// capped exponential d.
+func backoffDelay(n int, u float64) time.Duration {
+	d := backoffBase
+	for i := 0; i < n && d < backoffMax; i++ {
+		d *= 2
+	}
+	d = min(d, backoffMax)
+	return time.Duration(float64(d) * (1 - backoffJitter*u))
 }
 
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 100 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 5 * time.Second
-	}
-	if b.Factor < 1 {
-		b.Factor = 2
-	}
-	switch {
-	case b.Jitter < 0:
-		b.Jitter = 0
-	case b.Jitter == 0:
-		b.Jitter = 0.5
-	case b.Jitter > 1:
-		b.Jitter = 1
-	}
-	if b.Rand == nil {
-		b.Rand = rand.Float64
-	}
-	return b
-}
-
-// Delay returns the jittered delay for the given 0-based attempt:
-// Base·Factor^attempt, capped at Max, then scaled down by up to Jitter.
-func (b Backoff) Delay(attempt int) time.Duration {
-	b = b.withDefaults()
-	d := float64(b.Base)
-	for i := 0; i < attempt; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			break
-		}
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	d *= 1 - b.Jitter*b.Rand()
-	return time.Duration(d)
-}
-
-// Sleep blocks for Delay(attempt) or until ctx is done, returning
-// ctx.Err() in the latter case. This is the cancellable form every
-// retry loop in the fleet uses, so a coordinator shutdown or a job
-// cancellation never waits out a backoff.
-func (b Backoff) Sleep(ctx context.Context, attempt int) error {
-	t := time.NewTimer(b.Delay(attempt))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+// backoff sleeps before 0-based retry n, returning ctx.Err() as soon as
+// ctx ends, so a shutdown or a job's cancel never waits out a backoff.
+func backoff(ctx context.Context, n int) error {
+	return sleepCtx(ctx, backoffDelay(n, rand.Float64()))
 }

@@ -7,11 +7,34 @@ import (
 	"time"
 )
 
-// noJitter pins the random scale to its maximum so delays are exact.
-func noJitter() float64 { return 0 }
+// TestFleetClock pins every timing the heartbeat derives, at the default
+// heartbeat, and the retry policy's constants.
+func TestFleetClock(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	for _, tc := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"heartbeat", cfg.HeartbeatInterval, 2 * time.Second},
+		{"suspect after", cfg.suspectAfter(), 6 * time.Second},
+		{"dead after", cfg.deadAfter(), 18 * time.Second},
+		{"poll interval", cfg.pollInterval(), 200 * time.Millisecond},
+		{"backoff base", backoffBase, 100 * time.Millisecond},
+		{"backoff cap", backoffMax, 5 * time.Second},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %s, want %s", tc.name, tc.got, tc.want)
+		}
+	}
+	if backoffJitter != 0.5 || dispatchAttempts != 3 {
+		t.Errorf("backoff jitter %v, dispatch attempts %d; want 0.5 and 3", backoffJitter, dispatchAttempts)
+	}
+	if got := (Config{HeartbeatInterval: time.Nanosecond}).pollInterval(); got != time.Millisecond {
+		t.Errorf("poll interval at a 1ns heartbeat = %s, want the 1ms floor", got)
+	}
+}
 
 func TestBackoffExponentialGrowthAndCap(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second, Factor: 2, Rand: noJitter}
 	want := []time.Duration{
 		100 * time.Millisecond,
 		200 * time.Millisecond,
@@ -22,25 +45,27 @@ func TestBackoffExponentialGrowthAndCap(t *testing.T) {
 		5 * time.Second, // capped
 		5 * time.Second, // stays capped
 	}
-	for attempt, w := range want {
-		if got := b.Delay(attempt); got != w {
-			t.Errorf("Delay(%d) = %s, want %s", attempt, got, w)
+	for n, w := range want {
+		// u = 0 draws no jitter, so the delay is the exact exponential.
+		if got := backoffDelay(n, 0); got != w {
+			t.Errorf("backoffDelay(%d, 0) = %s, want %s", n, got, w)
 		}
+	}
+	if got := backoffDelay(1000, 0); got != backoffMax {
+		t.Errorf("backoffDelay(1000, 0) = %s, want the %s cap", got, backoffMax)
 	}
 }
 
 func TestBackoffJitterRange(t *testing.T) {
 	// A seeded source makes the sequence reproducible; every draw must
-	// land in [d·(1−Jitter), d].
+	// land in [d·(1−jitter), d].
 	rng := rand.New(rand.NewSource(42))
-	b := Backoff{Base: time.Second, Max: time.Minute, Factor: 2, Jitter: 0.5, Rand: rng.Float64}
-	for attempt := 0; attempt < 6; attempt++ {
-		lo := time.Duration(float64(time.Second) * 0.5 * float64(int(1)<<attempt))
-		hi := 2 * lo
+	for n := 0; n < 8; n++ {
+		hi := backoffDelay(n, 0)
+		lo := hi / 2
 		for i := 0; i < 100; i++ {
-			d := b.Delay(attempt)
-			if d < lo || d > hi {
-				t.Fatalf("Delay(%d) = %s outside [%s, %s]", attempt, d, lo, hi)
+			if d := backoffDelay(n, rng.Float64()); d < lo || d > hi {
+				t.Fatalf("backoffDelay(%d) = %s outside [%s, %s]", n, d, lo, hi)
 			}
 		}
 	}
@@ -51,18 +76,17 @@ func TestBackoffJitterIsConsumed(t *testing.T) {
 	// sequences; different seeds must diverge somewhere.
 	mk := func(seed int64) []time.Duration {
 		rng := rand.New(rand.NewSource(seed))
-		b := Backoff{Base: time.Second, Rand: rng.Float64}
 		out := make([]time.Duration, 8)
 		for i := range out {
-			out[i] = b.Delay(2)
+			out[i] = backoffDelay(2, rng.Float64())
 		}
 		return out
 	}
-	a, b2, c := mk(7), mk(7), mk(8)
+	a, b, c := mk(7), mk(7), mk(8)
 	same := true
 	for i := range a {
-		if a[i] != b2[i] {
-			t.Fatalf("same seed diverged at %d: %s vs %s", i, a[i], b2[i])
+		if a[i] != b[i] {
+			t.Fatalf("same seed diverged at %d: %s vs %s", i, a[i], b[i])
 		}
 		if a[i] != c[i] {
 			same = false
@@ -73,43 +97,18 @@ func TestBackoffJitterIsConsumed(t *testing.T) {
 	}
 }
 
-func TestBackoffNegativeJitterDisables(t *testing.T) {
-	// Jitter < 0 means "no jitter": the delay is the exact exponential
-	// even though a random source is present.
-	rng := rand.New(rand.NewSource(1))
-	b := Backoff{Base: 50 * time.Millisecond, Jitter: -1, Rand: rng.Float64}
-	for attempt := 0; attempt < 4; attempt++ {
-		want := time.Duration(50*time.Millisecond) << attempt
-		if got := b.Delay(attempt); got != want {
-			t.Errorf("Delay(%d) = %s, want exact %s", attempt, got, want)
-		}
-	}
-}
-
-func TestBackoffZeroValueDefaults(t *testing.T) {
-	var b Backoff
-	d := b.Delay(0)
-	// Default Base 100ms with default Jitter 0.5: [50ms, 100ms].
-	if d < 50*time.Millisecond || d > 100*time.Millisecond {
-		t.Fatalf("zero-value Delay(0) = %s, want within [50ms, 100ms]", d)
-	}
-	if d = b.Delay(1000); d > 5*time.Second {
-		t.Fatalf("zero-value Delay(1000) = %s, want capped at 5s", d)
-	}
-}
-
 func TestBackoffSleepHonorsContext(t *testing.T) {
-	b := Backoff{Base: time.Hour, Jitter: -1}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- b.Sleep(ctx, 0) }()
+	// Retry 1000 is capped at 5s: only the cancel can end it in time.
+	go func() { done <- backoff(ctx, 1000) }()
 	cancel()
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatal("Sleep returned nil after context cancellation")
+			t.Fatal("backoff returned nil after context cancellation")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Sleep did not return after context cancellation")
+	case <-time.After(2 * time.Second):
+		t.Fatal("backoff did not return after context cancellation")
 	}
 }

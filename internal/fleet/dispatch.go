@@ -14,10 +14,12 @@ import (
 // Run is the coordinator's service.Runner: it routes the job, dispatches
 // it to a worker, tracks it to a terminal state and — on worker failure —
 // fails over to a different worker, within the bounded attempt budget.
-// The service owns everything around it; in particular a DELETE or
-// shutdown ends ctx, which stops the dispatch (no re-dispatch after a
-// cancel). The job's deadline is the worker's: the forwarded request
-// carries timeout_ms, and the worker applies it to the compile alone.
+// Only a worker failure spends an attempt: with no alive worker the job
+// waits for one (see awaitWorker). The service owns everything around
+// it; in particular a DELETE or shutdown ends ctx, which stops the
+// dispatch (no re-dispatch after a cancel). The job's deadline is the
+// worker's: the forwarded request carries timeout_ms, and the worker
+// applies it to the compile alone.
 func (c *Coordinator) Run(ctx context.Context, j *service.Job) (service.Outcome, error) {
 	// The dispatch spans are the job's dispatch record: the trace keeps
 	// them, and the job's journal turns a route decision into
@@ -25,16 +27,23 @@ func (c *Coordinator) Run(ctx context.Context, j *service.Job) (service.Outcome,
 	// span call is a no-op for a job nobody observes.
 	var d service.Dispatch
 	exclude := "" // the worker the previous attempt failed on
-	for attempt := 0; ; attempt++ {
-		if attempt >= c.cfg.DispatchAttempts {
+	for attempt := 0; ; {
+		if attempt >= dispatchAttempts {
 			return service.Outcome{}, fmt.Errorf("dispatch failed: no worker completed the job in %d attempts", attempt)
 		}
 		rs, _ := obs.StartSpan(ctx, "route-decision")
-		w, affinity, ok := route(c.reg.alive(), j.Key, exclude, maxImbalance)
+		alive := c.reg.alive()
+		w, affinity, ok := route(alive, j.Key, exclude, maxImbalance)
+		if !ok && len(alive) > 0 {
+			// Only the excluded worker is alive. Its failure took it out
+			// of the alive set, so it has beaten or registered since: a
+			// fleet of one recovers instead of waiting out the bound.
+			w, affinity, ok = route(alive, j.Key, "", maxImbalance)
+		}
 		if !ok {
 			rs.SetAttr("outcome", "no-alive-workers")
 			rs.End()
-			if err := c.retry(ctx, j, &d, attempt, "retry", "no alive workers"); err != nil {
+			if err := c.retry(ctx, j, &d, attempt, "retry", "no alive workers", c.awaitWorker); err != nil {
 				return service.Outcome{}, err
 			}
 			continue
@@ -60,16 +69,18 @@ func (c *Coordinator) Run(ctx context.Context, j *service.Job) (service.Outcome,
 			return out, err
 		}
 		exclude = w.ID
+		pause := func(ctx context.Context) error { return backoff(ctx, attempt) }
 		if fail.dispatched {
 			c.reg.markDead(w.ID)
-			err = c.retry(ctx, j, &d, attempt, "failover", w.ID+": "+fail.Error())
+			err = c.retry(ctx, j, &d, attempt, "failover", w.ID+": "+fail.Error(), pause)
 		} else {
 			c.reg.markSuspect(w.ID)
-			err = c.retry(ctx, j, &d, attempt, "retry", w.ID+": "+fail.Error())
+			err = c.retry(ctx, j, &d, attempt, "retry", w.ID+": "+fail.Error(), pause)
 		}
 		if err != nil {
 			return service.Outcome{}, err
 		}
+		attempt++
 	}
 }
 
@@ -150,10 +161,11 @@ func (c *Coordinator) attempt(ctx context.Context, j *service.Job, d *service.Di
 	}
 }
 
-// retry records one failed attempt — a "retry" before any worker took the
-// job, a "failover" after one died with it — and backs off before the
-// next, waking early when ctx ends.
-func (c *Coordinator) retry(ctx context.Context, j *service.Job, d *service.Dispatch, attempt int, kind, reason string) error {
+// retry records one retry — a "retry" before any worker took the job,
+// or while none was alive, a "failover" after one died with it — and
+// runs wait, the backoff before the next attempt or the wait for a
+// worker, under its span.
+func (c *Coordinator) retry(ctx context.Context, j *service.Job, d *service.Dispatch, attempt int, kind, reason string, wait func(context.Context) error) error {
 	if kind == "failover" {
 		c.metrics.failovers.Inc()
 	} else {
@@ -166,7 +178,29 @@ func (c *Coordinator) retry(ctx context.Context, j *service.Job, d *service.Disp
 	sp.SetAttr("attempt", attempt+1)
 	sp.SetAttr("reason", reason)
 	defer sp.End()
-	return c.cfg.Backoff.Sleep(ctx, attempt)
+	return wait(ctx)
+}
+
+// awaitWorker waits until a worker is alive: it checks the registry at
+// the poll cadence, returns at once when ctx ends (a DELETE or
+// shutdown), and fails the job only after the dead threshold passes with
+// no alive worker. A restarted coordinator's replayed jobs wait here
+// until their workers re-register on their next heartbeat.
+func (c *Coordinator) awaitWorker(ctx context.Context) error {
+	bound := time.NewTimer(c.cfg.deadAfter())
+	defer bound.Stop()
+	t := time.NewTicker(c.cfg.pollInterval())
+	defer t.Stop()
+	for len(c.reg.alive()) == 0 {
+		select {
+		case <-t.C:
+		case <-bound.C:
+			return fmt.Errorf("dispatch failed: no worker alive within %s", c.cfg.deadAfter())
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return nil
 }
 
 // track polls the owning worker until the remote job is terminal or the
@@ -176,7 +210,7 @@ func (c *Coordinator) retry(ctx context.Context, j *service.Job, d *service.Disp
 func (c *Coordinator) track(ctx context.Context, w WorkerInfo, st service.JobStatus) (service.JobStatus, error) {
 	cl := c.workerClient(w.URL)
 	failures := 0
-	t := time.NewTicker(c.cfg.PollInterval)
+	t := time.NewTicker(c.cfg.pollInterval())
 	defer t.Stop()
 	for !st.State.Terminal() {
 		select {
@@ -221,7 +255,7 @@ func (c *Coordinator) fetchResult(ctx context.Context, w WorkerInfo, remoteID st
 		if err == nil || try == 2 {
 			return p, err
 		}
-		if serr := c.cfg.Backoff.Sleep(ctx, try); serr != nil {
+		if serr := backoff(ctx, try); serr != nil {
 			return nil, err
 		}
 	}

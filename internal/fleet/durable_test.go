@@ -3,11 +3,14 @@ package fleet
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tqec/internal/circuit"
 	"tqec/internal/compress"
+	"tqec/internal/obs"
 	"tqec/internal/service"
 	"tqec/internal/store"
 )
@@ -38,7 +41,7 @@ func TestCoordinatorWALReplayRedispatches(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	f1 := newTestFleet(t, Config{Config: service.Config{Store: st}, DispatchAttempts: 100},
+	f1 := newTestFleet(t, Config{Config: service.Config{Store: st}},
 		[]string{"w1"}, map[string]service.CompileFunc{"w1": blocking})
 
 	interrupted := f1.submit(t, threecnotBody)
@@ -73,11 +76,11 @@ func TestCoordinatorWALReplayRedispatches(t *testing.T) {
 	}
 
 	// Restart over the same dir with a fresh worker on the real
-	// pipeline. Replayed supervisors retry with backoff until the worker
-	// registers, then dispatch normally.
+	// pipeline. The replayed job waits for a worker until this one
+	// registers, then dispatches normally.
 	st2 := openCoordStore(t, dir)
 	t.Cleanup(func() { st2.Close() })
-	f2 := newTestFleet(t, Config{Config: service.Config{Store: st2}, DispatchAttempts: 100}, []string{"w2"}, nil)
+	f2 := newTestFleet(t, Config{Config: service.Config{Store: st2}}, []string{"w2"}, nil)
 
 	final := f2.waitJob(t, interrupted.ID, 30*time.Second)
 	if final.State != service.StateDone {
@@ -104,6 +107,88 @@ func TestCoordinatorWALReplayRedispatches(t *testing.T) {
 		t.Fatalf("fresh submission reused pre-restart ID %s", fresh.ID)
 	}
 	f2.waitJob(t, fresh.ID, 30*time.Second)
+}
+
+// TestCoordinatorRestartKeepsRunningWorker restarts a coordinator over
+// the same data dir while its worker keeps running, at a 1s heartbeat and
+// the shipped retry constants. The worker re-registers only on its next
+// heartbeat, a second after the restart; the replayed job waits for it
+// and ends done under its original ID and cache key, answered from the
+// cache of the worker that finished the interrupted compile.
+func TestCoordinatorRestartKeepsRunningWorker(t *testing.T) {
+	dir := t.TempDir()
+	// The worker's agent knows one coordinator URL; the restarted
+	// coordinator takes over behind it.
+	var front atomic.Value // http.Handler
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		front.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	start := func() (*Coordinator, *store.Store) {
+		st := openCoordStore(t, dir)
+		c := NewCoordinator(context.Background(), Config{
+			Config:            service.Config{Store: st},
+			Logger:            obs.NopLogger(),
+			HeartbeatInterval: time.Second,
+		})
+		// Both Close calls are idempotent; the restart closes c1 early.
+		t.Cleanup(func() {
+			c.Close()
+			st.Close()
+		})
+		front.Store(c.Handler())
+		return c, st
+	}
+	c1, st1 := start()
+	f := &testFleet{coord: c1, ts: ts, workers: map[string]*testWorker{}}
+	t.Cleanup(func() {
+		for _, w := range f.workers {
+			w.agent.Stop()
+			w.ts.Close()
+			w.svc.Close()
+		}
+	})
+
+	// The worker's compile holds until the coordinator has restarted.
+	release := make(chan struct{})
+	held := func(ctx context.Context, c *circuit.Circuit, opt compress.Options, seeds []int64, parallel int) (*compress.Result, error) {
+		select {
+		case <-release:
+			return instantCompile(ctx, c, opt, seeds, parallel)
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	f.startWorker(t, "w1", held, nil)
+	f.waitWorkersAlive(t, 1)
+	submitted := f.submit(t, threecnotBody)
+	waitCondition(t, 10*time.Second, "job to run on the worker", func() bool {
+		d, _, _ := c1.JobDispatch(submitted.ID)
+		return d.RemoteID != "" && f.workers["w1"].svc.Stats().Running == 1
+	})
+
+	// Restart right after a heartbeat, so the worker learns of the restart
+	// only from its next one, a heartbeat later.
+	beats := c1.metrics.heartbeats.Value()
+	waitCondition(t, 10*time.Second, "a heartbeat", func() bool { return c1.metrics.heartbeats.Value() > beats })
+	c1.Close()
+	if err := st1.Close(); err != nil {
+		t.Fatalf("store close: %v", err)
+	}
+	f.coord, _ = start()
+	close(release)
+
+	final := f.waitJob(t, submitted.ID, 30*time.Second)
+	if final.State != service.StateDone {
+		t.Fatalf("replayed job = %s, retries %d (err %q); want done", final.State, final.Retries, final.Error)
+	}
+	if final.CacheKey != submitted.CacheKey || final.Worker != "w1" || !final.Cached {
+		t.Fatalf("replayed job key %.12s on %q, cached %t; want key %.12s on w1 from its cache",
+			final.CacheKey, final.Worker, final.Cached, submitted.CacheKey)
+	}
+	if final.Retries != 1 {
+		t.Fatalf("replayed job retries = %d, want 1 wait for the worker", final.Retries)
+	}
 }
 
 // TestCoordinatorStoreEndpoint checks GET /v1/store on the coordinator:

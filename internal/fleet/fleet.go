@@ -24,7 +24,8 @@
 //     least-loaded override when the affinity target is overloaded.
 //   - Dispatch failures and dead workers trigger bounded retry with
 //     jittered exponential backoff and re-dispatch to a different
-//     worker. Because the pipeline is deterministic for a fixed seed
+//     worker; a job with no alive worker waits for one without spending
+//     a retry. Because the pipeline is deterministic for a fixed seed
 //     list and results are content-addressed, re-running a job on
 //     another worker is always safe: dispatch is at-least-once, results
 //     are exactly-one-answer.
@@ -72,28 +73,29 @@ type Config struct {
 	// Config.Logger (default: text handler on stderr).
 	Logger *slog.Logger
 
-	// HeartbeatInterval is the cadence workers are told to beat at
-	// (default 2s); it also paces the liveness sweep.
+	// HeartbeatInterval is the fleet's one clock (default 2s): workers
+	// are told to beat at this cadence, a worker turns suspect after 3
+	// missed beats and dead after 9, a dispatched job is polled 10 times
+	// a beat, and a job with no alive worker waits up to 9 beats for one.
 	HeartbeatInterval time.Duration
-	// SuspectAfter is the heartbeat age at which an alive worker becomes
-	// suspect and stops receiving new jobs (default 3×HeartbeatInterval).
-	SuspectAfter time.Duration
-	// DeadAfter is the heartbeat age at which a suspect worker is
-	// declared dead and its in-flight jobs fail over (default
-	// 3×SuspectAfter).
-	DeadAfter time.Duration
-	// PollInterval paces the coordinator's status polls of a dispatched
-	// job (default 200ms).
-	PollInterval time.Duration
-	// DispatchAttempts bounds how many dispatch rounds — initial
-	// dispatch, retries, and mid-job failovers combined — one job may
-	// consume before it is failed (default 3).
-	DispatchAttempts int
-	// Backoff shapes dispatch-retry delays.
-	Backoff Backoff
 }
 
+// The fleet's timings, counted in heartbeats, and its retry budget.
 const (
+	// suspectBeats is the heartbeat age, in beats, at which an alive
+	// worker becomes suspect and stops receiving new jobs.
+	suspectBeats = 3
+	// deadBeats is the heartbeat age, in beats, at which a suspect worker
+	// is declared dead and its in-flight jobs fail over. A job with no
+	// alive worker waits as long for one before it fails.
+	deadBeats = 9
+	// pollsPerBeat is how many times per heartbeat the coordinator polls
+	// the status of a dispatched job.
+	pollsPerBeat = 10
+	// dispatchAttempts bounds the worker failures — failed submits,
+	// lost jobs and mid-job failovers combined — one job may meet before
+	// it is failed. Waiting for a worker spends none.
+	dispatchAttempts = 3
 	// pollFailures is how many consecutive failed status polls declare
 	// the owning worker dead and trigger failover.
 	pollFailures = 3
@@ -102,24 +104,25 @@ const (
 	maxImbalance = 8
 )
 
+// defaultHeartbeat is the heartbeat interval when none is configured,
+// and an agent's when its coordinator names none.
+const defaultHeartbeat = 2 * time.Second
+
+func (c Config) suspectAfter() time.Duration { return suspectBeats * c.HeartbeatInterval }
+func (c Config) deadAfter() time.Duration    { return deadBeats * c.HeartbeatInterval }
+
+// pollInterval is the status-poll cadence for dispatched jobs, at least
+// a millisecond however short the heartbeat.
+func (c Config) pollInterval() time.Duration {
+	return max(c.HeartbeatInterval/pollsPerBeat, time.Millisecond)
+}
+
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = -1 // no dispatch cap
 	}
 	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 2 * time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * c.HeartbeatInterval
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3 * c.SuspectAfter
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = 200 * time.Millisecond
-	}
-	if c.DispatchAttempts <= 0 {
-		c.DispatchAttempts = 3
+		c.HeartbeatInterval = defaultHeartbeat
 	}
 	if c.Logger == nil {
 		c.Logger = c.Config.Logger
@@ -176,7 +179,7 @@ func NewCoordinator(ctx context.Context, cfg Config) *Coordinator {
 func (c *Coordinator) Attach(s *service.Server) {
 	c.Server = s
 	c.metrics = newFleetMetrics(s.Registry())
-	c.reg = newRegistry(c.metrics, c.cfg.Logger, c.cfg.SuspectAfter, c.cfg.DeadAfter)
+	c.reg = newRegistry(c.metrics, c.cfg.Logger, c.cfg.suspectAfter(), c.cfg.deadAfter())
 }
 
 // Handler returns the HTTP surface.

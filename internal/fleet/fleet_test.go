@@ -56,19 +56,8 @@ func newTestFleet(t *testing.T, cfg Config, workerIDs []string, compile map[stri
 		cfg.Logger = obs.NopLogger()
 	}
 	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 25 * time.Millisecond
-	}
-	if cfg.SuspectAfter == 0 {
-		cfg.SuspectAfter = 150 * time.Millisecond
-	}
-	if cfg.DeadAfter == 0 {
-		cfg.DeadAfter = 400 * time.Millisecond
-	}
-	if cfg.PollInterval == 0 {
-		cfg.PollInterval = 20 * time.Millisecond
-	}
-	if cfg.Backoff.Base == 0 {
-		cfg.Backoff = Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond, Jitter: -1}
+		// Workers turn suspect after 150ms and dead after 450ms.
+		cfg.HeartbeatInterval = 50 * time.Millisecond
 	}
 	coord := NewCoordinator(context.Background(), cfg)
 	cts := httptest.NewServer(coord.Handler())
@@ -88,33 +77,37 @@ func newTestFleet(t *testing.T, cfg Config, workerIDs []string, compile map[stri
 	})
 
 	for _, id := range workerIDs {
-		f.startWorker(t, id, service.Config{
-			// Enough slots and queue to hold every job of
-			// TestFleetDispatchNotCappedAtGOMAXPROCS and
-			// TestFleetBurstIsNotCapped on one worker.
-			Workers:    runtime.GOMAXPROCS(0) + 2,
-			QueueDepth: 256,
-			Runner:     service.Compiler(compile[id]),
-		})
+		f.startWorker(t, id, compile[id], nil)
 	}
 	f.waitWorkersAlive(t, len(workerIDs))
 	return f
 }
 
-// startWorker starts one worker service with cfg and registers it.
-func (f *testFleet) startWorker(t *testing.T, id string, cfg service.Config) {
+// startWorker starts one worker service on compile (nil: the real
+// pipeline) and registers it. wrap, when set, wraps the worker's HTTP
+// handler.
+func (f *testFleet) startWorker(t *testing.T, id string, compile service.CompileFunc, wrap func(http.Handler) http.Handler) {
 	t.Helper()
-	cfg.Logger = obs.NopLogger()
-	svc := service.New(context.Background(), cfg)
-	wts := httptest.NewServer(svc.Handler())
+	svc := service.New(context.Background(), service.Config{
+		// Enough slots and queue to hold every job of
+		// TestFleetDispatchNotCappedAtGOMAXPROCS and
+		// TestFleetBurstIsNotCapped on one worker.
+		Workers:    runtime.GOMAXPROCS(0) + 2,
+		QueueDepth: 256,
+		Runner:     service.Compiler(compile),
+		Logger:     obs.NopLogger(),
+	})
+	h := svc.Handler()
+	if wrap != nil {
+		h = wrap(h)
+	}
+	wts := httptest.NewServer(h)
 	agent, err := StartAgent(context.Background(), AgentConfig{
-		CoordinatorURL:    f.ts.URL,
-		WorkerID:          id,
-		AdvertiseURL:      wts.URL,
-		Stats:             func() (int, int) { s := svc.Stats(); return s.Running, s.Queued },
-		HeartbeatInterval: f.coord.cfg.HeartbeatInterval,
-		Backoff:           Backoff{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: -1},
-		Logger:            obs.NopLogger(),
+		CoordinatorURL: f.ts.URL,
+		WorkerID:       id,
+		AdvertiseURL:   wts.URL,
+		Stats:          func() (int, int) { s := svc.Stats(); return s.Running, s.Queued },
+		Logger:         obs.NopLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +343,7 @@ func TestFleetFailoverMidJobCompletes(t *testing.T) {
 	// job deterministically starts on it.
 	blockerID := "blocker"
 	runnerID := pickLosingID(t, blockerID, key)
-	f := newTestFleet(t, Config{DispatchAttempts: 4},
+	f := newTestFleet(t, Config{},
 		[]string{blockerID, runnerID},
 		map[string]service.CompileFunc{blockerID: blockingCompile()})
 
@@ -415,26 +408,24 @@ func TestFleetFailoverMidJobCompletes(t *testing.T) {
 }
 
 func TestFleetCanceledJobIsNotRedispatched(t *testing.T) {
-	key := threecnotKey(t)
-	blockerID := "blocker"
-	runnerID := pickLosingID(t, blockerID, key)
-	// A long retry backoff holds the supervisor between failure detection
-	// and re-dispatch, so the cancel deterministically lands first.
-	f := newTestFleet(t, Config{Backoff: Backoff{Base: 2 * time.Second, Max: 2 * time.Second, Jitter: -1}},
-		[]string{blockerID, runnerID},
-		map[string]service.CompileFunc{blockerID: blockingCompile()})
+	// The job's only worker dies mid-run, so after its failover the job
+	// waits for a worker: the cancel deterministically lands in that
+	// wait. A 200ms heartbeat bounds the wait at 1.8s.
+	f := newTestFleet(t, Config{HeartbeatInterval: 200 * time.Millisecond},
+		[]string{"blocker"},
+		map[string]service.CompileFunc{"blocker": blockingCompile()})
 
 	st := f.submit(t, threecnotBody)
 	waitCondition(t, 10*time.Second, "job to start on the doomed worker", func() bool {
 		got := f.getStatus(t, st.ID)
-		return got.Worker == blockerID && got.State == service.StateRunning
+		return got.Worker == "blocker" && got.State == service.StateRunning
 	})
 
-	f.workers[blockerID].kill()
-	// Wait until the supervisor has noticed the death and entered its
-	// retry backoff, then cancel.
-	waitCondition(t, 10*time.Second, "supervisor to notice the dead worker", func() bool {
-		return f.coord.metrics.failovers.Value() >= 1
+	f.workers["blocker"].kill()
+	// Wait until the supervisor has failed the job over and, finding no
+	// alive worker, entered the wait for one, then cancel.
+	waitCondition(t, 10*time.Second, "supervisor to wait for a worker", func() bool {
+		return f.coord.metrics.failovers.Value() >= 1 && f.coord.metrics.dispatchRetries.Value() >= 1
 	})
 	req, _ := http.NewRequest(http.MethodDelete, f.ts.URL+"/v1/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -445,18 +436,22 @@ func TestFleetCanceledJobIsNotRedispatched(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: http %d", resp.StatusCode)
 	}
+	// A worker arrives right after the cancel: a wait the cancel did not
+	// end would dispatch the job to it.
+	f.startWorker(t, "runner", nil, nil)
 
 	final := f.waitJob(t, st.ID, 10*time.Second)
 	if final.State != service.StateCanceled {
 		t.Fatalf("job = %s (err %q), want canceled", final.State, final.Error)
 	}
+	f.waitWorkersAlive(t, 1)
 	// The cancel gate must have stopped the failover: one dispatch ever,
-	// and the surviving worker never saw the job.
+	// and the new worker never saw the job.
 	if got := f.coord.metrics.dispatches.Value(); got != 1 {
 		t.Fatalf("dispatches_total = %d, want 1 (no re-dispatch after cancel)", got)
 	}
 	var list service.JobList
-	if code := getJSON(t, f.workers[runnerID].ts.URL+"/v1/jobs", &list); code != http.StatusOK {
+	if code := getJSON(t, f.workers["runner"].ts.URL+"/v1/jobs", &list); code != http.StatusOK {
 		t.Fatalf("runner list: http %d", code)
 	}
 	if list.Total != 0 {
@@ -480,12 +475,10 @@ func TestAgentReRegistersAfterCoordinatorRestart(t *testing.T) {
 	handler.Store(c1.Handler())
 
 	agent, err := StartAgent(context.Background(), AgentConfig{
-		CoordinatorURL:    ts.URL,
-		WorkerID:          "w-1",
-		AdvertiseURL:      "http://127.0.0.1:1",
-		HeartbeatInterval: 20 * time.Millisecond,
-		Backoff:           Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond, Jitter: -1},
-		Logger:            obs.NopLogger(),
+		CoordinatorURL: ts.URL,
+		WorkerID:       "w-1",
+		AdvertiseURL:   "http://127.0.0.1:1",
+		Logger:         obs.NopLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -631,10 +624,12 @@ func instantCompile(ctx context.Context, c *circuit.Circuit, opt compress.Option
 
 // TestFleetBurstIsNotCapped submits more long jobs than twice the
 // service's default queue depth (64): a coordinator admits every one and
-// dispatches it at once, leaving load bounds to the workers.
+// dispatches it at once, leaving load bounds to the workers. A 200ms
+// heartbeat polls each job every 20ms, so 150 jobs do not flood the
+// loopback with status polls.
 func TestFleetBurstIsNotCapped(t *testing.T) {
 	const n = 150
-	f := newTestFleet(t, Config{}, []string{"w-a", "w-b"},
+	f := newTestFleet(t, Config{HeartbeatInterval: 200 * time.Millisecond}, []string{"w-a", "w-b"},
 		map[string]service.CompileFunc{"w-a": blockingCompile(), "w-b": blockingCompile()})
 	for i := 0; i < n; i++ {
 		f.submit(t, fmt.Sprintf(`{"source":{"sample":"threecnot"},"options":{"seeds":[%d]}}`, i+1))
@@ -714,5 +709,73 @@ func TestFleetWorkerCanceledJobFailsOver(t *testing.T) {
 	if final.State != service.StateDone || final.Worker != runnerID || final.Retries < 1 {
 		t.Fatalf("job = %s on %s, retries %d (err %q); want done on %s after a failover",
 			final.State, final.Worker, final.Retries, final.Error, runnerID)
+	}
+}
+
+// TestFleetJobWaitsForFirstWorker submits a job to a coordinator with no
+// workers at the default heartbeat: the job waits for one instead of
+// spending its attempts, is dispatched when an agent arrives a second
+// later, and records the whole wait as one retry.
+func TestFleetJobWaitsForFirstWorker(t *testing.T) {
+	f := newTestFleet(t, Config{HeartbeatInterval: defaultHeartbeat}, nil, nil)
+	st := f.submit(t, threecnotBody)
+	time.Sleep(time.Second)
+	if got := f.getStatus(t, st.ID); got.State != service.StateRunning || got.Retries != 1 {
+		t.Fatalf("job with no worker after 1s = %s, retries %d (err %q); want running, retries 1", got.State, got.Retries, got.Error)
+	}
+	f.startWorker(t, "w-late", instantCompile, nil)
+	final := f.waitJob(t, st.ID, 10*time.Second)
+	if final.State != service.StateDone || final.Worker != "w-late" || final.Retries != 1 {
+		t.Fatalf("job = %s on %q, retries %d (err %q); want done on w-late, retries 1",
+			final.State, final.Worker, final.Retries, final.Error)
+	}
+	if got := f.coord.metrics.dispatchRetries.Value(); got != 1 {
+		t.Fatalf("dispatch_retries_total = %d, want 1 for the whole wait", got)
+	}
+	var jr service.JournalResponse
+	if code := getJSON(t, f.ts.URL+"/v1/jobs/"+st.ID+"/journal", &jr); code != http.StatusOK {
+		t.Fatalf("journal: http %d", code)
+	}
+	retried := 0
+	for _, ev := range jr.Events {
+		if ev.Code == journal.JobStateDispatchRetried {
+			retried++
+		}
+	}
+	if retried != 1 {
+		t.Fatalf("journal has %d dispatch-retried events, want 1: %+v", retried, jr.Events)
+	}
+}
+
+// TestFleetSoleWorkerRecoversAfterFailedSubmit fails the only worker's
+// first submit: the failure makes the worker suspect, its next heartbeat
+// revives it, and the job goes to it although the failed attempt
+// excluded it.
+func TestFleetSoleWorkerRecoversAfterFailedSubmit(t *testing.T) {
+	f := newTestFleet(t, Config{}, nil, nil)
+	var failed atomic.Bool
+	failFirstSubmit := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" && failed.CompareAndSwap(false, true) {
+				http.Error(w, `{"error":"unavailable"}`, http.StatusServiceUnavailable)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	f.startWorker(t, "w-only", instantCompile, failFirstSubmit)
+	f.waitWorkersAlive(t, 1)
+
+	st := f.submit(t, threecnotBody)
+	final := f.waitJob(t, st.ID, 10*time.Second)
+	if final.State != service.StateDone || final.Worker != "w-only" || final.Retries < 1 {
+		t.Fatalf("job = %s on %q, retries %d (err %q); want done on w-only after a retry",
+			final.State, final.Worker, final.Retries, final.Error)
+	}
+	if !failed.Load() {
+		t.Fatal("the worker never failed a submit")
+	}
+	if got := f.coord.metrics.dispatches.Value(); got != 1 {
+		t.Fatalf("dispatches_total = %d, want 1 accepted submit", got)
 	}
 }

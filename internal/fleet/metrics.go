@@ -33,7 +33,7 @@ func newFleetMetrics(reg *obs.Registry) *fleetMetrics {
 		heartbeats:     reg.Counter("tqecd_fleet_heartbeats_total", "Worker heartbeats accepted."),
 
 		dispatches:      reg.Counter("tqecd_fleet_dispatches_total", "Job submissions forwarded to a worker."),
-		dispatchRetries: reg.Counter("tqecd_fleet_dispatch_retries_total", "Dispatch attempts retried after a worker was unavailable or unreachable."),
+		dispatchRetries: reg.Counter("tqecd_fleet_dispatch_retries_total", "Dispatch attempts retried after a worker failed a submit, and waits for an alive worker."),
 		failovers:       reg.Counter("tqecd_fleet_failovers_total", "Jobs re-dispatched to a different worker after their owner died mid-run."),
 
 		affinityRouted:   reg.Counter("tqecd_fleet_affinity_routed_total", "Dispatches that landed on the rendezvous-hash winner for the cache key."),

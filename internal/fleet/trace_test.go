@@ -57,7 +57,7 @@ func TestFleetTraceStitchedAfterFailover(t *testing.T) {
 	key := threecnotKey(t)
 	blockerID := "blocker"
 	runnerID := pickLosingID(t, blockerID, key)
-	f := newTestFleet(t, Config{DispatchAttempts: 4},
+	f := newTestFleet(t, Config{},
 		[]string{blockerID, runnerID},
 		map[string]service.CompileFunc{
 			blockerID: blockingCompile(),

@@ -49,16 +49,12 @@ type metrics struct {
 	primalMerges   *obs.Counter
 	dualBridges    *obs.Counter
 
-	queueWait *obs.Histogram    // submit → worker pickup
-	compile   *obs.Histogram    // whole pipeline, per job
-	stages    *obs.HistogramVec // per-pipeline-stage wall-clock
+	compile *obs.Histogram    // whole pipeline, per job
+	stages  *obs.HistogramVec // per-pipeline-stage wall-clock
 
 	// Queue and run latency as two separate seconds-unit histograms
-	// (Prometheus convention). tqecd_queue_wait_ms conflated nothing, but
-	// the old dashboards had only tqecd_compile_ms to answer "how long do
-	// jobs take", which folds queue delay into nothing and run time into
-	// one ms-unit family; these two keep the phases distinct so queue
-	// saturation and slow compiles alarm separately.
+	// (Prometheus convention), so queue saturation and slow compiles
+	// alarm separately.
 	jobQueueSeconds *obs.Histogram // submit → worker pickup, seconds
 	jobRunSeconds   *obs.Histogram // worker pickup → terminal state, seconds
 }
@@ -98,9 +94,8 @@ func newMetrics() *metrics {
 		primalMerges:   reg.Counter("tqecd_primal_merges_total", "Primal-bridging module merges across completed compiles (best seed)."),
 		dualBridges:    reg.Counter("tqecd_dual_bridges_total", "Dual-bridging merges across completed compiles (best seed)."),
 
-		queueWait: reg.Histogram("tqecd_queue_wait_ms", "Milliseconds between submission and worker pickup.", nil),
-		compile:   reg.Histogram("tqecd_compile_ms", "Whole-pipeline compile wall-clock, milliseconds.", nil),
-		stages:    reg.HistogramVec("tqecd_stage_ms", "Per-pipeline-stage wall-clock, milliseconds.", "stage", nil),
+		compile: reg.Histogram("tqecd_compile_ms", "Whole-pipeline compile wall-clock, milliseconds.", nil),
+		stages:  reg.HistogramVec("tqecd_stage_ms", "Per-pipeline-stage wall-clock, milliseconds.", "stage", nil),
 
 		jobQueueSeconds: reg.Histogram("tqecd_job_queue_seconds", "Seconds a job waited in the queue before a worker picked it up.", secondsBounds),
 		jobRunSeconds:   reg.Histogram("tqecd_job_run_seconds", "Seconds a job spent running, pickup to terminal state (any outcome).", secondsBounds),
@@ -223,7 +218,6 @@ type MetricsSnapshot struct {
 		GCPauseCount int64 `json:"gc_pause_count"`
 	} `json:"runtime"`
 	QueueDepth int                      `json:"queue_depth"`
-	QueueWait  HistogramJSON            `json:"queue_wait_ms"`
 	Compile    HistogramJSON            `json:"compile_ms"`
 	Stages     map[string]HistogramJSON `json:"stage_ms"`
 }
@@ -256,7 +250,6 @@ func (m *metrics) snapshot(queueDepth, cacheEntries int) MetricsSnapshot {
 	s.Pipeline.PrimalMerges = m.primalMerges.Value()
 	s.Pipeline.DualBridges = m.dualBridges.Value()
 	s.QueueDepth = queueDepth
-	s.QueueWait = jsonHist(m.queueWait.Snapshot())
 	s.Compile = jsonHist(m.compile.Snapshot())
 	s.Stages = map[string]HistogramJSON{}
 	stageSnaps := m.stages.Snapshot()

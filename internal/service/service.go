@@ -386,7 +386,6 @@ func (s *Server) runJob(j *Job) {
 
 	s.metrics.jobsRunning.Add(1)
 	defer s.metrics.jobsRunning.Add(-1)
-	s.metrics.queueWait.ObserveDuration(queueDur)
 	s.metrics.jobQueueSeconds.Observe(queueDur.Seconds())
 	s.log(j, "start", "seeds", len(j.seeds), "effort", j.opt.Effort.String(),
 		"mode", j.opt.Mode.String(), "timeout", j.timeout, "trace", j.req.Trace)
