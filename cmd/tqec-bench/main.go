@@ -33,6 +33,12 @@ func main() {
 		effortCurve = flag.String("effort-curve", "", "also run the quality-vs-budget curve on this benchmark")
 	)
 	flag.Parse()
+	switch *table {
+	case "1", "2", "3", "all", "none":
+	default:
+		fmt.Fprintf(os.Stderr, "tqec-bench: unknown -table %q (want 1|2|3|all|none)\n", *table)
+		os.Exit(2)
+	}
 
 	// Interrupt cancels the in-flight compile at its next iteration
 	// boundary instead of leaving a half-printed sweep.

@@ -60,8 +60,8 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode maps a mode name, as tqecc, tqec-lint and tqecd accept it,
-// to its Mode: "full", "dual" or "deform", or the name String prints
+// ParseMode maps a mode name, as tqecc and tqecd accept it, to its
+// Mode: "full", "dual" or "deform", or the name String prints
 // ("dual-only", "deform-only"); "" means full.
 func ParseMode(name string) (Mode, error) {
 	switch name {
@@ -163,10 +163,6 @@ type Options struct {
 	// NoCompaction disables the post-annealing force-directed axis
 	// compaction (Paetznick–Fowler-style pulling); used by ablations.
 	NoCompaction bool
-	// PrimalRestarts is the number of greedy primal-bridging runs to try
-	// (deterministic first, then seeded random starts), keeping the one
-	// with the fewest chains. 0 or 1 = single deterministic run.
-	PrimalRestarts int
 	// DRC runs the design-rule checker once over the finished artifacts
 	// and attaches the report to Result.DRC; each violation names the
 	// stage whose rule it breaks. Violations do not abort the pipeline;
@@ -328,11 +324,7 @@ func CompileICMContext(ctx context.Context, rep *icm.Rep, name string, opt Optio
 	begin("primal-bridge")
 	var p *bridge.PrimalResult
 	if opt.Mode == Full {
-		restarts := opt.PrimalRestarts
-		if restarts < 1 {
-			restarts = 1
-		}
-		p = bridge.PrimalBest(s, opt.Seed, restarts, chainCap(g.NumModules()))
+		p = bridge.PrimalWithLimit(s, nil, chainCap(g.NumModules()))
 	} else {
 		p = bridge.Singletons(s)
 	}

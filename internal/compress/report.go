@@ -1,10 +1,5 @@
 package compress
 
-import (
-	"encoding/json"
-	"io"
-)
-
 // Report is the machine-readable record of one compilation, for tooling
 // and experiment archives.
 type Report struct {
@@ -60,11 +55,4 @@ func (r *Result) Report() Report {
 		rep.SeedErrors = append(rep.SeedErrors, se.Error())
 	}
 	return rep
-}
-
-// WriteJSON serializes the report.
-func (r *Result) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Report())
 }

@@ -318,7 +318,7 @@ func (g *Description) String() string {
 
 // DumpLayers renders an ASCII art cross-section per z-layer (paper units),
 // projecting primal defects as '#', dual defects as 'o', and boxes by their
-// kind letter. Intended for small examples and the tqec-viz tool.
+// kind letter. Intended for small examples and tqecc -viz.
 func (g *Description) DumpLayers() string {
 	b := g.Bounds()
 	if b.Empty() {

@@ -59,8 +59,6 @@ type OptionSpec struct {
 	Parallel              int     `json:"parallel,omitempty"`
 	SkipRouting           bool    `json:"skip_routing,omitempty"`
 	MeasurementSideIShape bool    `json:"measurement_side_ishape,omitempty"`
-	NoCompaction          bool    `json:"no_compaction,omitempty"`
-	PrimalRestarts        int     `json:"primal_restarts,omitempty"`
 	// DRC attaches the design-rule-check report to the result payload.
 	DRC bool `json:"drc,omitempty"`
 }
@@ -490,8 +488,6 @@ func (o OptionSpec) Resolve() (compress.Options, []int64, error) {
 	opt := compress.Options{
 		MeasurementSideIShape: o.MeasurementSideIShape,
 		SkipRouting:           o.SkipRouting,
-		NoCompaction:          o.NoCompaction,
-		PrimalRestarts:        o.PrimalRestarts,
 		DRC:                   o.DRC,
 	}
 	var err error

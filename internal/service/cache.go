@@ -50,10 +50,11 @@ func CacheKey(c *circuit.Circuit, opt compress.Options, seeds []int64) (string, 
 	// Options.Seed is overridden per seed by CompileBest; everything else
 	// that steers the pipeline goes into the key. KeepGeometry is excluded:
 	// it only materializes a visualization artifact the service never
-	// returns.
-	fmt.Fprintf(h, "|pipeline=%d|mode=%d|effort=%d|ms=%t|skip=%t|nocomp=%t|restarts=%d|drc=%t|seeds=",
+	// returns. "restarts=0" stands for a primal-restart option that no
+	// longer exists, so keys stay those the stored results were filed under.
+	fmt.Fprintf(h, "|pipeline=%d|mode=%d|effort=%d|ms=%t|skip=%t|nocomp=%t|restarts=0|drc=%t|seeds=",
 		pipelineVersion, opt.Mode, opt.Effort, opt.MeasurementSideIShape, opt.SkipRouting,
-		opt.NoCompaction, opt.PrimalRestarts, opt.DRC)
+		opt.NoCompaction, opt.DRC)
 	for _, s := range seeds {
 		fmt.Fprintf(h, "%d,", s)
 	}

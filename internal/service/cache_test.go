@@ -37,6 +37,37 @@ func TestCacheKeyDeterministic(t *testing.T) {
 	}
 }
 
+// TestCacheKeyPinned pins the keys of two fixed requests to the values
+// earlier binaries wrote, so a warm result store keeps answering them: a
+// change to the key's encoding must come with a pipelineVersion bump.
+func TestCacheKeyPinned(t *testing.T) {
+	c, err := Source{Sample: "threecnot"}.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec OptionSpec
+		want string
+	}{
+		{OptionSpec{}, "4a7286d3f0bd71630de1aeeb267faf05d57526cc5c8d22c9700636cfe9f8025a"},
+		{OptionSpec{Mode: "dual", Effort: "normal", Seeds: []int64{3, 5}, SkipRouting: true,
+			MeasurementSideIShape: true, DRC: true},
+			"63feb5da1f953b35e2215b3cc1c455958ed40e942b4d54e98cbef6a2164303ad"},
+	} {
+		opt, seeds, err := tc.spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CacheKey(c, opt, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Errorf("%+v: key %s, want %s", tc.spec, got, tc.want)
+		}
+	}
+}
+
 func TestCacheKeyNormalizesSourceFormat(t *testing.T) {
 	// The same gates reach the service as .real and as plain text; the
 	// content address must not see the difference — or the circuit name.
@@ -80,7 +111,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 		{"seeds", compress.Options{Mode: compress.Full}, []int64{1, 2}},
 		{"skip-routing", compress.Options{Mode: compress.Full, SkipRouting: true}, []int64{1}},
 		{"drc", compress.Options{Mode: compress.Full, DRC: true}, []int64{1}},
-		{"restarts", compress.Options{Mode: compress.Full, PrimalRestarts: 3}, []int64{1}},
 	}
 	for _, v := range variants {
 		k, err := CacheKey(c, v.opt, v.seeds)

@@ -82,16 +82,8 @@ func (c *compiler) Run(ctx context.Context, j *Job) (Outcome, error) {
 		s.metrics.observeStage(st.Stage, st.Duration)
 	}
 	s.recordPipeline(res)
-	rep := res.Report()
-	rep.Name = j.Name
 	return Outcome{
-		Payload: &ResultPayload{
-			Name:     j.Name,
-			CacheKey: j.Key,
-			Report:   rep,
-			DRC:      res.DRC,
-			Summary:  res.Summary(),
-		},
+		Payload: NewResultPayload(j.Name, j.Key, res, res.DRC),
 		Partial: seedsInterrupted(res.SeedErrors) || ctx.Err() != nil,
 		Journal: res.Journal,
 	}, nil

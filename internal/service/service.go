@@ -181,13 +181,26 @@ type Job struct {
 
 // ResultPayload is the serialized outcome of a finished job — and the
 // unit the result cache stores. It carries the compact report, not the
-// full artifact bundle, so cached entries stay small.
+// full artifact bundle, so cached entries stay small. tqecc -json writes
+// the same document for a local run.
 type ResultPayload struct {
 	Name     string          `json:"name"`
 	CacheKey string          `json:"cache_key"`
 	Report   compress.Report `json:"report"`
 	DRC      *drc.Report     `json:"drc,omitempty"`
-	Summary  string          `json:"summary"`
+}
+
+// NewResultPayload builds the result document of one run: name labels it
+// and key is its request's CacheKey. res is the compile, or nil for a run
+// that compiled nothing (a check of a saved geometry); checks is the DRC
+// report, or nil when no rule ran.
+func NewResultPayload(name, key string, res *compress.Result, checks *drc.Report) *ResultPayload {
+	p := &ResultPayload{Name: name, CacheKey: key, DRC: checks}
+	if res != nil {
+		p.Report = res.Report()
+		p.Report.Name = name
+	}
+	return p
 }
 
 // Server is the compile service. Create with New, mount via Handler, and
