@@ -33,10 +33,10 @@ type golden struct {
 func TestRoutedCompileGolden(t *testing.T) {
 	opt := compress.Options{Mode: compress.Full, Effort: compress.EffortFast}
 	toffoli3 := map[int64]golden{
-		1: {3192, 3480, 256, 0, 0, 2, "d1baeb6489d585e9dd35736dcc3e4caad1f2f4b650ec6a7e165abb2df906bb85"},
-		2: {2496, 4104, 290, 0, 0, 2, "b35cb3413db9c77fd50778accf0944e6038c42075dd0fb722cc922ffd48545c0"},
-		3: {2622, 3220, 188, 0, 0, 2, "28bdfccf94d75e48ba26f3a6b67aac32253dd15834f4c54c9adeed4ac0b02a4f"},
-		4: {2622, 3360, 245, 0, 0, 2, "dfa574fdb4e288e5783ca800c4829f81807f52099e6b9268aa8c2e66a7451f86"},
+		1: {3192, 3360, 260, 0, 0, 2, "a3c990ddeedb7b7d22a4065fe16836ec80e9a970e2807b1593c903b86d369a9f"},
+		2: {2496, 3458, 272, 0, 0, 2, "bd58065c1db246b949fb3025a360914b16a6cab27d41efbbdf30f1720c3da1b7"},
+		3: {2622, 3220, 183, 0, 0, 1, "e0e3fb3f3584b12cc02259fb53527b49769e2fbb07d28cb009279fa214ffcf7f"},
+		4: {2622, 3840, 234, 0, 0, 2, "3a48baab9f7c643db7afa1b5005d965facaa2b22b0b75de9acc0c8050d792f34"},
 	}
 	c, err := revlib.ParseString(revlib.Samples["toffoli3"])
 	if err != nil {
@@ -55,8 +55,8 @@ func TestRoutedCompileGolden(t *testing.T) {
 		t.Skip("4gt10-v1_81 runs only without -short")
 	}
 	gt10 := map[int64]golden{
-		1: {16464, 21000, 2086, 1, 1, 5, "4987d857e233435f46eae36e8cc15c06fed3d2e85da3eecd6d03adf316a29a01"},
-		2: {14700, 18900, 1842, 0, 1, 2, "a5a3bf14e7f5df38fae2e0661e58b1e602545d295c6399d72dedffb8e56d80e3"},
+		1: {16464, 20300, 2044, 1, 1, 5, "66665ca80734ae3dca3b3e4aa0b25eca6fc36bd7d9fd390c86c9fbfc19822c3d"},
+		2: {14700, 18900, 1830, 0, 1, 2, "c8eadbc00bac5aacc9de7553b076adb35496645c711ea55face1a1c930675bd0"},
 	}
 	spec, ok := bench.ByName("4gt10-v1_81")
 	if !ok {
@@ -83,8 +83,8 @@ func TestRoutedCompileGolden(t *testing.T) {
 		seed int64
 		want golden
 	}{
-		{"rd84_142", 3, golden{143640, 171720, 24702, 1, 21, 10, "7665156cfd653ca27a72a08868b9b9ed7b431a28d1ac966cb477cda850702df3"}},
-		{"4gt4-v0_73", 1, golden{37440, 42636, 4430, 0, 9, 2, "6688de6bea2b4f283638aba23031d50c9577ef125416f693d2a3d7e7ee203736"}},
+		{"rd84_142", 3, golden{143640, 171720, 24039, 1, 21, 10, "8f6fbb00f7456ca6e6a92283182e3d68adc90049ac8f0b641c687855e5aab60d"}},
+		{"4gt4-v0_73", 1, golden{37440, 41514, 4320, 0, 9, 3, "09ba2bab94cea83929487b8b85d2ef7088b65371847491e400edf049e52eacfc"}},
 	} {
 		spec, ok := bench.ByName(row.name)
 		if !ok {

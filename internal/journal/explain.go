@@ -46,8 +46,16 @@ func FormatExplain(j *Journal) string {
 			searches += r.Searches
 			expansions += r.Expansions
 		}
-		fmt.Fprintf(&sb, "routing:  %d negotiation rounds, %d A* searches, %d expansions, final overflow %d\n",
-			n, searches, expansions, j.RouteRounds[n-1].Overflow)
+		// The route stage's whole time over its expansions: it includes
+		// the stage's set-up, so it bounds the search's cost per cell.
+		perCell := ""
+		for _, e := range j.Stages {
+			if e.Stage == "route" && e.DurationMS > 0 && expansions > 0 {
+				perCell = fmt.Sprintf(" at %.0f ns each", e.DurationMS*1e6/float64(expansions))
+			}
+		}
+		fmt.Fprintf(&sb, "routing:  %d negotiation rounds, %d A* searches, %d expansions%s, final overflow %d\n",
+			n, searches, expansions, perCell, j.RouteRounds[n-1].Overflow)
 	}
 	if n := len(j.DualPasses); n > 0 {
 		merges := 0

@@ -299,7 +299,7 @@ func TestCheckWaterfall(t *testing.T) {
 		Stages: []StageEntry{
 			{Stage: "pdgraph", VolumeBefore: 168, VolumeAfter: 168, Delta: 0},
 			{Stage: "place", VolumeBefore: 168, VolumeAfter: 60, Delta: -108},
-			{Stage: "route", VolumeBefore: 60, VolumeAfter: 90, Delta: 30},
+			{Stage: "route", VolumeBefore: 60, VolumeAfter: 90, Delta: 30, DurationMS: 0.8},
 		},
 	}
 	if err := good.CheckWaterfall(); err != nil {
@@ -334,7 +334,7 @@ func TestFormatExplain(t *testing.T) {
 				Mechanisms: map[string]int{"modules": 14, "nets": 7}},
 			{Stage: "place", VolumeBefore: 168, VolumeAfter: 60, Delta: -108,
 				Mechanisms: map[string]int{"moves": 4000}},
-			{Stage: "route", VolumeBefore: 60, VolumeAfter: 90, Delta: 30},
+			{Stage: "route", VolumeBefore: 60, VolumeAfter: 90, Delta: 30, DurationMS: 0.8},
 		},
 		Anneal: []AnnealEpoch{{Epoch: 1, Temp: 50, Moves: 40, Accepted: 20}},
 		RouteRounds: []RouteRound{
@@ -347,12 +347,17 @@ func TestFormatExplain(t *testing.T) {
 	for _, want := range []string{
 		"threecnot", "canonical", "pdgraph", "-108", "+30",
 		"modules=14 nets=7", "anneal:", "[route-squeezed]",
-		"routing:  2 negotiation rounds, 12 A* searches, 160 expansions, final overflow 0",
+		"routing:  2 negotiation rounds, 12 A* searches, 160 expansions at 5000 ns each, final overflow 0",
 		"53.6% of canonical",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain output missing %q:\n%s", want, out)
 		}
+	}
+	// Without a route stage time there is no cost per expansion.
+	j.Stages = j.Stages[:2]
+	if out := FormatExplain(j); !strings.Contains(out, "160 expansions, final overflow 0") {
+		t.Fatalf("explain output without a route stage:\n%s", out)
 	}
 	if !strings.Contains(FormatExplain(nil), "no journal") {
 		t.Fatal("nil journal explain")

@@ -2,29 +2,36 @@ package route
 
 import (
 	"cmp"
+	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
+
+	"tqec/internal/obs"
 )
 
-// routeScan is the router RouteContext replaced, kept verbatim as its
-// oracle: float64 costs read from the grid's history, usage and blocked
-// arrays on every relax, a []Cell heuristic sample scanned with
-// Manhattan, and a swap-based heap. The fast kernel must make the same
-// comparisons in the same order, so every field of the Result and the
-// grid's usage and history afterwards must match it exactly. It keeps
-// the retry with a doubled region margin that the kernel does not have:
-// every cell is enterable, so the first search always reaches the tree
-// and a match shows the retry never ran.
-func routeScan(ctx context.Context, g *Grid, nets []Net, opt Options) (*Result, error) {
+// routeScan is an independent implementation of the router's rules,
+// kept as its oracle. Each pin is joined to its net's tree by a textbook
+// multi-source A*: every tree cell is seeded at cost 0 in tree-insertion
+// order, the heuristic is the Manhattan distance to the pin, costs are
+// float64 values read from the grid's history, usage and blocked arrays
+// on every relax, a closed cell is skipped outright, and the frontier is
+// a container/heap ordered by f and then newest push first, which is the
+// order the kernel's bucket queue pops in. So every field of the Result,
+// the grid's usage and history afterwards, and the searches and
+// expansions counted must match the kernel's exactly. It keeps the retry
+// with a doubled region margin that the kernel does not have: every cell
+// is enterable, so the first search always reaches the pin, and a match
+// in the search count shows the retry never ran.
+func routeScan(ctx context.Context, g *Grid, nets []Net, opt Options) (*Result, scanCounts, error) {
 	opt = opt.withDefaults()
 	for _, n := range nets {
 		for _, p := range n.Pins {
 			if !g.In(p) {
-				return nil, fmt.Errorf("route: net %d pin %v outside grid", n.ID, p)
+				return nil, scanCounts{}, fmt.Errorf("route: net %d pin %v outside grid", n.ID, p)
 			}
 		}
 	}
@@ -43,7 +50,7 @@ func routeScan(ctx context.Context, g *Grid, nets []Net, opt Options) (*Result, 
 	stall := 0
 	for iter := 0; iter < 8*opt.MaxIters; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("route: %w", err)
+			return nil, scanCounts{}, fmt.Errorf("route: %w", err)
 		}
 		if iter >= opt.MaxIters && stall >= 3 {
 			break
@@ -66,7 +73,7 @@ func routeScan(ctx context.Context, g *Grid, nets []Net, opt Options) (*Result, 
 		}
 		for _, oi := range toRoute {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("route: %w", err)
+				return nil, scanCounts{}, fmt.Errorf("route: %w", err)
 			}
 			n := nets[oi]
 			if old, ok := routed[n.ID]; ok {
@@ -122,60 +129,51 @@ func routeScan(ctx context.Context, g *Grid, nets []Net, opt Options) (*Result, 
 		}
 	}
 	sort.Ints(res.Failed)
-	return res, nil
+	return res, s.counts, nil
+}
+
+// scanCounts totals the oracle's A* searches and expanded cells.
+type scanCounts struct {
+	searches, expansions int
 }
 
 type scanSearch struct {
-	g              *Grid
-	opt            Options
-	cells          []scanCell
-	inTree         []uint16
-	epoch, tree    uint16
-	open           scanHeap
-	treeOrder      []Cell
-	treeLo, treeHi Cell
-	sample         []Cell
-	stride         [6]int
+	g      *Grid
+	opt    Options
+	cells  []scanCell
+	inTree []bool
+	// search numbers the A* searches; a cell's seen and closed equal it
+	// while the cell is seen or closed in the running one.
+	search    int
+	open      scanHeap
+	pushes    int
+	treeOrder []Cell
+	counts    scanCounts
 }
 
 type scanCell struct {
-	gScore float64
-	parent int32
-	seen   uint16
-	closed uint16
+	gScore       float64
+	parent       int
+	seen, closed int
 }
 
 func newScanSearch(g *Grid, opt Options) *scanSearch {
 	n := g.NX * g.NY * g.NZ
-	s := &scanSearch{g: g, opt: opt, cells: make([]scanCell, n), inTree: make([]uint16, n)}
-	for k, d := range neighbors6 {
-		s.stride[k] = (d.Z*g.NY+d.Y)*g.NX + d.X
-	}
-	return s
-}
-
-func (s *scanSearch) addToTree(c Cell, i int) {
-	s.inTree[i] = s.tree
-	s.treeOrder = append(s.treeOrder, c)
-	s.treeLo = Cell{min(s.treeLo.X, c.X), min(s.treeLo.Y, c.Y), min(s.treeLo.Z, c.Z)}
-	s.treeHi = Cell{max(s.treeHi.X, c.X), max(s.treeHi.Y, c.Y), max(s.treeHi.Z, c.Z)}
+	return &scanSearch{g: g, opt: opt, cells: make([]scanCell, n), inTree: make([]bool, n)}
 }
 
 func (s *scanSearch) routeNet(n Net) []Cell {
 	if len(n.Pins) == 0 {
 		return nil
 	}
-	s.tree++
-	if s.tree == 0 {
-		clear(s.inTree)
-		s.tree = 1
-	}
 	g := s.g
-	s.treeOrder = s.treeOrder[:0]
-	s.treeLo, s.treeHi = n.Pins[0], n.Pins[0]
-	s.addToTree(n.Pins[0], g.idx(n.Pins[0]))
+	for _, c := range s.treeOrder {
+		s.inTree[g.idx(c)] = false
+	}
+	s.treeOrder = append(s.treeOrder[:0], n.Pins[0])
+	s.inTree[g.idx(n.Pins[0])] = true
 	for _, pin := range n.Pins[1:] {
-		if s.inTree[g.idx(pin)] == s.tree {
+		if s.inTree[g.idx(pin)] {
 			continue
 		}
 		if !s.connect(pin) {
@@ -187,28 +185,20 @@ func (s *scanSearch) routeNet(n Net) []Cell {
 	return cells
 }
 
-func (s *scanSearch) connect(src Cell) bool {
+func (s *scanSearch) connect(pin Cell) bool {
 	g := s.g
-	const maxSample = 24
-	sample := s.treeOrder
-	if len(sample) > maxSample {
-		s.sample = s.sample[:0]
-		stride := len(sample) / maxSample
-		for i := 0; i < len(sample) && len(s.sample) < maxSample; i += stride {
-			s.sample = append(s.sample, sample[i])
-		}
-		sample = s.sample
+	lo, hi := pin, pin
+	for _, c := range s.treeOrder {
+		lo = Cell{min(lo.X, c.X), min(lo.Y, c.Y), min(lo.Z, c.Z)}
+		hi = Cell{max(hi.X, c.X), max(hi.Y, c.Y), max(hi.Z, c.Z)}
 	}
-	lo := Cell{min(src.X, s.treeLo.X), min(src.Y, s.treeLo.Y), min(src.Z, s.treeLo.Z)}
-	hi := Cell{max(src.X, s.treeHi.X), max(src.Y, s.treeHi.Y), max(src.Z, s.treeHi.Z)}
 	for inflate := regionInflate; ; inflate *= 2 {
 		rlo := Cell{max(0, lo.X-inflate), max(0, lo.Y-inflate), max(0, lo.Z-inflate)}
 		rhi := Cell{min(g.NX-1, hi.X+inflate), min(g.NY-1, hi.Y+inflate), min(g.NZ-1, hi.Z+inflate)}
-		if hit := s.astar(src, sample, rlo, rhi); hit >= 0 {
-			for i := hit; i >= 0; i = int(s.cells[i].parent) {
-				if s.inTree[i] != s.tree {
-					s.addToTree(g.cell(i), i)
-				}
+		if s.astar(pin, rlo, rhi) {
+			for i := g.idx(pin); !s.inTree[i]; i = s.cells[i].parent {
+				s.inTree[i] = true
+				s.treeOrder = append(s.treeOrder, g.cell(i))
 			}
 			return true
 		}
@@ -218,108 +208,85 @@ func (s *scanSearch) connect(src Cell) bool {
 	}
 }
 
-func (s *scanSearch) astar(src Cell, sample []Cell, rlo, rhi Cell) int {
+// astar reports whether pin is reachable from the tree inside [rlo, rhi],
+// leaving the path in the parent links.
+func (s *scanSearch) astar(pin, rlo, rhi Cell) bool {
 	g, opt := s.g, s.opt
-	s.epoch++
-	if s.epoch == 0 {
-		for i := range s.cells {
-			s.cells[i].seen, s.cells[i].closed = 0, 0
-		}
-		s.epoch = 1
-	}
-	si := g.idx(src)
-	s.cells[si] = scanCell{parent: -1, seen: s.epoch}
+	s.search++
+	s.counts.searches++
 	s.open = s.open[:0]
-	s.open.push(scanItem{f: nearestScan(src, sample), idx: si})
-	for len(s.open) > 0 {
-		ci := s.open.pop().idx
+	for _, c := range s.treeOrder {
+		i := g.idx(c)
+		s.cells[i] = scanCell{parent: -1, seen: s.search}
+		s.pushOpen(float64(c.Manhattan(pin)), i)
+	}
+	for s.open.Len() > 0 {
+		ci := heap.Pop(&s.open).(scanItem).idx
 		cur := &s.cells[ci]
-		if cur.closed == s.epoch {
+		if cur.closed == s.search {
 			continue
 		}
-		cur.closed = s.epoch
-		if s.inTree[ci] == s.tree {
-			return ci
-		}
+		cur.closed = s.search
 		c := g.cell(ci)
-		for k, d := range neighbors6 {
+		if c == pin {
+			return true
+		}
+		s.counts.expansions++
+		for _, d := range neighbors6 {
 			nxt := c.Add(d)
 			if nxt.X < rlo.X || nxt.X > rhi.X || nxt.Y < rlo.Y || nxt.Y > rhi.Y ||
 				nxt.Z < rlo.Z || nxt.Z > rhi.Z {
 				continue
 			}
-			ni := ci + s.stride[k]
+			ni := g.idx(nxt)
+			next := &s.cells[ni]
+			if next.closed == s.search {
+				continue
+			}
 			cost := 1.0 + historyFactor*float64(g.history[ni])
 			if u := int(g.usage[ni]); u+1 > opt.CellCapacity {
 				cost += presentFactor * float64(u+1-opt.CellCapacity)
 			}
-			ng := cur.gScore + cost
 			if g.blocked[ni] {
-				ng += blockPenalty
+				cost += blockPenalty
 			}
-			next := &s.cells[ni]
-			if next.seen == s.epoch && ng >= next.gScore {
+			ng := cur.gScore + cost
+			if next.seen == s.search && ng >= next.gScore {
 				continue
 			}
-			next.gScore, next.parent, next.seen = ng, int32(ci), s.epoch
-			s.open.push(scanItem{f: ng + nearestScan(nxt, sample), idx: ni})
+			next.gScore, next.parent, next.seen = ng, ci, s.search
+			s.pushOpen(ng+float64(nxt.Manhattan(pin)), ni)
 		}
 	}
-	return -1
+	return false
 }
 
-func nearestScan(c Cell, sample []Cell) float64 {
-	best := 1 << 30
-	for _, t := range sample {
-		if d := c.Manhattan(t); d < best {
-			best = d
-		}
-	}
-	return float64(best)
+func (s *scanSearch) pushOpen(f float64, idx int) {
+	s.pushes++
+	heap.Push(&s.open, scanItem{f: f, seq: s.pushes, idx: idx})
 }
 
+// scanItem is one frontier entry; seq numbers the pushes.
 type scanItem struct {
 	f   float64
+	seq int
 	idx int
 }
 
-// scanHeap is container/heap's Push and Pop with up and down inlined,
-// swapping at every level.
+// scanHeap orders the frontier by f ascending, then newest push first.
 type scanHeap []scanItem
 
-func (h *scanHeap) push(it scanItem) {
-	*h = append(*h, it)
-	q := *h
-	for j := len(q) - 1; ; {
-		i := (j - 1) / 2
-		if i == j || !(q[j].f < q[i].f) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
+func (h scanHeap) Len() int { return len(h) }
+func (h scanHeap) Less(i, j int) bool {
+	return h[i].f < h[j].f || h[i].f == h[j].f && h[i].seq > h[j].seq
 }
-
-func (h *scanHeap) pop() scanItem {
+func (h scanHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *scanHeap) Push(x any)   { *h = append(*h, x.(scanItem)) }
+func (h *scanHeap) Pop() any {
 	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q[j2].f < q[j].f {
-			j = j2
-		}
-		if !(q[j].f < q[i].f) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	*h = q[:n]
-	return q[n]
+	it := q[len(q)-1]
+	*h = q[:len(q)-1]
+	return it
 }
 
 // routeCase is one router input: a grid recipe, the nets and the options.
@@ -343,13 +310,24 @@ func (rc routeCase) grid(t testing.TB) *Grid {
 }
 
 // crossingCase is a one-plane tangle of three nets whose overflow keeps
-// shrinking often enough that negotiation runs to the hard round cap,
-// 8×MaxIters, and still ends with a shared cell.
+// reaching a new low often enough (3, 2, 2, 2, 1, 2, 1, 2 over the
+// rounds) that negotiation runs to the hard round cap, 8×MaxIters, and
+// still ends with shared cells.
 func crossingCase() routeCase {
-	return routeCase{nx: 6, ny: 6, nz: 1, opt: Options{MaxIters: 1}, nets: []Net{
-		{ID: 0, Pins: []Cell{{2, 2, 0}, {2, 5, 0}}},
-		{ID: 1, Pins: []Cell{{3, 5, 0}, {1, 3, 0}}},
-		{ID: 2, Pins: []Cell{{3, 3, 0}, {2, 4, 0}}},
+	return routeCase{nx: 4, ny: 4, nz: 1, opt: Options{MaxIters: 1}, nets: []Net{
+		{ID: 0, Pins: []Cell{{3, 1, 0}, {1, 2, 0}}},
+		{ID: 1, Pins: []Cell{{3, 0, 0}, {3, 3, 0}}},
+		{ID: 2, Pins: []Cell{{2, 1, 0}, {0, 1, 0}}},
+	}}
+}
+
+// thinCase is a long thin empty grid whose net's tree spans x 0..40
+// when the last pin, at the far end, is joined: the seeds' f spread over
+// 40, while the largest entry cost is 1. A bucket ring sized by the step
+// bound (largest entry cost + 2) alone would alias them.
+func thinCase() routeCase {
+	return routeCase{nx: 64, ny: 2, nz: 2, nets: []Net{
+		{ID: 5, Pins: []Cell{{0, 0, 0}, {40, 0, 0}, {63, 1, 1}}},
 	}}
 }
 
@@ -376,7 +354,8 @@ func randomCase(rng *rand.Rand) routeCase {
 
 // checkStep returns a negotiate hook that fails t unless every cell's
 // maintained entry cost equals the one computed from scratch off the
-// grid, the way routeScan prices a step.
+// grid, the way routeScan prices a step, and lies within maxEntry, which
+// sizes the bucket queue's ring.
 func checkStep(t *testing.T) func(*search) {
 	return func(s *search) {
 		g := s.g
@@ -392,24 +371,42 @@ func checkStep(t *testing.T) func(*search) {
 				t.Fatalf("cell %v: entry cost %d, from scratch %d (usage %d, history %d)",
 					g.cell(i), c.entry, want, g.usage[i], g.history[i])
 			}
+			if c.entry > s.maxEntry {
+				t.Fatalf("cell %v: entry cost %d above maxEntry %d", g.cell(i), c.entry, s.maxEntry)
+			}
 		}
 	}
 }
 
 // checkRouteMatchesScan routes rc with the router, auditing every entry
 // cost after every net and every round, and with routeScan on a separate
-// grid, and compares the whole Result and both grids' usage and history
-// afterwards.
+// grid, and compares the whole Result, both grids' usage and history
+// afterwards, and the searches and expansions the route-round spans
+// counted with the oracle's: a pop out of f order shows in the
+// expansions even where the routes come out the same.
 func checkRouteMatchesScan(t *testing.T, rc routeCase) *Result {
 	t.Helper()
 	g, gs := rc.grid(t), rc.grid(t)
-	got, err := negotiate(context.Background(), g, rc.nets, rc.opt, checkStep(t))
+	tr := obs.NewTracer("route")
+	got, err := negotiate(obs.WithTracer(context.Background(), tr), g, rc.nets, rc.opt, checkStep(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := routeScan(context.Background(), gs, rc.nets, rc.opt)
+	tr.Finish()
+	want, counts, err := routeScan(context.Background(), gs, rc.nets, rc.opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var kernel scanCounts
+	for _, sp := range tr.Root().Find("route-round") {
+		n, _ := sp.Lookup("searches")
+		e, _ := sp.Lookup("expansions")
+		kernel.searches += n.(int)
+		kernel.expansions += e.(int)
+	}
+	if kernel != counts {
+		t.Fatalf("%d searches and %d expansions, oracle %d and %d",
+			kernel.searches, kernel.expansions, counts.searches, counts.expansions)
 	}
 	if got.Wirelength != want.Wirelength || got.Overflow != want.Overflow ||
 		got.Squeezed != want.Squeezed || got.Iters != want.Iters || !slices.Equal(got.Failed, want.Failed) {
@@ -433,7 +430,8 @@ func checkRouteMatchesScan(t *testing.T, rc routeCase) *Result {
 
 // TestRouteMatchesScan checks the router against routeScan on fixed
 // anchors (the congested bus, a one-plane crossing negotiated to the hard
-// round cap, a walled pin) and on seeded random grids.
+// round cap, a walled pin, a tree spanning more f than one step) and on
+// seeded random grids.
 func TestRouteMatchesScan(t *testing.T) {
 	wall := routeCase{nx: 5, ny: 5, nz: 1, boxes: [][2]Cell{{{2, 0, 0}, {2, 4, 0}}},
 		nets: []Net{{ID: 3, Pins: []Cell{{0, 0, 0}, {4, 0, 0}}}}, opt: Options{MaxIters: 2}}
@@ -452,6 +450,13 @@ func TestRouteMatchesScan(t *testing.T) {
 	t.Run("wall", func(t *testing.T) {
 		if res := checkRouteMatchesScan(t, wall); res.Squeezed != 1 {
 			t.Fatalf("the walled net squeezed %d cells, want 1", res.Squeezed)
+		}
+	})
+	t.Run("thin", func(t *testing.T) {
+		// The tree is a straight line and the far pin one bend away, so
+		// the route is a shortest path: 63 + 1 + 1 − 2 pins.
+		if res := checkRouteMatchesScan(t, thinCase()); res.Wirelength != 63 {
+			t.Fatalf("the thin net's wirelength is %d, want 63", res.Wirelength)
 		}
 	})
 	rng := rand.New(rand.NewSource(1))

@@ -15,9 +15,9 @@ import (
 var rd84Sink *route.Result
 
 // BenchmarkRouteRD84 routes the rd84_142 Full seed-1 placement
-// (`EffortFast`) once per iteration: about 3,000 A* searches over three
-// negotiation rounds. It reports ns per expanded cell, counting the
-// expansions once in an untimed traced pass.
+// (`EffortFast`) once per iteration: 3,181 A* searches expanding 984,498
+// cells over three negotiation rounds. It reports ns per expanded cell,
+// counting the expansions once in an untimed traced pass.
 func BenchmarkRouteRD84(b *testing.B) {
 	spec, ok := bench.ByName("rd84_142")
 	if !ok {

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -265,7 +266,7 @@ func negotiate(ctx context.Context, g *Grid, nets []Net, opt Options, step func(
 			if u > cap16 {
 				overflow++
 				g.history[i] += int32(u - cap16)
-				s.cells[i].entry = s.entry(i)
+				s.refresh(i)
 			}
 		}
 		if step != nil {
@@ -325,7 +326,7 @@ func pinSpan(n Net) int {
 // per-cell state lives in dense arrays indexed by Grid.idx, and epoch
 // stamps say which entries belong to the current A* search or the current
 // net's tree, so nothing is cleared between searches (only when a stamp
-// wraps) and a search allocates nothing once the heap and the tree list
+// wraps) and a search allocates nothing once the queue and the tree list
 // have grown.
 type search struct {
 	g     *Grid
@@ -339,13 +340,14 @@ type search struct {
 	// epoch is even and steps by two per search; tree steps by one per
 	// net.
 	epoch, tree uint16
-	open        openHeap
-	// treeOrder lists the tree's cells in insertion order, for the
-	// heuristic sample; treeLo and treeHi bound them.
+	// maxEntry bounds every cell's entry cost from above: it is raised
+	// wherever an entry is written and never lowered.
+	maxEntry int32
+	open     bucketQueue
+	// treeOrder lists the tree's cells in insertion order, the order a
+	// search seeds them in; treeLo and treeHi bound them.
 	treeOrder      []Cell
 	treeLo, treeHi Cell
-	// sx, sy and sz are the heuristic sample's coordinates, as columns.
-	sx, sy, sz []int32
 	// searches and expansions count the round's A* searches and
 	// expanded cells, for its route-round span.
 	searches, expansions int
@@ -353,8 +355,8 @@ type search struct {
 
 // searchCell is one grid cell's A* record.
 type searchCell struct {
-	g      int64 // cheapest known cost from the source (valid while marked)
-	parent int32 // predecessor on that path, −1 at the source
+	g      int64 // cheapest known cost from the tree (valid while marked)
+	parent int32 // predecessor on that path, −1 on the tree
 	entry  int32 // cost of stepping into the cell: search.entry, kept current
 }
 
@@ -362,7 +364,7 @@ func newSearch(g *Grid, opt Options) *search {
 	n := g.NX * g.NY * g.NZ
 	s := &search{g: g, opt: opt, cells: make([]searchCell, n), mark: make([]uint16, n), inTree: make([]uint16, n)}
 	for i := range s.cells {
-		s.cells[i].entry = s.entry(i)
+		s.refresh(i)
 	}
 	return s
 }
@@ -371,8 +373,8 @@ func newSearch(g *Grid, opt Options) *search {
 // cell's history, the present-sharing penalty for every user beyond
 // capacity the step would make (below capacity a cell is free of sharing
 // cost), and blockPenalty on an obstacle. The router keeps each cell's
-// searchCell.entry equal to it: use refreshes the cells whose usage
-// changes, the round-end pass those whose history grows.
+// searchCell.entry equal to it through refresh: use refreshes the cells
+// whose usage changes, the round-end pass those whose history grows.
 func (s *search) entry(i int) int32 {
 	g := s.g
 	cost := 1 + historyFactor*g.history[i]
@@ -385,13 +387,20 @@ func (s *search) entry(i int) int32 {
 	return cost
 }
 
+// refresh recomputes cell i's entry cost and raises maxEntry to it.
+func (s *search) refresh(i int) {
+	e := s.entry(i)
+	s.cells[i].entry = e
+	s.maxEntry = max(s.maxEntry, e)
+}
+
 // use adds d users to each of cells and refreshes their entry costs.
 func (s *search) use(cells []Cell, d int16) {
 	g := s.g
 	for _, c := range cells {
 		i := g.idx(c)
 		g.usage[i] += d
-		s.cells[i].entry = s.entry(i)
+		s.refresh(i)
 	}
 }
 
@@ -413,8 +422,8 @@ func (s *search) addToTree(c Cell, i int) {
 }
 
 // routeNet routes one multi-pin net as a Steiner-ish tree: the first pin
-// seeds the tree; every further pin is connected by an A* search targeting
-// any tree cell. The cells come back sorted by Grid.idx, that is by
+// seeds the tree; every further pin is joined to it by an A* search from
+// the whole tree. The cells come back sorted by Grid.idx, that is by
 // (Z, Y, X). Returns nil on failure.
 func (s *search) routeNet(n Net) []Cell {
 	if len(n.Pins) == 0 {
@@ -442,50 +451,37 @@ func (s *search) routeNet(n Net) []Cell {
 	return cells
 }
 
-// connect finds a cheapest path from src to any tree cell within a
+// connect finds a cheapest path from any tree cell to pin within a
 // restricted region and adds the path to the tree. The region is the box
-// of src and the tree, inflated by regionInflate; every cell is
+// of pin and the tree, inflated by regionInflate; every cell is
 // enterable (a blocked one costs blockPenalty), so the search always
-// reaches the tree inside it.
-func (s *search) connect(src Cell) bool {
+// reaches pin inside it.
+func (s *search) connect(pin Cell) bool {
 	g := s.g
-	// The heuristic is the distance to the nearest of a bounded sample of
-	// tree cells: scanning a large tree per evaluation would dominate. The
-	// sample is strided over the insertion-ordered tree so the pick is
-	// deterministic AND spread across the tree (a map-range pick here made
-	// routed wirelength vary run to run). It can overestimate slightly
-	// (the true nearest tree cell may be unsampled), trading strict A*
-	// optimality for speed — acceptable inside the negotiated router.
-	const maxSample = 24
-	stride := max(1, len(s.treeOrder)/maxSample)
-	s.sx, s.sy, s.sz = s.sx[:0], s.sy[:0], s.sz[:0]
-	for i := 0; i < len(s.treeOrder) && len(s.sx) < maxSample; i += stride {
-		c := s.treeOrder[i]
-		s.sx, s.sy, s.sz = append(s.sx, int32(c.X)), append(s.sy, int32(c.Y)), append(s.sz, int32(c.Z))
-	}
-	lo := Cell{min(src.X, s.treeLo.X), min(src.Y, s.treeLo.Y), min(src.Z, s.treeLo.Z)}
-	hi := Cell{max(src.X, s.treeHi.X), max(src.Y, s.treeHi.Y), max(src.Z, s.treeHi.Z)}
+	lo := Cell{min(pin.X, s.treeLo.X), min(pin.Y, s.treeLo.Y), min(pin.Z, s.treeLo.Z)}
+	hi := Cell{max(pin.X, s.treeHi.X), max(pin.Y, s.treeHi.Y), max(pin.Z, s.treeHi.Z)}
 	rlo := Cell{max(0, lo.X-regionInflate), max(0, lo.Y-regionInflate), max(0, lo.Z-regionInflate)}
 	rhi := Cell{min(g.NX-1, hi.X+regionInflate), min(g.NY-1, hi.Y+regionInflate), min(g.NZ-1, hi.Z+regionInflate)}
-	hit := s.astar(src, rlo, rhi)
-	if hit < 0 {
+	i := s.astar(pin, rlo, rhi)
+	if i < 0 {
 		return false
 	}
-	// Walk the path back from the tree cell it reached to src.
-	for i := hit; i >= 0; i = int(s.cells[i].parent) {
-		if s.inTree[i] != s.tree {
-			s.addToTree(g.cell(i), i)
-		}
+	// Walk the path back from pin to the tree cell it started from.
+	for ; s.inTree[i] != s.tree; i = int(s.cells[i].parent) {
+		s.addToTree(g.cell(i), i)
 	}
 	return true
 }
 
-// astar searches from src to the nearest tree cell inside the region
-// [rlo, rhi] and returns that cell's index, or −1 when none is reachable.
-// The path is left in the parent links. Because the sampled heuristic is
-// inconsistent, a closed cell's cost and parent may still be lowered;
-// only its re-expansion is skipped.
-func (s *search) astar(src, rlo, rhi Cell) int {
+// astar is one multi-source A* search from every tree cell, each seeded
+// at cost 0 in tree-insertion order, to pin inside the region [rlo, rhi].
+// It returns pin's index, or −1 when pin is unreachable, and leaves the
+// path in the parent links. The heuristic, the Manhattan distance to pin,
+// is consistent: every step costs at least 1 and changes the distance by
+// exactly 1. So the popped f never decreases, every cell is closed at
+// its cheapest cost, and the frontier is a monotone bucket queue that
+// pops in the order f ascending, newest push first.
+func (s *search) astar(pin, rlo, rhi Cell) int {
 	s.searches++
 	if s.epoch >= math.MaxUint16-1 { // used up: a stale mark could alias the new search
 		clear(s.mark)
@@ -493,152 +489,158 @@ func (s *search) astar(src, rlo, rhi Cell) int {
 	}
 	s.epoch += 2
 	closed := s.epoch + 1
-	nx, ny := s.g.NX, s.g.NY
+	g := s.g
+	nx, ny := g.NX, g.NY
 	nxy := nx * ny
-	si := s.g.idx(src)
-	s.cells[si].g, s.cells[si].parent = 0, -1
-	s.mark[si] = s.epoch
-	s.open = s.open[:0]
-	s.open.push(openItem{f: s.nearest(src.X, src.Y, src.Z), idx: int32(si)})
-	for len(s.open) > 0 {
-		ci := int(s.open.pop().idx)
+	// The seeds' f spread over at most NX+NY+NZ−3 and a step raises f by
+	// at most maxEntry+1, so every live f lies within this width of the
+	// popped one.
+	q := &s.open
+	q.reset(g.NX + g.NY + g.NZ + int(s.maxEntry) + 2)
+	for _, c := range s.treeOrder {
+		i := g.idx(c)
+		s.cells[i].g, s.cells[i].parent = 0, -1
+		s.mark[i] = s.epoch
+		q.push(int64(c.Manhattan(pin)), i)
+	}
+	pi := g.idx(pin)
+	for q.n > 0 {
+		ci := q.pop()
 		if s.mark[ci] == closed {
 			continue
 		}
 		s.mark[ci] = closed
-		if s.inTree[ci] == s.tree {
+		if ci == pi {
 			return ci
 		}
 		s.expansions++
 		// Every cell on the frontier lies inside the region, so each
 		// step tests only the coordinate it changes; the steps keep the
-		// order +x, −x, +y, −y, +z, −z.
+		// order +x, −x, +y, −y, +z, −z. A step changes the distance to
+		// pin by one, up when it moves away from pin on its axis.
 		r := ci / nx
 		x, z := ci-r*nx, r/ny
 		y := r - z*ny
-		g := s.cells[ci].g
+		gc := s.cells[ci].g
+		h := q.cur - gc
 		if x < rhi.X {
-			if ng, ok := s.lower(ci, ci+1, g); ok {
-				s.open.push(openItem{f: ng + s.nearest(x+1, y, z), idx: int32(ci + 1)})
+			if ng, ok := s.lower(ci, ci+1, gc); ok {
+				q.push(ng+away(h, x >= pin.X), ci+1)
 			}
 		}
 		if x > rlo.X {
-			if ng, ok := s.lower(ci, ci-1, g); ok {
-				s.open.push(openItem{f: ng + s.nearest(x-1, y, z), idx: int32(ci - 1)})
+			if ng, ok := s.lower(ci, ci-1, gc); ok {
+				q.push(ng+away(h, x <= pin.X), ci-1)
 			}
 		}
 		if y < rhi.Y {
-			if ng, ok := s.lower(ci, ci+nx, g); ok {
-				s.open.push(openItem{f: ng + s.nearest(x, y+1, z), idx: int32(ci + nx)})
+			if ng, ok := s.lower(ci, ci+nx, gc); ok {
+				q.push(ng+away(h, y >= pin.Y), ci+nx)
 			}
 		}
 		if y > rlo.Y {
-			if ng, ok := s.lower(ci, ci-nx, g); ok {
-				s.open.push(openItem{f: ng + s.nearest(x, y-1, z), idx: int32(ci - nx)})
+			if ng, ok := s.lower(ci, ci-nx, gc); ok {
+				q.push(ng+away(h, y <= pin.Y), ci-nx)
 			}
 		}
 		if z < rhi.Z {
-			if ng, ok := s.lower(ci, ci+nxy, g); ok {
-				s.open.push(openItem{f: ng + s.nearest(x, y, z+1), idx: int32(ci + nxy)})
+			if ng, ok := s.lower(ci, ci+nxy, gc); ok {
+				q.push(ng+away(h, z >= pin.Z), ci+nxy)
 			}
 		}
 		if z > rlo.Z {
-			if ng, ok := s.lower(ci, ci-nxy, g); ok {
-				s.open.push(openItem{f: ng + s.nearest(x, y, z-1), idx: int32(ci - nxy)})
+			if ng, ok := s.lower(ci, ci-nxy, gc); ok {
+				q.push(ng+away(h, z <= pin.Z), ci-nxy)
 			}
 		}
 	}
 	return -1
 }
 
-// lower offers cell ni the path through ci, whose cost is g, and
-// reports the path's cost when it is an improvement. A cell seen in this
-// search keeps the cheaper of its paths, ties going to the earlier one;
-// a closed cell may still be lowered but stays closed.
+// away is the distance to pin after a step from a cell at distance h:
+// h+1 when the step moves away from pin on its axis, h−1 otherwise.
+func away(h int64, up bool) int64 {
+	if up {
+		return h + 1
+	}
+	return h - 1
+}
+
+// lower offers cell ni the path through ci, whose cost is g, and reports
+// the path's cost when it is an improvement. A cell seen in this search
+// keeps the cheaper of its paths, ties going to the earlier one. A closed
+// cell is never improved: the heuristic is consistent.
 func (s *search) lower(ci, ni int, g int64) (int64, bool) {
 	c := &s.cells[ni]
 	ng := g + int64(c.entry)
-	m := s.mark[ni]
-	if m-s.epoch <= 1 && ng >= c.g {
+	if s.mark[ni]-s.epoch <= 1 && ng >= c.g {
 		return 0, false
 	}
 	c.g, c.parent = ng, int32(ci)
-	if m != s.epoch+1 {
-		s.mark[ni] = s.epoch
-	}
+	s.mark[ni] = s.epoch
 	return ng, true
 }
 
-// nearest is the A* heuristic: the distance from (x, y, z) to the nearest
-// sampled tree cell.
-func (s *search) nearest(x, y, z int) int64 {
-	sx := s.sx
-	sy, sz := s.sy[:len(sx)], s.sz[:len(sx)]
-	cx, cy, cz := int32(x), int32(y), int32(z)
-	best := int32(1 << 30)
-	for k := range sx {
-		dx, dy, dz := cx-sx[k], cy-sy[k], cz-sz[k]
-		// |d| without a branch: d>>31 is 0 or −1.
-		dx = (dx ^ dx>>31) - dx>>31
-		dy = (dy ^ dy>>31) - dy>>31
-		dz = (dz ^ dz>>31) - dz>>31
-		best = min(best, dx+dy+dz)
-	}
-	return int64(best)
+// bucketQueue is the A* frontier: a monotone priority queue on f (Dial
+// 1969). It is a power-of-two ring of f buckets, each a LIFO list of
+// cells, so it pops in the order f ascending, newest push first. Pushes
+// must lie below cur plus the ring's width, and pops never go below cur.
+// A popped slot is reused by the next push, so the slots follow the live
+// frontier.
+type bucketQueue struct {
+	head  []int32      // per bucket, its newest slot; 0 when empty
+	slots []queueEntry // slot 0 is never used, so 0 means none
+	free  int32        // the most recently freed slot, 0 when none
+	n     int          // live entries
+	cur   int64        // the lowest f that can be live
 }
 
-// openItem is one A* frontier entry; a cell may have several, and all
-// but the cheapest are skipped once it is closed.
-type openItem struct {
-	f   int64
-	idx int32
+type queueEntry struct {
+	idx, next int32
 }
 
-// openHeap is a binary min-heap on f. push and pop make container/heap's
-// up and down comparisons, in its order, but move a hole instead of
-// swapping: the item being sifted is the one every comparison reads, so
-// it is written once, where it stops. Entries with equal f therefore pop
-// in exactly the order a container/heap gives them, and routes stay
-// bit-identical.
-type openHeap []openItem
-
-func (h *openHeap) push(it openItem) {
-	q := append(*h, it)
-	j := len(q) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !(it.f < q[i].f) {
-			break
-		}
-		q[j] = q[i]
-		j = i
+// reset empties the queue and makes the ring at least width buckets wide.
+func (q *bucketQueue) reset(width int) {
+	if len(q.head) < width {
+		q.head = make([]int32, 1<<bits.Len(uint(width-1)))
+	} else {
+		clear(q.head)
 	}
-	q[j] = it
-	*h = q
+	q.slots = append(q.slots[:0], queueEntry{})
+	q.free, q.n, q.cur = 0, 0, math.MaxInt64
 }
 
-func (h *openHeap) pop() openItem {
-	q := *h
-	n := len(q) - 1
-	top, last := q[0], q[n]
-	i := 0
-	for {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q[j2].f < q[j].f {
-			j = j2 // right child
-		}
-		if !(q[j].f < last.f) {
-			break
-		}
-		q[i] = q[j]
-		i = j
+// push adds cell idx at key f.
+func (q *bucketQueue) push(f int64, idx int) {
+	b := &q.head[f&int64(len(q.head)-1)]
+	k := q.free
+	if k != 0 {
+		q.free = q.slots[k].next
+		q.slots[k] = queueEntry{int32(idx), *b}
+	} else {
+		k = int32(len(q.slots))
+		q.slots = append(q.slots, queueEntry{int32(idx), *b})
 	}
-	q[i] = last
-	*h = q[:n]
-	return top
+	*b = k
+	q.n++
+	q.cur = min(q.cur, f)
+}
+
+// pop removes and returns the newest cell of the lowest f, leaving cur at
+// that f. The queue must not be empty.
+func (q *bucketQueue) pop() int {
+	mask := int64(len(q.head) - 1)
+	for q.head[q.cur&mask] == 0 {
+		q.cur++
+	}
+	b := &q.head[q.cur&mask]
+	k := *b
+	e := q.slots[k]
+	*b = e.next
+	q.slots[k].next = q.free
+	q.free = k
+	q.n--
+	return int(e.idx)
 }
 
 // Validate checks the routing result: every route connects all of its

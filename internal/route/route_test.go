@@ -282,7 +282,7 @@ func TestQuickRandomPinPairsAlwaysRoutedOnEmptyGrid(t *testing.T) {
 }
 
 // TestNegotiatedRoutingAllocations guards the router's scratch: A*
-// searches reuse one dense per-cell array and one heap, so a negotiated
+// searches reuse one dense per-cell array and one queue, so a negotiated
 // routing allocates per routed net (its cells), not per expanded cell.
 func TestNegotiatedRoutingAllocations(t *testing.T) {
 	nets := busNets()
@@ -305,6 +305,33 @@ func TestNegotiatedRoutingAllocations(t *testing.T) {
 	t.Logf("%.0f allocations per net over %d rounds", perNet, rounds)
 	if perNet >= 100 {
 		t.Fatalf("%.0f allocations per net over %d rounds, want < 100", perNet, rounds)
+	}
+}
+
+// TestRouteNetAllocations pins the search scratch's reuse: once it is
+// warm, routing the bus again allocates only each net's returned cell
+// slice, so the bucket queue's ring and slots and the tree list are
+// reused, not regrown.
+func TestRouteNetAllocations(t *testing.T) {
+	nets := busNets()
+	g := mustGrid(t, 32, 24, 4)
+	s := newSearch(g, Options{}.withDefaults())
+	routed := make([][]Cell, len(nets))
+	route := func() {
+		for i, n := range nets {
+			if routed[i] = s.routeNet(n); routed[i] == nil {
+				t.Fatalf("net %d failed", n.ID)
+			}
+			s.use(routed[i], 1)
+		}
+		for _, cells := range routed {
+			s.use(cells, -1)
+		}
+	}
+	route()
+	if allocs := testing.AllocsPerRun(20, route); allocs != float64(len(nets)) {
+		t.Fatalf("routing the bus's %d nets on a warm scratch made %.0f allocations, want one per net",
+			len(nets), allocs)
 	}
 }
 

@@ -21,7 +21,10 @@ import (
 // store never serves an older pipeline's answer as done_cached.
 //
 //	2: dual nets are routed in a fixed order (was Go map order)
-const pipelineVersion = 2
+//	3: each pin is joined to its net's tree by one multi-source A* with
+//	   an exact heuristic (was a search from the pin toward a sample of
+//	   the tree)
+const pipelineVersion = 3
 
 // CacheKey content-addresses one compile: the SHA-256 of the pipeline
 // version, the normalized circuit text, a canonical encoding of every

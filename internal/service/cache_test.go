@@ -38,8 +38,9 @@ func TestCacheKeyDeterministic(t *testing.T) {
 }
 
 // TestCacheKeyPinned pins the keys of two fixed requests to the values
-// earlier binaries wrote, so a warm result store keeps answering them: a
-// change to the key's encoding must come with a pipelineVersion bump.
+// binaries of this pipelineVersion write, so a warm result store keeps
+// answering them: a change to the key's encoding must come with a
+// pipelineVersion bump, and a bump re-records them.
 func TestCacheKeyPinned(t *testing.T) {
 	c, err := Source{Sample: "threecnot"}.Load()
 	if err != nil {
@@ -49,10 +50,10 @@ func TestCacheKeyPinned(t *testing.T) {
 		spec OptionSpec
 		want string
 	}{
-		{OptionSpec{}, "4a7286d3f0bd71630de1aeeb267faf05d57526cc5c8d22c9700636cfe9f8025a"},
+		{OptionSpec{}, "fd4ee1681e6767e28903b6096b5b472f0e09b58a58dc5907750aa7daae673707"},
 		{OptionSpec{Mode: "dual", Effort: "normal", Seeds: []int64{3, 5}, SkipRouting: true,
 			MeasurementSideIShape: true, DRC: true},
-			"63feb5da1f953b35e2215b3cc1c455958ed40e942b4d54e98cbef6a2164303ad"},
+			"d81e593182d4a36d46408eb9a18255ca98df2d0798a5ead9812ce9e23fd238b9"},
 	} {
 		opt, seeds, err := tc.spec.Resolve()
 		if err != nil {
